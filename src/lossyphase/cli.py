@@ -265,6 +265,9 @@ def cmd_fringes(args) -> int:
     if not 0.0 < args.eta <= 1.0:
         print(f"error: eta must be in (0, 1], got {args.eta}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.phi_steps < 1:
+        print(f"error: phi-steps must be at least 1, got {args.phi_steps}", file=sys.stderr)
+        return EXIT_DOMAIN
     params = ImperfectionParams(
         epsilon=args.epsilon, delta=args.delta, lambda_hom=args.lambda_hom, v_classical=args.v_classical
     )
@@ -303,21 +306,23 @@ def cmd_fringes(args) -> int:
     return EXIT_OK
 
 
-def dataset_rows(dataset: EventDataset):
-    for rec in dataset.records:
-        yield (
-            rec.eta,
-            rec.probe.value,
-            rec.phi_true,
-            rec.setting.value,
-            rec.series_id,
-            *(rec.counts.get(label, 0) for label in LABELS),
-            rec.seed_used,
-        )
-
-
 def write_dataset_csv(path: Path, dataset: EventDataset) -> None:
-    _write_csv(path, DATASET_COLUMNS, dataset_rows(dataset))
+    """One row per record in ``DATASET_COLUMNS`` order, formatted as
+    ``_write_csv`` would, with each distinct (eta, probe, phi, setting)
+    prefix formatted once."""
+    # Keyed by object identity, not value, so 0.0 and -0.0 keep their own
+    # text; the records hold every key object alive while the file is built.
+    prefixes: dict[tuple, str] = {}
+    integers = ",".join(["{}"] * (len(LABELS) + 2)).format  # series_id, counts, seed_used
+    lines = [",".join(DATASET_COLUMNS)]
+    for rec in dataset.records:
+        key = (id(rec.eta), rec.probe, id(rec.phi_true), rec.setting)
+        prefix = prefixes.get(key)
+        if prefix is None:
+            prefix = prefixes[key] = f"{_fmt(rec.eta)},{rec.probe.value},{_fmt(rec.phi_true)},{rec.setting.value},"
+        get = rec.counts.get
+        lines.append(prefix + integers(rec.series_id, *[get(label, 0) for label in LABELS], rec.seed_used))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_dataset_csv(path: Path) -> list[EventRecord]:
@@ -383,14 +388,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool]:
+    """A simulate manifest and the model configuration it records."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"manifest {path}: cannot read JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"manifest {path}: no 'config' object")
+    try:
+        config, include_cc = config_from_dict(manifest["config"])
+    except KeyError as exc:
+        raise ConfigError(f"manifest {path}: config lacks required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"manifest {path}: invalid config: {exc}") from exc
+    return manifest, config, include_cc
+
+
 def cmd_estimate(args) -> int:
     dataset_path = Path(args.dataset)
     manifest_path = Path(args.manifest) if args.manifest else dataset_path.parent / "manifest.json"
     if not manifest_path.exists():
         print(f"error: manifest {manifest_path} not found (needed for the model configuration)", file=sys.stderr)
         return EXIT_INPUT
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    config, include_cc = config_from_dict(manifest["config"])
+    manifest, config, include_cc = _load_manifest(manifest_path)
     records = read_dataset_csv(dataset_path)
     dataset = EventDataset(config=config, records=tuple(records))
     estimates = estimate_dataset(dataset, include_cc=include_cc)

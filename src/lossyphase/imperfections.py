@@ -110,14 +110,16 @@ def build_model(probe: FockState, eta: float, config: DetectionConfig, params: I
     return MixedOutcomeModel(quantum, vec, params.lambda_hom)
 
 
+#: Draw order of the thinning: same-counter labels, then cross-counter labels.
+_THINNING_ORDER = ("AA", "BB", "CC", "AB", "AC", "BC")
+
+
 def apply_coupler_thinning(counts: dict[str, int], rng: np.random.Generator, retain: float = 0.5) -> dict[str, int]:
     """Thin same-counter events (coupler inefficiency), then thin cross-counter
     events equally (the compensating postprocessing). Net effect: every label
     is binomially thinned with the same retention, leaving relative
     frequencies unbiased."""
+    binomial = rng.binomial
     out = dict(counts)
-    for label in ("AA", "BB", "CC"):
-        out[label] = int(rng.binomial(int(out.get(label, 0)), retain))
-    for label in ("AB", "AC", "BC"):
-        out[label] = int(rng.binomial(int(out.get(label, 0)), retain))
+    out.update({label: int(binomial(int(counts.get(label, 0)), retain)) for label in _THINNING_ORDER})
     return out

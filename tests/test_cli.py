@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import lossyphase
 
 from lossyphase.cli import (
     DATASET_COLUMNS,
@@ -121,6 +127,13 @@ class TestFringes:
     def test_bad_eta_exits_2(self, tmp_path):
         assert main(["fringes", "--eta", "1.5", "--out", str(tmp_path / "f.csv")]) == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_phi_steps_exits_2(self, tmp_path, capsys, steps):
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "0.361", "--phi-steps", steps, "--out", str(out)]) == 2
+        assert "phi-steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_counts_mode(self, tmp_path):
         out = tmp_path / "fringes.csv"
         rc = main([
@@ -212,6 +225,30 @@ class TestEstimate:
         assert rc == 1
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"command": "simulate"}',
+            '{"config": {"probe": "noon", "phases": [0.0], "series": 2, "events": 10, "seed": 0}}',
+            '{"config": ',
+            '[1, 2]',
+            '{"config": {"eta_list": [0.361], "probe": "bogus", "phases": [0.0], "series": 2, "events": 10, "seed": 0}}',
+        ],
+        ids=["no-config", "no-eta-list", "malformed-json", "not-an-object", "unknown-probe"],
+    )
+    def test_bad_manifest_exits_1(self, sim_dir, tmp_path, capsys, text):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(text)
+        rc = main([
+            "estimate", "--dataset", str(sim_dir / "dataset.csv"), "--manifest", str(manifest),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestDeterminism:
     def test_end_to_end_byte_identical(self, tmp_path):
         config_path = tmp_path / "c.cfg"
@@ -225,3 +262,11 @@ class TestDeterminism:
             outputs.append((sim / "dataset.csv", est / "estimates.csv", est / "report.csv"))
         for first, second in zip(*outputs):
             assert first.read_bytes() == second.read_bytes()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Commands that draw nothing do not pay for importing numpy.random."""
+    src = str(Path(lossyphase.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lossyphase.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

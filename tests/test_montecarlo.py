@@ -1,11 +1,15 @@
 """Monte Carlo campaign: deterministic substreams, multinomial sampling, consistency."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
+from lossyphase.cli import write_dataset_csv
 from lossyphase.detection import HALF_LABELS, LABELS, Setting
-from lossyphase.imperfections import ImperfectionParams
+from lossyphase.imperfections import ImperfectionParams, apply_coupler_thinning
 from lossyphase.montecarlo import (
     ExperimentConfig,
     ProbeKind,
@@ -14,6 +18,7 @@ from lossyphase.montecarlo import (
     run_campaign,
     sample_counts,
     setting_models,
+    substream_states,
 )
 
 
@@ -35,6 +40,11 @@ class TestConfig:
             ExperimentConfig(series_count=0)
         with pytest.raises(ValueError):
             ExperimentConfig(phase_list=())
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(eta_list=(0.2, bad))
+            with pytest.raises(ValueError):
+                ExperimentConfig(phase_list=(0.0, bad))
 
 
 class TestSampleCounts:
@@ -75,6 +85,36 @@ class TestSubstreams:
         rng_a, _ = record_rng(9, 0, 0, 0, 0)
         rng_b, _ = record_rng(9, 0, 0, 0, 1)
         assert rng_a.integers(0, 2**32) != rng_b.integers(0, 2**32)
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=4, max_size=4),
+    )
+    def test_bulk_states_match_seed_sequence(self, master_seed, key):
+        """The vectorized derivation reproduces numpy's SeedSequence state,
+        and word 0 is the seed_used that record_rng reports."""
+        keys = np.array([key, [0, 0, 0, 0], [1, 2, 3, 2]])
+        states = substream_states(master_seed, keys)
+        for row, words in zip(keys, states):
+            oracle = np.random.SeedSequence(entropy=(master_seed, *(int(k) for k in row)))
+            np.testing.assert_array_equal(words, oracle.generate_state(4, np.uint64))
+        _, seed_used = record_rng(master_seed, *key)
+        assert seed_used == int(states[0, 0])
+
+    @pytest.mark.parametrize("master_seed", [0, 5, 2**40 + 7, 2**64 - 1, 3 * 2**70 + 11])
+    def test_generator_matches_seed_sequence(self, master_seed):
+        rng, _ = record_rng(master_seed, 3, 14, 299, 2)
+        oracle = np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, 3, 14, 299, 2)))
+        assert rng.integers(0, 2**63, 8).tolist() == oracle.integers(0, 2**63, 8).tolist()
+        assert rng.poisson(2000) == oracle.poisson(2000)
+
+    def test_rejects_out_of_range_keys(self):
+        with pytest.raises(ValueError):
+            record_rng(-1, 0, 0, 0, 0)
+        with pytest.raises(ValueError):
+            record_rng(0, 0, 0, 2**32, 0)
+        with pytest.raises(ValueError):
+            substream_states(0, [[0, 0, -1, 0]])
 
 
 def small_config(**kwargs):
@@ -154,3 +194,74 @@ class TestRunCampaign:
             for k in range(len(LABELS)):
                 se = np.sqrt(total * probs[k] * (1 - probs[k]))
                 assert abs(pooled[k] - total * probs[k]) < 5 * se
+
+
+#: sha256 of ``write_dataset_csv`` output for small campaigns, recorded with the
+#: per-record SeedSequence implementation that defined the substream layout.
+#: Any change to the streams, the draw order or the CSV formatting breaks them.
+PINNED_DATASETS = [
+    (
+        ExperimentConfig(
+            eta_list=(0.4,),
+            probe_kind=ProbeKind.OPTIMAL,
+            phase_list=(-0.1, 0.0, 0.2),
+            series_count=4,
+            events_per_series=60,
+            master_seed=2**40 + 7,
+            imperfections=ImperfectionParams(
+                epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97, coupler_factor=0.8
+            ),
+        ),
+        "d493ae34ba29c2c0dc581a845c2a5bcbfa19b20ec50a4ca8a5bb613f644d787e",
+    ),
+    (
+        ExperimentConfig(
+            eta_list=(0.2, 0.547),
+            probe_kind=ProbeKind.NOON,
+            phase_list=(0.0, 0.06),
+            series_count=3,
+            events_per_series=41,
+            master_seed=123,
+            poissonize_m=False,
+        ),
+        "ac72e5191c2c0d472f9c777ca1fcbc35d3ba4a8b796fe6ce2756e1c89fdfdbbd",
+    ),
+    (
+        # one event per series on average: many records draw m = 0
+        ExperimentConfig(
+            eta_list=(0.361,),
+            probe_kind=ProbeKind.NOON,
+            phase_list=(-0.02, 0.0),
+            series_count=6,
+            events_per_series=1,
+            master_seed=2**64 - 1,
+        ),
+        "ab2cd7c217a47ef9819a75953321f71ad49b544cf2e6004e2c7e74150383cf79",
+    ),
+]
+
+
+class TestPinnedDatasets:
+    @pytest.mark.parametrize(
+        "config, digest", PINNED_DATASETS, ids=["optimal-imperfect", "noon-fixed-m", "noon-one-event"]
+    )
+    def test_dataset_hash(self, config, digest, tmp_path):
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(path, run_campaign(config))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_records_match_record_rng(self):
+        """Bulk-seeded records equal a per-record replay through record_rng."""
+        config = PINNED_DATASETS[0][0]
+        dataset = run_campaign(config)
+        models = setting_models(config.probe_kind, 0.4, config.imperfections)
+        for rec in dataset.records[::5]:
+            phase_index = config.phase_list.index(rec.phi_true)
+            rng_m, _ = record_rng(config.master_seed, 0, phase_index, rec.series_id, 2)
+            m_total = int(rng_m.poisson(config.events_per_series))
+            m = m_total // 2 if rec.setting is Setting.QUARTER else m_total - m_total // 2
+            stream = 0 if rec.setting is Setting.QUARTER else 1
+            rng, seed_used = record_rng(config.master_seed, 0, phase_index, rec.series_id, stream)
+            dist = dict(zip(LABELS, models[rec.setting].probabilities(rec.phi_true)))
+            counts = apply_coupler_thinning(sample_counts(dist, m, rng), rng, 0.8)
+            assert (rec.counts, rec.seed_used) == (counts, seed_used)
