@@ -268,6 +268,9 @@ def cmd_fringes(args) -> int:
     if args.phi_steps < 1:
         print(f"error: phi-steps must be at least 1, got {args.phi_steps}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.counts is not None and args.counts < 0:
+        print(f"error: --counts must be non-negative, got {args.counts}", file=sys.stderr)
+        return EXIT_DOMAIN
     params = ImperfectionParams(
         epsilon=args.epsilon, delta=args.delta, lambda_hom=args.lambda_hom, v_classical=args.v_classical
     )
@@ -326,6 +329,11 @@ def write_dataset_csv(path: Path, dataset: EventDataset) -> None:
 
 
 def read_dataset_csv(path: Path) -> list[EventRecord]:
+    """Records of a dataset CSV, in file order.
+
+    Rejects, naming the line, a malformed row, a negative count and a second
+    row for the same (eta, probe, phi_true, series_id, setting).
+    """
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
@@ -335,28 +343,38 @@ def read_dataset_csv(path: Path) -> list[EventRecord]:
             raise ConfigError(f"{path}: expected column {expected!r}, found {got!r}")
     if len(header) != len(DATASET_COLUMNS):
         raise ConfigError(f"{path}: expected {len(DATASET_COLUMNS)} columns, found {len(header)}")
+    # (eta, probe, phi_true, setting) text -> parsed values and an id shared by equal values
+    prefixes: dict[tuple, tuple] = {}
+    prefix_ids: dict[tuple, int] = {}
+    first_line: dict[tuple, int] = {}  # (prefix id, series_id) -> line
     records = []
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         parts = line.split(",")
         if len(parts) != len(DATASET_COLUMNS):
             raise ConfigError(f"{path}: line {line_no}: expected {len(DATASET_COLUMNS)} fields")
         try:
-            counts = {label: int(parts[5 + i]) for i, label in enumerate(LABELS)}
-            records.append(
-                EventRecord(
-                    eta=float(parts[0]),
-                    probe=ProbeKind(parts[1]),
-                    phi_true=float(parts[2]),
-                    setting=Setting(parts[3]),
-                    series_id=int(parts[4]),
-                    counts=counts,
-                    seed_used=int(parts[11]),
-                )
-            )
+            values = list(map(int, parts[5:11]))
+            text = tuple(parts[:4])
+            prefix = prefixes.get(text)
+            if prefix is None:
+                parsed = (float(parts[0]), ProbeKind(parts[1]), float(parts[2]), Setting(parts[3]))
+                prefix = prefixes[text] = (*parsed, prefix_ids.setdefault(parsed, len(prefix_ids)))
+            eta, probe, phi_true, setting, prefix_id = prefix
+            series_id = int(parts[4])
+            record = EventRecord(eta, probe, phi_true, setting, series_id, dict(zip(LABELS, values)), int(parts[11]))
         except ValueError as exc:
             raise ConfigError(f"{path}: line {line_no}: {exc}") from exc
+        if min(values) < 0:
+            column = DATASET_COLUMNS[5 + values.index(min(values))]
+            raise ConfigError(f"{path}: line {line_no}: {column} must be non-negative, got {min(values)}")
+        seen = first_line.setdefault((prefix_id, series_id), line_no)
+        if seen != line_no:
+            raise ConfigError(
+                f"{path}: line {line_no}: duplicates line {seen} (same eta, probe, phi_true, series_id and setting)"
+            )
+        records.append(record)
     return records
 
 

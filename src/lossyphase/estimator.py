@@ -10,7 +10,7 @@ import numpy as np
 
 from .bounds import qfi_lossy
 from .detection import Setting
-from .montecarlo import EventDataset, EventRecord, ProbeKind, probe_weights, setting_models
+from .montecarlo import EventDataset, ProbeKind, probe_weights, setting_models
 
 SEARCH_INTERVAL = (-math.pi / 2.0, math.pi / 2.0)
 GRID_STEP = 1e-3
@@ -118,43 +118,94 @@ def likelihood_grid(
     return LikelihoodGrid(phis=phis, labels=labels, log_probs=logs)
 
 
-def _loglik_rows(grid: LikelihoodGrid, counts_rows: dict[Setting, np.ndarray]) -> np.ndarray:
+#: Series per stacked likelihood product; bounds the (series, grid) buffers.
+CHUNK_SERIES = 64
+
+
+def _loglik_rows(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Log-likelihood rows of series start:stop over the grid.
+
+    The stacked (series, 1, labels) @ (labels, grid) product runs one BLAS
+    matrix-vector product per series; a plain (series, labels) matrix product
+    rounds differently and would change the estimates in the last digits.
+    """
     total = None
-    for setting, counts in counts_rows.items():
-        rows = counts @ grid.log_probs[setting].T
-        total = rows if total is None else total + rows
+    for setting, log_probs in grid.log_probs.items():
+        rows = (counts[setting][start:stop, None, :] @ log_probs.T)[:, 0, :]
+        if total is None:
+            total = rows
+        else:
+            total += rows
     return total
 
 
-def _best_phi(phis: np.ndarray, row: np.ndarray, step: float) -> tuple[float, float]:
-    """Global maximizer of one likelihood row: local maxima are refined with a
+def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
+    """Global maximizer of each likelihood row: local maxima are refined with a
     parabola through the best grid point and its neighbors; near-ties are
-    broken toward the smallest |phi|."""
-    span = float(np.max(row) - np.min(row))
-    if not np.isfinite(span) and np.max(row) <= _NEG:
-        raise DegenerateLikelihoodError("likelihood is -inf everywhere")
-    if span < 1e-12:
-        raise DegenerateLikelihoodError("likelihood is flat over the search interval")
-    inner = row[1:-1]
-    is_max = (inner >= row[:-2]) & (inner >= row[2:])
-    candidates: list[tuple[float, float]] = []
-    for i in np.nonzero(is_max)[0] + 1:
-        lm, l0, lp = row[i - 1], row[i], row[i + 1]
-        denom = lm - 2.0 * l0 + lp
-        if denom < 0.0:
-            shift = 0.5 * (lm - lp) / denom
-            value = l0 - (lm - lp) ** 2 / (8.0 * denom)
-        else:
-            shift, value = 0.0, l0
-        candidates.append((float(phis[i] + shift * step), float(value)))
-    if row[0] >= row[1]:
-        candidates.append((float(phis[0]), float(row[0])))
-    if row[-1] >= row[-2]:
-        candidates.append((float(phis[-1]), float(row[-1])))
-    best_value = max(v for _, v in candidates)
-    tied = [(phi, v) for phi, v in candidates if v >= best_value - TIE_TOL]
-    tied.sort(key=lambda c: (abs(c[0]), c[0]))
-    return tied[0]
+    broken toward the smallest |phi|.
+
+    Returns (phi_hat, value, problem) per row; ``problem`` holds None, or why
+    the row carries no phase information, in which case phi_hat and value are
+    meaningless.
+    """
+    top, bottom = rows.max(axis=1), rows.min(axis=1)
+    span = top - bottom
+    dead = ~np.isfinite(span) & (top <= _NEG)
+    flat = ~dead & (span < 1e-12)
+    problem = [
+        "likelihood is -inf everywhere" if d else "likelihood is flat over the search interval" if f else None
+        for d, f in zip(dead.tolist(), flat.tolist())
+    ]
+    inner = rows[:, 1:-1]
+    is_max = inner >= rows[:, :-2]
+    is_max &= inner >= rows[:, 2:]
+    r, c = np.divmod(np.flatnonzero(is_max), is_max.shape[1])
+    lm, l0, lp = rows[r, c], rows[r, c + 1], rows[r, c + 2]
+    denom = lm - 2.0 * l0 + lp
+    curved = denom < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(curved, 0.5 * (lm - lp) / denom, 0.0)
+        value = np.where(curved, l0 - (lm - lp) ** 2 / (8.0 * denom), l0)
+    # Candidates in the scalar search's order: interior maxima, then the edges.
+    left, right = np.nonzero(rows[:, 0] >= rows[:, 1])[0], np.nonzero(rows[:, -1] >= rows[:, -2])[0]
+    row_of = np.concatenate([r, left, right])
+    phi = np.concatenate([phis[c + 1] + shift * step, np.full(len(left), phis[0]), np.full(len(right), phis[-1])])
+    val = np.concatenate([value, rows[left, 0], rows[right, -1]])
+    best = np.full(len(rows), -np.inf)
+    np.maximum.at(best, row_of, val)
+    tied = np.nonzero(val >= best[row_of] - TIE_TOL)[0]
+    order = tied[np.lexsort((phi[tied], np.abs(phi[tied]), row_of[tied]))]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = row_of[order[1:]] != row_of[order[:-1]]
+    pick = np.zeros(len(rows), dtype=np.intp)
+    pick[row_of[order[first]]] = order[first]
+    return phi[pick], val[pick], problem
+
+
+def _estimate_series(grid: LikelihoodGrid, series: list[dict]):
+    """Maximum-likelihood estimates for series given as {setting: {label:
+    count}} mappings, a missing setting or label counting zero.
+
+    Returns lists of phi_hat, loglik max, n_coinc and problem per series,
+    ``problem`` as in ``_best_phis`` or for a series without registered
+    coincidences.
+    """
+    counts = {
+        setting: np.array(
+            [[get(label, 0) for label in labels] for get in (s.get(setting, {}).get for s in series)], dtype=float
+        )
+        for setting, labels in grid.labels.items()
+    }
+    n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
+    phi_hat, lmax, problems = np.empty(len(series)), np.empty(len(series)), []
+    for start in range(0, len(series), CHUNK_SERIES):
+        stop = min(start + CHUNK_SERIES, len(series))
+        phi_hat[start:stop], lmax[start:stop], problem = _best_phis(
+            grid.phis, _loglik_rows(grid, counts, start, stop), grid.step
+        )
+        problems += problem
+    problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]
+    return phi_hat.tolist(), lmax.tolist(), n_coinc.tolist(), problems
 
 
 def ml_estimate(
@@ -168,62 +219,42 @@ def ml_estimate(
     """Maximum-likelihood phase estimate from one series of counts."""
     if grid is None:
         grid = likelihood_grid(models, include_cc=include_cc, interval=interval)
-    counts_rows = {}
-    n_coinc = 0
-    for setting, kept in grid.labels.items():
-        counts = counts_by_setting.get(setting, {})
-        vec = np.array([float(counts.get(label, 0)) for label in kept])
-        counts_rows[setting] = vec[None, :]
-        n_coinc += int(vec.sum())
-    if n_coinc == 0:
-        raise DegenerateLikelihoodError("no registered coincidences")
-    row = _loglik_rows(grid, counts_rows)[0]
-    phi_hat, lmax = _best_phi(grid.phis, row, grid.step)
-    return Estimate(
-        phi_hat=phi_hat, log_likelihood_max=lmax, n_coincidences=n_coinc, series_key=tuple(series_key)
-    )
-
-
-def _series_groups(records) -> dict[tuple, dict[Setting, EventRecord]]:
-    groups: dict[tuple, dict[Setting, EventRecord]] = {}
-    for rec in records:
-        key = (rec.eta, rec.probe, rec.phi_true, rec.series_id)
-        groups.setdefault(key, {})[rec.setting] = rec
-    return groups
+    (phi_hat,), (lmax,), (n_coinc,), (problem,) = _estimate_series(grid, [counts_by_setting])
+    if problem is not None:
+        raise DegenerateLikelihoodError(problem)
+    return Estimate(phi_hat=phi_hat, log_likelihood_max=lmax, n_coincidences=n_coinc, series_key=tuple(series_key))
 
 
 def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> list[Estimate]:
-    """Maximum-likelihood estimates for every series of a simulated campaign.
+    """Maximum-likelihood estimates for every series of a simulated campaign,
+    in the order each series first appears among the records.
 
     Rebuilds the outcome models from the dataset's configuration and shares
-    one likelihood grid per (eta, probe) combination.
+    one likelihood grid per (eta, probe) combination, whose series are
+    estimated together. A later record of the same series and setting
+    replaces an earlier one.
     """
+    series: dict[tuple, dict[Setting, dict]] = {}  # series key -> setting -> counts
+    blocks: dict[tuple, list] = {}  # (eta, probe) -> (series index, setting -> counts)
+    for rec in dataset.records:
+        key = (rec.eta, rec.probe, rec.phi_true, rec.series_id)
+        slots = series.get(key)
+        if slots is None:
+            slots = series[key] = {}
+            blocks.setdefault(key[:2], []).append((len(series) - 1, slots))
+        slots[rec.setting] = rec.counts
     params = dataset.config.imperfections
-    grids: dict[tuple, LikelihoodGrid] = {}
-    estimates: list[Estimate] = []
-    groups = _series_groups(dataset.records)
-    for key in groups:
-        eta, probe = key[0], key[1]
-        model_key = (eta, probe)
-        if model_key not in grids:
-            models = setting_models(probe, eta, params)
-            grids[model_key] = likelihood_grid(models, include_cc=include_cc)
-        grid = grids[model_key]
-        counts_rows = {}
-        n_coinc = 0
-        for setting, kept in grid.labels.items():
-            rec = groups[key].get(setting)
-            counts = rec.counts if rec is not None else {}
-            vec = np.array([float(counts.get(label, 0)) for label in kept])
-            counts_rows[setting] = vec[None, :]
-            n_coinc += int(vec.sum())
-        if n_coinc == 0:
-            raise DegenerateLikelihoodError(f"series {key} has no registered coincidences")
-        row = _loglik_rows(grid, counts_rows)[0]
-        phi_hat, lmax = _best_phi(grid.phis, row, grid.step)
-        estimates.append(
-            Estimate(phi_hat=phi_hat, log_likelihood_max=lmax, n_coincidences=n_coinc, series_key=key)
-        )
+    results = [None] * len(series)
+    for (eta, probe), block in blocks.items():
+        grid = likelihood_grid(setting_models(probe, eta, params), include_cc=include_cc)
+        indices, slots = zip(*block)
+        for index, result in zip(indices, zip(*_estimate_series(grid, slots))):
+            results[index] = result
+    estimates = []
+    for key, (phi_hat, lmax, n_coinc, problem) in zip(series, results):
+        if problem is not None:
+            raise DegenerateLikelihoodError(f"series {key}: {problem}")
+        estimates.append(Estimate(phi_hat=phi_hat, log_likelihood_max=lmax, n_coincidences=n_coinc, series_key=key))
     return estimates
 
 

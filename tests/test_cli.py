@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, exit codes, config parsing."""
 
+import hashlib
 import json
 import math
 import os
@@ -134,6 +135,14 @@ class TestFringes:
         assert "phi-steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_counts_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "0.361", "--counts", "-5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--counts" in err and "-5" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_counts_mode(self, tmp_path):
         out = tmp_path / "fringes.csv"
         rc = main([
@@ -224,6 +233,60 @@ class TestEstimate:
         rc = main(["estimate", "--dataset", str(data), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    @staticmethod
+    def estimate_edited(sim_dir, tmp_path, edit):
+        """Run estimate on a copy of the dataset whose data lines ``edit`` changed."""
+        lines = (sim_dir / "dataset.csv").read_text().splitlines()
+        data = [line.split(",") for line in lines[1:]]
+        edit(data)
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join([lines[0], *(",".join(parts) for parts in data)]) + "\n")
+        return main([
+            "estimate", "--dataset", str(edited), "--manifest", str(sim_dir / "manifest.json"),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+
+    @pytest.mark.parametrize("index, column", [(2, "n_AA"), (17, "n_BC")])
+    def test_negative_count_exits_1(self, sim_dir, tmp_path, capsys, index, column):
+        def edit(data):
+            data[index][DATASET_COLUMNS.index(column)] = "-7"
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert f"line {index + 2}:" in err and column in err and "-7" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eta_text", [None, "0.3610"], ids=["same-text", "same-value"])
+    def test_duplicate_row_exits_1(self, sim_dir, tmp_path, capsys, eta_text):
+        def edit(data):
+            copy = list(data[1])
+            copy[0] = eta_text or copy[0]
+            data.append(copy)
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        # data line 1 is file line 3; its copy, data line 73, is file line 74
+        assert "line 74:" in err and "line 3 " in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_degenerate_series_names_first_in_dataset_order(self, sim_dir, tmp_path, capsys):
+        """Zero-coincidence series in both transmission blocks: the one met
+        first in the file is named, although its block is estimated second."""
+        first, later = ("0.547", "0", "3"), ("0.361", "0.04", "5")
+
+        def edit(data):
+            for parts in data:
+                if (parts[0], parts[2], parts[4]) in (first, later):
+                    parts[5:11] = ["0"] * 6
+            # move the 0.361 series behind every 0.547 row
+            data.sort(key=lambda parts: (parts[0], parts[2], parts[4]) == later)
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "series (0.547, <ProbeKind.OPTIMAL: 'optimal'>, 0.0, 3)" in err
+        assert "no registered coincidences" in err
 
     @pytest.mark.parametrize(
         "text",
@@ -262,6 +325,51 @@ class TestDeterminism:
             outputs.append((sim / "dataset.csv", est / "estimates.csv", est / "report.csv"))
         for first, second in zip(*outputs):
             assert first.read_bytes() == second.read_bytes()
+
+
+#: Small campaigns whose estimate outputs are pinned by sha256: config text,
+#: histogram bin width, then the digests of estimates.csv, report.csv and
+#: histograms.csv. The N00N campaign at 25 events takes the TIE_TOL
+#: tie-break on most series, between mirror lobes and the ±pi/2 edges.
+PINNED_ESTIMATES = [
+    (
+        "eta_list = 0.361, 0.547\nprobe = optimal\nphases = -0.04, 0.0, 0.04\nseries = 6\nevents = 400\n"
+        "seed = 1099511627783\nepsilon = 0.02\ndelta = 0.1\nlambda_hom = 0.95\nv_classical = 0.97\n",
+        "0.01",
+        "74cb417b6a4099e91594e77285fcd6d7d9080b2f5bc7333293ff5251b20f8afe",
+        "f49068579a66d7f9668c988b298b644b5c6bfe8bd799813345a493c123c3e219",
+        "2a97ea88a8aab0df8bafa1c895770afad0d94a3e0dd481fcf4d5517eadec29fc",
+    ),
+    (
+        "eta_list = 0.2, 0.4\nprobe = noon\nphases = -0.2, 0.0, 0.3\nseries = 8\nevents = 300\nseed = 11\n"
+        "include_cc = false\n",
+        "0.01",
+        "f3ba5a36c949a58a375f8e3b536c0d196d5ac1b510178fa67c190b06d579cd37",
+        "f63e35783637178b4c01bba6aaa84c3a785f7b18bc8bf14f5c4a6542784ca965",
+        "3c2f5b8b35f6aad73c31ccfbee6210e584e5cca6dd8c45e54dbf5c9602cc0764",
+    ),
+    (
+        "eta_list = 0.361, 0.547\nprobe = noon\nphases = 0.0, 0.7, 1.5\nseries = 10\nevents = 25\nseed = 5\n",
+        "0.005",
+        "b3c11cb3174d108428f5afc73f535e99f9f7d2b381f568f148d650127b98262b",
+        "da853e5f6a10d3c12c28e0704c8654f2c7c8e81188ee599470a088317ebfa402",
+        "65a9794df6e8f2447cb3135002a5aa216e0d8ff2f6e7a67bc29b5ce37d4c7ad4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, hist_bin, estimates, report, histograms", PINNED_ESTIMATES, ids=["optimal-imperfect", "noon-no-cc", "noon-ties"]
+)
+def test_pinned_estimate_outputs(tmp_path, config, hist_bin, estimates, report, histograms):
+    config_path = tmp_path / "c.cfg"
+    config_path.write_text(config)
+    sim, est = tmp_path / "sim", tmp_path / "est"
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+    assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(est), "--hist-bin", hist_bin]) == 0
+    names = ("estimates.csv", "report.csv", "histograms.csv")
+    digests = [hashlib.sha256((est / name).read_bytes()).hexdigest() for name in names]
+    assert digests == [estimates, report, histograms]
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, qfi_lossy
 from lossyphase.detection import LABELS, Setting
 from lossyphase.estimator import (
+    CHUNK_SERIES,
+    TIE_TOL,
     DegenerateLikelihoodError,
     Estimate,
+    _best_phis,
+    _NEG,
     analyze,
     estimate_dataset,
     histogram,
@@ -36,6 +41,104 @@ def expected_counts(models, phi, m_per_setting, include_cc=True):
             label: m_per_setting * float(probs[LABELS.index(label)]) for label in labels
         }
     return counts
+
+
+def best_phi(phis, row, step):
+    """Scalar peak search, the oracle for the batched one: local maxima are
+    refined with a parabola through the best grid point and its neighbors;
+    near-ties are broken toward the smallest |phi|."""
+    span = float(np.max(row) - np.min(row))
+    if not np.isfinite(span) and np.max(row) <= _NEG:
+        raise DegenerateLikelihoodError("likelihood is -inf everywhere")
+    if span < 1e-12:
+        raise DegenerateLikelihoodError("likelihood is flat over the search interval")
+    inner = row[1:-1]
+    is_max = (inner >= row[:-2]) & (inner >= row[2:])
+    candidates = []
+    for i in np.nonzero(is_max)[0] + 1:
+        lm, l0, lp = row[i - 1], row[i], row[i + 1]
+        denom = lm - 2.0 * l0 + lp
+        if denom < 0.0:
+            shift = 0.5 * (lm - lp) / denom
+            value = l0 - (lm - lp) ** 2 / (8.0 * denom)
+        else:
+            shift, value = 0.0, l0
+        candidates.append((float(phis[i] + shift * step), float(value)))
+    if row[0] >= row[1]:
+        candidates.append((float(phis[0]), float(row[0])))
+    if row[-1] >= row[-2]:
+        candidates.append((float(phis[-1]), float(row[-1])))
+    best_value = max(v for _, v in candidates)
+    tied = [(phi, v) for phi, v in candidates if v >= best_value - TIE_TOL]
+    tied.sort(key=lambda c: (abs(c[0]), c[0]))
+    return tied[0]
+
+
+def assert_batched_matches_scalar(phis, rows, step):
+    phi_hat, value, problem = _best_phis(phis, rows, step)
+    for i, row in enumerate(rows):
+        try:
+            expected = best_phi(phis, row, step)
+        except DegenerateLikelihoodError as exc:
+            assert problem[i] == str(exc)
+        else:
+            assert problem[i] is None
+            # repr tells -0.0 from 0.0 and compares every bit
+            assert (repr(float(phi_hat[i])), repr(float(value[i]))) == tuple(map(repr, expected))
+
+
+@st.composite
+def likelihood_rows(draw, n):
+    """Finite rows (or rows of -inf) shaped to reach every branch of the
+    peak search: several lobes, mirror pairs within and just beyond TIE_TOL,
+    maxima on the edges, plateaus, log(0) stand-ins, flat rows."""
+    kind = draw(st.sampled_from(["lobes", "mirror", "levels", "flat", "dead"]))
+    x = np.arange(n, dtype=float)
+    if kind == "lobes":
+        row = np.zeros(n)
+        for _ in range(draw(st.integers(1, 3))):
+            amp, freq, phase = draw(st.tuples(st.floats(0.1, 50), st.floats(0.05, 2.0), st.floats(-3.2, 3.2)))
+            row += amp * np.cos(freq * x + phase)
+        row += draw(st.floats(-0.2, 0.2)) * x  # tilt toward one edge
+    elif kind == "mirror":
+        half = np.array(draw(st.lists(st.floats(-20, 0), min_size=n, max_size=n)))
+        delta = draw(st.sampled_from([0.0, 1e-6, 0.5 * TIE_TOL, TIE_TOL, 1.5 * TIE_TOL, -0.5 * TIE_TOL]))
+        row = np.maximum(half, half[::-1]) + delta * (x > n / 2)
+    elif kind == "levels":
+        row = np.array(draw(st.lists(st.sampled_from([0.0, -1.0, -2.0, -TIE_TOL / 2, 3.0]), min_size=n, max_size=n)))
+    elif kind == "flat":
+        row = np.full(n, draw(st.floats(-1e3, 1e3))) + draw(st.sampled_from([0.0, 1e-13])) * (x == n // 2)
+    else:
+        return np.full(n, -np.inf)
+    if kind != "flat" and draw(st.booleans()):
+        holes = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        row[holes] = _NEG * draw(st.integers(1, 5))
+    return row
+
+
+class TestBatchedPeakSearch:
+    @given(st.data())
+    def test_matches_scalar_oracle(self, data):
+        n = data.draw(st.integers(3, 40))
+        step = data.draw(st.sampled_from([1e-3, 0.25]))
+        # zero on the grid, so mirror candidates at +-phi tie on |phi|
+        phis = step * (np.arange(n) - data.draw(st.integers(0, n - 1)))
+        rows = np.array(data.draw(st.lists(likelihood_rows(n), min_size=1, max_size=6)))
+        assert_batched_matches_scalar(phis, rows, step)
+
+    @pytest.mark.parametrize(
+        "origin, row",
+        [
+            (2, [5.0, 4.0, 3.0, 4.0, 5.0, 4.0, 3.0]),  # left edge ties an interior peak at +|phi|
+            (3, [5.0 - 1e-5, 5.0, 5.0, 5.0]),  # right-edge plateau at phi = 0 wins a near-tie
+            (3, [1.0, 3.0, 2.0, 0.0, 2.0, 3.0, 1.0]),  # mirror lobes: the negative one wins
+            (0, [0.0, _NEG, 0.0, _NEG, 0.0]),  # log(0) stand-ins between equal maxima
+        ],
+    )
+    def test_crafted_rows(self, origin, row):
+        step = 1e-3
+        phis = step * (np.arange(len(row)) - origin)
+        assert_batched_matches_scalar(phis, np.array([row, row[::-1]]), step)
 
 
 class TestLogLikelihood:
@@ -135,6 +238,36 @@ class TestMlEstimate:
 
 
 class TestEstimateDataset:
+    def test_matches_per_series_scalar_path(self):
+        """Chunked estimates equal, bit for bit, one matrix-vector product and
+        one scalar peak search per series, across chunk boundaries."""
+        config = ExperimentConfig(
+            eta_list=(0.361, 0.547),
+            probe_kind=ProbeKind.NOON,
+            phase_list=(0.0, 0.7),
+            series_count=CHUNK_SERIES // 2 + 7,
+            events_per_series=150,
+            master_seed=21,
+        )
+        dataset = run_campaign(config)
+        estimates = estimate_dataset(dataset, include_cc=False)
+        assert len(estimates) == 2 * 2 * config.series_count
+        groups = {}
+        for rec in dataset.records:
+            groups.setdefault((rec.eta, rec.probe, rec.phi_true, rec.series_id), {})[rec.setting] = rec.counts
+        assert [e.series_key for e in estimates] == list(groups)
+        grids = {eta: likelihood_grid(models_for(ProbeKind.NOON, eta), include_cc=False) for eta in config.eta_list}
+        for est in estimates:
+            grid = grids[est.series_key[0]]
+            vecs = [
+                np.array([[float(groups[est.series_key][s].get(label, 0)) for label in kept]])
+                for s, kept in grid.labels.items()
+            ]
+            quarter, half = (vec @ grid.log_probs[s].T for vec, s in zip(vecs, grid.labels))
+            phi_hat, lmax = best_phi(grid.phis, (quarter + half)[0], grid.step)
+            assert (repr(est.phi_hat), repr(est.log_likelihood_max)) == (repr(phi_hat), repr(lmax))
+            assert est.n_coincidences == sum(int(vec.sum()) for vec in vecs)
+
     def test_consistency_sigma_scales_with_events(self):
         sigmas = []
         event_counts = (2000, 20000, 200000)
