@@ -8,12 +8,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bounds import NOON_WEIGHTS, optimize_weights, noon_precision, sil_precision
+from .bounds import optimize_weights, noon_precision, sil_precision
 from .detection import LABELS, Setting
 from .estimator import DegenerateLikelihoodError, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
@@ -22,7 +24,6 @@ from .montecarlo import (
     EventRecord,
     ExperimentConfig,
     ProbeKind,
-    default_phase_list,
     run_campaign,
     setting_models,
 )
@@ -35,7 +36,6 @@ EXIT_INTERNAL = 3
 
 #: Lowest-precedence default seed override; flags and config files win.
 SEED_ENV_VAR = "LOSSYPHASE_SEED"
-DEFAULT_SEED = 0
 
 DATASET_COLUMNS = (
     "eta",
@@ -55,24 +55,9 @@ DATASET_COLUMNS = (
 ESTIMATES_COLUMNS = ("eta", "probe", "phi_true", "series_id", "phi_hat", "loglik", "n_coinc")
 REPORT_COLUMNS = ("eta", "probe", "phi_true", "mean", "sigma", "m_bar", "sigma_scaled", "crb")
 
-_CONFIG_KEYS = (
-    "eta_list",
-    "probe",
-    "phases",
-    "series",
-    "events",
-    "seed",
-    "epsilon",
-    "delta",
-    "lambda_hom",
-    "v_classical",
-    "poissonize_m",
-    "include_cc",
-)
-
 
 class ConfigError(Exception):
-    """Config file could not be parsed; carries a line diagnostic."""
+    """Bad input (config text, manifest, dataset or environment); carries a one-line diagnostic."""
 
 
 def _fmt(value) -> str:
@@ -89,28 +74,83 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _default_seed() -> int:
+    """The seed when neither a config file nor a flag sets one."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"environment variable {SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return ExperimentConfig().master_seed
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"environment variable {SEED_ENV_VAR} must be an integer, got {env!r}") from exc
 
 
-def _parse_bool(raw: str, line_no: int) -> bool:
-    lowered = raw.strip().lower()
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"line {line_no}: expected a boolean, got {raw!r}")
+    raise ValueError(text)
 
 
-def parse_config(text: str) -> tuple[dict, bool]:
-    """Parse key=value configuration text into run_campaign keyword arguments
-    plus the include_cc estimation toggle."""
-    raw: dict[str, tuple[str, int]] = {}
+def _parse_probe(text: str) -> ProbeKind:
+    return ProbeKind(text.strip().lower())
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is no number
+
+
+class _Kind(NamedTuple):
+    """How one config value is checked and converted."""
+
+    expected: str  # what a diagnostic says the value must be
+    parse: Callable[[str], Any]  # config-file text -> value; raises ValueError
+    is_json: Callable[[Any], bool]  # whether a manifest value has the JSON type ``dump`` writes
+    load: Callable[[Any], Any]  # manifest value of that type -> value; raises ValueError
+    dump: Callable[[Any], Any] = lambda value: value  # value -> manifest value
+
+
+_FLOATS = _Kind(
+    "a list of numbers",
+    lambda text: tuple(float(part) for part in text.split(",")),
+    lambda value: type(value) is list and all(map(_is_number, value)),
+    lambda value: tuple(map(float, value)),
+    list,
+)
+_FLOAT = _Kind("a number", float, _is_number, float)
+_INT = _Kind("an integer", int, lambda value: type(value) is int, int)
+_BOOL = _Kind("a boolean", _parse_bool, lambda value: type(value) is bool, bool)
+_PROBE = _Kind("'optimal' or 'noon'", _parse_probe, lambda value: type(value) is str, _parse_probe, lambda kind: kind.value)
+
+#: The config schema: config-file and manifest key -> (field it sets, kind of
+#: value). The field is an ExperimentConfig field, an ImperfectionParams field
+#: for the imperfection rows, or include_cc, the estimation toggle that no
+#: dataclass holds. Defaults come from the dataclasses.
+_FIELDS: dict[str, tuple[str, _Kind]] = {
+    "eta_list": ("eta_list", _FLOATS),
+    "probe": ("probe_kind", _PROBE),
+    "phases": ("phase_list", _FLOATS),
+    "series": ("series_count", _INT),
+    "events": ("events_per_series", _INT),
+    "seed": ("master_seed", _INT),
+    "epsilon": ("epsilon", _FLOAT),
+    "delta": ("delta", _FLOAT),
+    "lambda_hom": ("lambda_hom", _FLOAT),
+    "v_classical": ("v_classical", _FLOAT),
+    "poissonize_m": ("poissonize_m", _BOOL),
+    "include_cc": ("include_cc", _BOOL),
+}
+
+#: The imperfection rows of ``_FIELDS``: key -> ImperfectionParams field.
+_IMPERFECTIONS = {
+    key: attr for key, (attr, _) in _FIELDS.items() if attr in {f.name for f in fields(ImperfectionParams)}
+}
+
+
+def _read_config(text: str) -> dict:
+    """Values by key of key=value config text; a bad line raises ConfigError naming it."""
+    values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -118,91 +158,67 @@ def parse_config(text: str) -> tuple[dict, bool]:
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected key=value, got {line.rstrip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        if key in raw:
+        if key in values:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        raw[key] = (value, line_no)
-
-    def floats(key: str, default):
-        if key not in raw:
-            return default
-        value, line_no = raw[key]
+        kind = _FIELDS[key][1]
         try:
-            return tuple(float(part) for part in value.split(","))
+            values[key] = kind.parse(value)
         except ValueError as exc:
-            raise ConfigError(f"line {line_no}: expected comma-separated numbers for {key}") from exc
+            raise ConfigError(f"line {line_no}: expected {kind.expected} for {key}, got {value!r}") from exc
+    return values
 
-    def number(key: str, caster, default):
-        if key not in raw:
-            return default
-        value, line_no = raw[key]
-        try:
-            return caster(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: expected a number for {key}, got {value!r}") from exc
 
-    probe = ProbeKind.OPTIMAL
-    if "probe" in raw:
-        value, line_no = raw["probe"]
-        try:
-            probe = ProbeKind(value.strip().lower())
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: probe must be 'optimal' or 'noon', got {value!r}") from exc
+def _assemble(values: dict) -> tuple[dict, bool]:
+    """ExperimentConfig keyword arguments and include_cc from values by key.
 
-    kwargs = {
-        "eta_list": floats("eta_list", (0.2, 0.361, 0.4, 0.547)),
-        "probe_kind": probe,
-        "phase_list": floats("phases", default_phase_list()),
-        "series_count": number("series", int, 300),
-        "events_per_series": number("events", int, 2000),
-        "master_seed": number("seed", int, _default_seed()),
-        "imperfections": ImperfectionParams(
-            epsilon=number("epsilon", float, 0.0),
-            delta=number("delta", float, 0.0),
-            lambda_hom=number("lambda_hom", float, 1.0),
-            v_classical=number("v_classical", float, 1.0),
-        ),
-        "poissonize_m": _parse_bool(*raw["poissonize_m"]) if "poissonize_m" in raw else True,
-    }
-    include_cc = _parse_bool(*raw["include_cc"]) if "include_cc" in raw else True
+    An absent key keeps its dataclass default, an absent seed comes from
+    ``_default_seed`` and an absent include_cc is true.
+    """
+    values = dict(values)
+    if "seed" not in values:
+        values["seed"] = _default_seed()
+    include_cc = values.pop("include_cc", True)
+    defaults = ExperimentConfig()
+    imperfections = {attr: values.pop(key) for key, attr in _IMPERFECTIONS.items() if key in values}
+    kwargs = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
+    kwargs.update({_FIELDS[key][0]: value for key, value in values.items()})
+    kwargs["imperfections"] = replace(defaults.imperfections, **imperfections)
     return kwargs, include_cc
 
 
+def parse_config(text: str) -> tuple[dict, bool]:
+    """Parse key=value configuration text into run_campaign keyword arguments
+    plus the include_cc estimation toggle."""
+    return _assemble(_read_config(text))
+
+
 def _config_dict(config: ExperimentConfig, include_cc: bool) -> dict:
-    return {
-        "eta_list": list(config.eta_list),
-        "probe": config.probe_kind.value,
-        "phases": list(config.phase_list),
-        "series": config.series_count,
-        "events": config.events_per_series,
-        "seed": config.master_seed,
-        "epsilon": config.imperfections.epsilon,
-        "delta": config.imperfections.delta,
-        "lambda_hom": config.imperfections.lambda_hom,
-        "v_classical": config.imperfections.v_classical,
-        "poissonize_m": config.poissonize_m,
-        "include_cc": include_cc,
-    }
+    """The manifest's config object: every key of ``_FIELDS`` with its value."""
+    by_field = {**vars(config), **vars(config.imperfections), "include_cc": include_cc}
+    return {key: kind.dump(by_field[attr]) for key, (attr, kind) in _FIELDS.items()}
 
 
 def config_from_dict(data: dict) -> tuple[ExperimentConfig, bool]:
-    config = ExperimentConfig(
-        eta_list=tuple(data["eta_list"]),
-        probe_kind=ProbeKind(data["probe"]),
-        phase_list=tuple(data["phases"]),
-        series_count=int(data["series"]),
-        events_per_series=int(data["events"]),
-        master_seed=int(data["seed"]),
-        imperfections=ImperfectionParams(
-            epsilon=float(data.get("epsilon", 0.0)),
-            delta=float(data.get("delta", 0.0)),
-            lambda_hom=float(data.get("lambda_hom", 1.0)),
-            v_classical=float(data.get("v_classical", 1.0)),
-        ),
-        poissonize_m=bool(data.get("poissonize_m", True)),
-    )
-    return config, bool(data.get("include_cc", True))
+    """The configuration a manifest's config object records.
+
+    Every key of ``_FIELDS`` must be present with the JSON type ``simulate``
+    writes; a missing or mistyped key raises ConfigError naming it.
+    """
+    values = {}
+    for key, (_, kind) in _FIELDS.items():
+        if key not in data:
+            raise ConfigError(f"config lacks required field {key!r}")
+        value = data[key]
+        try:
+            if not kind.is_json(value):
+                raise ValueError(value)
+            values[key] = kind.load(value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{key} must be {kind.expected}, got {value!r}") from None
+    kwargs, include_cc = _assemble(values)
+    return ExperimentConfig(**kwargs), include_cc
 
 
 def _write_manifest(path: Path, command: str, config: dict, seed: int, outputs) -> None:
@@ -228,7 +244,7 @@ def cmd_bounds(args) -> int:
         grid = [args.eta_min]
     else:
         grid = list(np.linspace(args.eta_min, args.eta_max, args.steps))
-    for eta in (0.2, 0.361, 0.4, 0.547):
+    for eta in ExperimentConfig().eta_list:
         if args.eta_min <= eta <= args.eta_max:
             grid.append(eta)
     grid = sorted(set(round(e, 12) for e in grid))
@@ -271,14 +287,13 @@ def cmd_fringes(args) -> int:
     if args.counts is not None and args.counts < 0:
         print(f"error: --counts must be non-negative, got {args.counts}", file=sys.stderr)
         return EXIT_DOMAIN
-    params = ImperfectionParams(
-        epsilon=args.epsilon, delta=args.delta, lambda_hom=args.lambda_hom, v_classical=args.v_classical
-    )
+    params = ImperfectionParams(**{attr: getattr(args, key) for key, attr in _IMPERFECTIONS.items()})
+    seed = args.seed if args.seed is not None else _default_seed()
     kind = ProbeKind(args.probe)
     models = setting_models(kind, args.eta, params)
     phis = np.linspace(-np.pi, np.pi, args.phi_steps)
     rows = []
-    rng = np.random.default_rng(args.seed if args.seed is not None else _default_seed())
+    rng = np.random.default_rng(seed)
     for setting in (Setting.QUARTER, Setting.HALF):
         probs = np.asarray(models[setting].probabilities(phis), dtype=float)
         for i, phi in enumerate(phis):
@@ -298,12 +313,9 @@ def cmd_fringes(args) -> int:
             "probe": kind.value,
             "phi_steps": args.phi_steps,
             "counts": args.counts,
-            "epsilon": args.epsilon,
-            "delta": args.delta,
-            "lambda_hom": args.lambda_hom,
-            "v_classical": args.v_classical,
+            **{key: getattr(args, key) for key in _IMPERFECTIONS},
         },
-        args.seed if args.seed is not None else _default_seed(),
+        seed,
         [out],
     )
     return EXIT_OK
@@ -380,16 +392,17 @@ def read_dataset_csv(path: Path) -> list[EventRecord]:
 
 def cmd_simulate(args) -> int:
     try:
-        kwargs, include_cc = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    values = _read_config(text)
     if args.probe is not None:
-        kwargs["probe_kind"] = ProbeKind(args.probe)
+        values["probe"] = ProbeKind(args.probe)
     if args.eta is not None:
-        kwargs["eta_list"] = (args.eta,)
+        values["eta_list"] = (args.eta,)
     if args.seed is not None:
-        kwargs["master_seed"] = args.seed
+        values["seed"] = args.seed
+    kwargs, include_cc = _assemble(values)
     config = ExperimentConfig(**kwargs)
     dataset = run_campaign(config)
     out_dir = Path(args.out_dir)
@@ -416,9 +429,9 @@ def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool]:
         raise ConfigError(f"manifest {path}: no 'config' object")
     try:
         config, include_cc = config_from_dict(manifest["config"])
-    except KeyError as exc:
-        raise ConfigError(f"manifest {path}: config lacks required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
+        raise ConfigError(f"manifest {path}: {exc}") from exc
+    except ValueError as exc:
         raise ConfigError(f"manifest {path}: invalid config: {exc}") from exc
     return manifest, config, include_cc
 
@@ -433,7 +446,7 @@ def cmd_estimate(args) -> int:
     records = read_dataset_csv(dataset_path)
     dataset = EventDataset(config=config, records=tuple(records))
     estimates = estimate_dataset(dataset, include_cc=include_cc)
-    report = analyze(dataset, estimates, include_cc=include_cc)
+    report = analyze(dataset, estimates)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates_path = out_dir / "estimates.csv"
@@ -499,10 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-steps", type=int, default=201)
     p.add_argument("--counts", type=int, default=None, help="emit multinomial counts at this rate instead of probabilities")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--lambda-hom", type=float, default=1.0)
-    p.add_argument("--v-classical", type=float, default=1.0)
+    ideal = ImperfectionParams()
+    for key, attr in _IMPERFECTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=_FIELDS[key][1].parse, default=getattr(ideal, attr))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fringes)
 

@@ -235,7 +235,7 @@ def classical_fisher(model, phi: float, step: float = _FISHER_STEP) -> float:
     Labels with vanishing probability and derivative are skipped; a vanishing
     probability with a nonzero derivative is flagged with a warning.
     """
-    fn = model.probabilities if hasattr(model, "probabilities") else model
+    fn = model.probabilities
     p = np.asarray(fn(phi), dtype=float)
     d = (np.asarray(fn(phi + step), dtype=float) - np.asarray(fn(phi - step), dtype=float)) / (2.0 * step)
     info = 0.0

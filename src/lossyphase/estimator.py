@@ -258,14 +258,13 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> list[Est
     return estimates
 
 
-def analyze(dataset: EventDataset, estimates, include_cc: bool = True) -> list[UncertaintyRow]:
+def analyze(dataset: EventDataset, estimates) -> list[UncertaintyRow]:
     """Per-(eta, probe, phase) uncertainty report.
 
     The sample standard deviation is rescaled by the square root of the mean
     number of registered coincidences per series, giving the effective
     uncertainty per photon pair, and compared with 1/sqrt(F).
     """
-    del include_cc  # registered counts were fixed when the estimates were made
     by_group: dict[tuple, list[Estimate]] = {}
     for est in estimates:
         eta, probe, phi_true, _ = est.series_key

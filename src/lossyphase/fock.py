@@ -10,6 +10,9 @@ import numpy as np
 #: Absolute tolerance for normalization and unitarity checks.
 NORM_TOL = 1e-12
 
+#: Most photons a state may hold; two-photon probes need no more.
+PHOTON_CUTOFF = 4
+
 #: Amplitudes below this magnitude are dropped from sparse storage.
 _PRUNE = 1e-14
 
@@ -42,13 +45,10 @@ class FockState:
     mode_count: int
     amplitudes: dict[Pattern, complex]
     normalized: bool = True
-    photon_cutoff: int = 4
 
     def __post_init__(self):
         if self.mode_count < 1:
             raise ValueError("mode_count must be positive")
-        if self.photon_cutoff < 0:
-            raise ValueError("photon_cutoff must be non-negative")
         cleaned: dict[Pattern, complex] = {}
         for pattern, amp in self.amplitudes.items():
             pat = _as_pattern(pattern)
@@ -56,8 +56,8 @@ class FockState:
                 raise ValueError(
                     f"occupation vector {pat} has length {len(pat)}, expected {self.mode_count}"
                 )
-            if sum(pat) > self.photon_cutoff:
-                raise ValueError(f"occupation vector {pat} exceeds photon cutoff {self.photon_cutoff}")
+            if sum(pat) > PHOTON_CUTOFF:
+                raise ValueError(f"occupation vector {pat} exceeds photon cutoff {PHOTON_CUTOFF}")
             amp = complex(amp)
             if abs(amp) > _PRUNE:
                 cleaned[pat] = cleaned.get(pat, 0j) + amp
@@ -82,18 +82,13 @@ class FockState:
         if self.normalized:
             return self
         scale = 1.0 / math.sqrt(self.norm_sq())
-        return FockState(
-            self.mode_count,
-            {p: a * scale for p, a in self.amplitudes.items()},
-            normalized=True,
-            photon_cutoff=self.photon_cutoff,
-        )
+        return FockState(self.mode_count, {p: a * scale for p, a in self.amplitudes.items()})
 
 
-def basis(pattern, photon_cutoff: int = 4) -> FockState:
+def basis(pattern) -> FockState:
     """Single occupation pattern with unit amplitude."""
     pat = _as_pattern(pattern)
-    return FockState(len(pat), {pat: 1.0 + 0j}, photon_cutoff=photon_cutoff)
+    return FockState(len(pat), {pat: 1.0 + 0j})
 
 
 @dataclass(frozen=True)
@@ -112,12 +107,6 @@ class ModeTransform:
             raise ValueError("matrix is not unitary")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def then(self, later: ModeTransform) -> ModeTransform:
-        """Transform equivalent to applying ``self`` first, then ``later``."""
-        if later.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        return ModeTransform(self.dimension, later.matrix @ self.matrix)
 
 
 def beam_splitter(transmission: float, mode_i: int, mode_j: int, mode_count: int) -> ModeTransform:
@@ -184,7 +173,7 @@ def apply_transform(state: FockState, transform: ModeTransform) -> FockState:
                 poly = grown
         for mono, coeff in poly.items():
             out[mono] = out.get(mono, 0j) + coeff * math.sqrt(_pattern_factorial(mono))
-    return FockState(m, out, normalized=state.normalized, photon_cutoff=state.photon_cutoff)
+    return FockState(m, out, normalized=state.normalized)
 
 
 @dataclass(frozen=True)
@@ -213,12 +202,7 @@ def apply_loss(state: FockState, mode: int, transmission: float) -> list[Conditi
     m = state.mode_count
     if not 0 <= mode < m:
         raise ValueError(f"mode index {mode} out of range for {m} modes")
-    extended = FockState(
-        m + 1,
-        {p + (0,): a for p, a in state.amplitudes.items()},
-        normalized=True,
-        photon_cutoff=state.photon_cutoff,
-    )
+    extended = FockState(m + 1, {p + (0,): a for p, a in state.amplitudes.items()})
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
     mat = np.eye(m + 1, dtype=complex)
@@ -240,12 +224,7 @@ def apply_loss(state: FockState, mode: int, transmission: float) -> list[Conditi
         if p_l <= _PRUNE**2:
             continue
         scale = 1.0 / math.sqrt(p_l)
-        branch_state = FockState(
-            m,
-            {p: a * scale for p, a in amps.items()},
-            normalized=True,
-            photon_cutoff=state.photon_cutoff,
-        )
+        branch_state = FockState(m, {p: a * scale for p, a in amps.items()})
         branches.append(ConditionalBranch(lost, p_l, branch_state))
     return branches
 

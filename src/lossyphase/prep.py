@@ -35,7 +35,7 @@ def attenuate(state: FockState, mode: int, transmission: float) -> FockState:
     amps = {p: a * transmission ** (p[mode] / 2.0) for p, a in state.amplitudes.items()}
     if sum(abs(a) ** 2 for a in amps.values()) == 0.0:
         raise ValueError("postselection succeeds with probability zero")
-    return FockState(state.mode_count, amps, normalized=False, photon_cutoff=state.photon_cutoff)
+    return FockState(state.mode_count, amps, normalized=False)
 
 
 def prepare(

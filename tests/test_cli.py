@@ -7,9 +7,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import lossyphase
 
@@ -18,12 +20,15 @@ from lossyphase.cli import (
     ESTIMATES_COLUMNS,
     REPORT_COLUMNS,
     SEED_ENV_VAR,
+    ConfigError,
+    _FIELDS,
+    _config_dict,
     config_from_dict,
     main,
     parse_config,
     read_dataset_csv,
 )
-from lossyphase.montecarlo import ProbeKind
+from lossyphase.montecarlo import ExperimentConfig, ProbeKind
 
 SMALL_CONFIG = """\
 # compact campaign for integration checks
@@ -36,6 +41,29 @@ seed = 99
 poissonize_m = true
 include_cc = true
 """
+
+
+#: The manifest config object simulate writes for SMALL_CONFIG.
+SMALL_MANIFEST_CONFIG = {
+    "eta_list": [0.361, 0.547],
+    "probe": "optimal",
+    "phases": [-0.04, 0.0, 0.04],
+    "series": 6,
+    "events": 300,
+    "seed": 99,
+    "epsilon": 0.0,
+    "delta": 0.0,
+    "lambda_hom": 1.0,
+    "v_classical": 1.0,
+    "poissonize_m": True,
+    "include_cc": True,
+}
+
+
+def manifest_text(drop=None, **changes) -> str:
+    """A manifest whose config is SMALL_MANIFEST_CONFIG with one key dropped or changed."""
+    config = {key: value for key, value in SMALL_MANIFEST_CONFIG.items() if key != drop}
+    return json.dumps({"command": "simulate", "config": {**config, **changes}})
 
 
 @pytest.fixture
@@ -167,6 +195,7 @@ class TestSimulate:
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["config"]["seed"] == 99
+        assert manifest["config"] == SMALL_MANIFEST_CONFIG
         assert any(path.endswith("dataset.csv") for path in manifest["outputs"])
 
     def test_manifest_replay_reproduces(self, sim_dir, tmp_path):
@@ -197,6 +226,32 @@ class TestSimulate:
         config_path.write_text("series = 5\nnonsense line\n")
         rc = main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        config_path = tmp_path / "latin.cfg"
+        config_path.write_bytes(b"series = 2\n# caf\xe9 \xff\n")
+        rc = main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(config_path) in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed_line, flags, seed", [("seed = 3\n", [], 3), ("", ["--seed", "4"], 4)])
+    def test_bad_env_seed_ignored_when_seed_given(self, tmp_path, monkeypatch, seed_line, flags, seed):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(f"eta_list = 0.361\nphases = 0.0\nseries = 2\nevents = 20\n{seed_line}")
+        out_dir = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir), *flags]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["config"]["seed"] == seed
+
+    def test_bad_env_seed_exits_1_without_other_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("eta_list = 0.361\nphases = 0.0\nseries = 2\nevents = 20\n")
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert SEED_ENV_VAR in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -289,17 +344,28 @@ class TestEstimate:
         assert "no registered coincidences" in err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, named",
         [
-            '{"command": "simulate"}',
-            '{"config": {"probe": "noon", "phases": [0.0], "series": 2, "events": 10, "seed": 0}}',
-            '{"config": ',
-            '[1, 2]',
-            '{"config": {"eta_list": [0.361], "probe": "bogus", "phases": [0.0], "series": 2, "events": 10, "seed": 0}}',
+            ('{"command": "simulate"}', "config"),
+            ('{"config": {"probe": "noon", "phases": [0.0], "series": 2, "events": 10, "seed": 0}}', "eta_list"),
+            ('{"config": ', "JSON"),
+            ('[1, 2]', "config"),
+            (
+                '{"config": {"eta_list": [0.361], "probe": "bogus", "phases": [0.0], "series": 2, "events": 10, "seed": 0}}',
+                "probe",
+            ),
+            (manifest_text(include_cc="false"), "include_cc"),
+            (manifest_text(poissonize_m="no"), "poissonize_m"),
+            (manifest_text(seed=3.5), "seed"),
+            (manifest_text(events=True), "events"),
+            (manifest_text(drop="epsilon"), "epsilon"),
         ],
-        ids=["no-config", "no-eta-list", "malformed-json", "not-an-object", "unknown-probe"],
+        ids=[
+            "no-config", "no-eta-list", "malformed-json", "not-an-object", "unknown-probe",
+            "string-include-cc", "string-poissonize-m", "float-seed", "bool-events", "no-epsilon",
+        ],
     )
-    def test_bad_manifest_exits_1(self, sim_dir, tmp_path, capsys, text):
+    def test_bad_manifest_exits_1(self, sim_dir, tmp_path, capsys, text, named):
         manifest = tmp_path / "bad.manifest.json"
         manifest.write_text(text)
         rc = main([
@@ -308,8 +374,94 @@ class TestEstimate:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert str(manifest) in err
+        assert str(manifest) in err and named in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BOOL_TEXT = st.sampled_from(["true", "False", "1", "0", "yes", "no", "on", "OFF"])
+
+
+def _float_list_text(elements):
+    return st.lists(elements, min_size=1, max_size=4).map(lambda values: ", ".join(map(repr, values)))
+
+
+#: Valid config-file text of every schema key.
+VALUE_TEXT = {
+    "eta_list": _float_list_text(st.floats(0.0, 1.0, exclude_min=True)),
+    "probe": st.sampled_from(["optimal", "noon", "NOON", "Optimal"]),
+    "phases": _float_list_text(_FINITE),
+    "series": st.integers(1, 10**6).map(str),
+    "events": st.integers(1, 10**6).map(str),
+    "seed": st.integers(0, 2**70).map(str),
+    "epsilon": st.floats(0.0, 1.0).map(repr),
+    "delta": st.floats(allow_nan=False).map(repr),
+    "lambda_hom": st.floats(0.0, 1.0).map(repr),
+    "v_classical": st.floats(0.0, 1.0).map(repr),
+    "poissonize_m": _BOOL_TEXT,
+    "include_cc": _BOOL_TEXT,
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Valid config text: any subset of the schema keys, in any order, with comments."""
+    values = draw(st.fixed_dictionaries({}, optional=VALUE_TEXT))
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    lines = draw(st.permutations(lines)) + draw(st.lists(st.just("# comment"), max_size=2))
+    return "\n".join(lines) + "\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def parses_or_rejects(build) -> None:
+    """``build()`` returns or raises ConfigError/ValueError, never anything else."""
+    try:
+        build()
+    except (ConfigError, ValueError):
+        pass
+
+
+class TestConfigSchema:
+    """parse_config, the simulate manifest and config_from_dict share one schema."""
+
+    def test_strategies_cover_the_schema(self):
+        assert set(VALUE_TEXT) == set(_FIELDS)
+
+    @given(config_texts())
+    def test_round_trip(self, text):
+        with mock.patch.dict(os.environ):
+            os.environ.pop(SEED_ENV_VAR, None)
+            kwargs, include_cc = parse_config(text)
+        config = ExperimentConfig(**kwargs)
+        manifest_config = json.loads(json.dumps(_config_dict(config, include_cc)))
+        assert list(manifest_config) == list(_FIELDS)
+        assert config_from_dict(manifest_config) == (config, include_cc)
+
+    @given(st.text())
+    def test_any_text(self, text):
+        parses_or_rejects(lambda: ExperimentConfig(**parse_config(text)[0]))
+
+    @given(st.lists(st.tuples(st.sampled_from(list(_FIELDS)) | st.text(max_size=8), st.text(max_size=12))))
+    def test_any_key_value_lines(self, pairs):
+        text = "\n".join(f"{key} = {value}" for key, value in pairs)
+        parses_or_rejects(lambda: ExperimentConfig(**parse_config(text)[0]))
+
+    @given(st.dictionaries(st.sampled_from(list(_FIELDS)) | st.text(max_size=8), _JSON))
+    def test_any_json_object(self, data):
+        parses_or_rejects(lambda: config_from_dict(data))
+
+    @given(st.sampled_from(list(_FIELDS)), _JSON)
+    @example("epsilon", 10**400)
+    @example("eta_list", [10**400])
+    def test_one_json_value_replaced(self, key, value):
+        parses_or_rejects(lambda: config_from_dict({**SMALL_MANIFEST_CONFIG, key: value}))
 
 
 class TestDeterminism:
