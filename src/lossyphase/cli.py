@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -17,16 +19,9 @@ import numpy as np
 from . import __version__
 from .bounds import optimize_weights, noon_precision, sil_precision
 from .detection import LABELS, Setting
-from .estimator import DegenerateLikelihoodError, analyze, estimate_dataset, histogram
+from .estimator import DegenerateLikelihoodError, _first_seen, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
-from .montecarlo import (
-    EventDataset,
-    EventRecord,
-    ExperimentConfig,
-    ProbeKind,
-    run_campaign,
-    setting_models,
-)
+from .montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, run_campaign, setting_models
 from .prep import solve_prep
 
 EXIT_OK = 0
@@ -66,11 +61,12 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _write_lines(path: Path, header, lines) -> None:
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8", newline="\n")
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, header, (",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows))
 
 
 def _default_seed() -> int:
@@ -321,32 +317,90 @@ def cmd_fringes(args) -> int:
     return EXIT_OK
 
 
+def _prefixes(dataset: EventDataset, rows, with_setting: bool) -> list[str]:
+    """The eta, probe, phi_true and, if asked, setting fields of the given
+    rows as ``_write_csv`` formats them, with a trailing comma; each distinct
+    prefix is formatted once. Index columns, not values, tell prefixes apart,
+    so 0 and -0 keep their own text."""
+    d = dataset
+    columns = [d.eta_index[rows], d.probe[rows], d.phase_index[rows], d.setting[rows]][: 3 + with_setting]
+    number, first = _first_seen(*columns)
+    texts = [
+        ",".join([_fmt(d.etas[eta]), PROBES[probe].value, _fmt(d.phases[phi]), *(SETTINGS[s].value for s in setting)]) + ","
+        for eta, probe, phi, *setting in zip(*(column[first].tolist() for column in columns))
+    ]
+    return list(map(texts.__getitem__, number.tolist()))
+
+
 def write_dataset_csv(path: Path, dataset: EventDataset) -> None:
     """One row per record in ``DATASET_COLUMNS`` order, formatted as
-    ``_write_csv`` would, with each distinct (eta, probe, phi, setting)
-    prefix formatted once."""
-    # Keyed by object identity, not value, so 0.0 and -0.0 keep their own
-    # text; the records hold every key object alive while the file is built.
-    prefixes: dict[tuple, str] = {}
-    integers = ",".join(["{}"] * (len(LABELS) + 2)).format  # series_id, counts, seed_used
-    lines = [",".join(DATASET_COLUMNS)]
-    for rec in dataset.records:
-        key = (id(rec.eta), rec.probe, id(rec.phi_true), rec.setting)
-        prefix = prefixes.get(key)
-        if prefix is None:
-            prefix = prefixes[key] = f"{_fmt(rec.eta)},{rec.probe.value},{_fmt(rec.phi_true)},{rec.setting.value},"
-        get = rec.counts.get
-        lines.append(prefix + integers(rec.series_id, *[get(label, 0) for label in LABELS], rec.seed_used))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    ``_write_csv`` would."""
+    integers = [dataset.series_id.tolist(), *dataset.counts.T.tolist(), dataset.seed_used.tolist()]
+    line = "{}" + ",".join(["{}"] * len(integers))
+    _write_lines(path, DATASET_COLUMNS, map(line.format, _prefixes(dataset, slice(None), True), *integers))
 
 
-def read_dataset_csv(path: Path) -> list[EventRecord]:
-    """Records of a dataset CSV, in file order.
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
-    Rejects, naming the line, a malformed row, a negative count and a second
-    row for the same (eta, probe, phi_true, series_id, setting).
+
+def _parse_prefix(fields_: list[str]) -> tuple:
+    """(eta, probe, phi_true, setting) of a dataset row's first four fields."""
+    parsed = (float(fields_[0]), ProbeKind(fields_[1]), float(fields_[2]), Setting(fields_[3]))
+    if not (math.isfinite(parsed[0]) and math.isfinite(parsed[2])):
+        raise ValueError(f"eta and phi_true must be finite, got {fields_[0]} and {fields_[2]}")
+    return parsed
+
+
+def _first_bad_line(path: Path, lines: list[str]) -> ConfigError:
+    """The diagnostic of the first line ``read_dataset_csv`` rejects, found line by line."""
+    prefixes, first_line = {}, {}  # prefix text -> parsed; (parsed prefix, series_id) -> line
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line or line.isspace():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(DATASET_COLUMNS):
+            return ConfigError(f"{path}: line {line_no}: expected {len(DATASET_COLUMNS)} fields")
+        try:
+            values = list(map(int, parts[5:11]))
+            text = tuple(parts[:4])
+            if text not in prefixes:
+                prefixes[text] = _parse_prefix(parts)
+            series_id, seed = int(parts[4]), int(parts[11])
+        except ValueError as exc:
+            return ConfigError(f"{path}: line {line_no}: {exc}")
+        if not (-(2**63) <= series_id < 2**63 and max(values) < 2**63 and 0 <= seed < 2**64):
+            return ConfigError(f"{path}: line {line_no}: series_id, a count or seed_used is out of range")
+        if min(values) < 0:
+            column = DATASET_COLUMNS[5 + values.index(min(values))]
+            return ConfigError(f"{path}: line {line_no}: {column} must be non-negative, got {min(values)}")
+        seen = first_line.setdefault((prefixes[text], series_id), line_no)
+        if seen != line_no:
+            return ConfigError(
+                f"{path}: line {line_no}: duplicates line {seen} (same eta, probe, phi_true, series_id and setting)"
+            )
+    return ConfigError(f"{path}: rejected without a diagnostic")
+
+
+#: Data rows split into text fields at once; each chunk moves into arrays
+#: before the next is split, which bounds the parser's memory.
+_PARSE_CHUNK = 4096
+
+
+def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
+    """The dataset a CSV holds, rows in file order, modelled by ``config``.
+
+    Rejects, naming the line, a malformed row, a non-finite eta or phi_true,
+    an integer outside its column's range, a negative count and a second row
+    for the same (eta, probe, phi_true, series_id, setting) compared by value.
+    Rows are parsed in bulk, ``_PARSE_CHUNK`` at a time, and checked with
+    array operations; only a rejected file is read again line by line to
+    name the first bad line.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, "dataset").splitlines()
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
     header = lines[0].split(",")
@@ -355,47 +409,53 @@ def read_dataset_csv(path: Path) -> list[EventRecord]:
             raise ConfigError(f"{path}: expected column {expected!r}, found {got!r}")
     if len(header) != len(DATASET_COLUMNS):
         raise ConfigError(f"{path}: expected {len(DATASET_COLUMNS)} columns, found {len(header)}")
-    # (eta, probe, phi_true, setting) text -> parsed values and an id shared by equal values
-    prefixes: dict[tuple, tuple] = {}
-    prefix_ids: dict[tuple, int] = {}
-    first_line: dict[tuple, int] = {}  # (prefix id, series_id) -> line
-    records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line or line.isspace():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(DATASET_COLUMNS):
-            raise ConfigError(f"{path}: line {line_no}: expected {len(DATASET_COLUMNS)} fields")
-        try:
-            values = list(map(int, parts[5:11]))
-            text = tuple(parts[:4])
-            prefix = prefixes.get(text)
-            if prefix is None:
-                parsed = (float(parts[0]), ProbeKind(parts[1]), float(parts[2]), Setting(parts[3]))
-                prefix = prefixes[text] = (*parsed, prefix_ids.setdefault(parsed, len(prefix_ids)))
-            eta, probe, phi_true, setting, prefix_id = prefix
-            series_id = int(parts[4])
-            record = EventRecord(eta, probe, phi_true, setting, series_id, dict(zip(LABELS, values)), int(parts[11]))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {line_no}: {exc}") from exc
-        if min(values) < 0:
-            column = DATASET_COLUMNS[5 + values.index(min(values))]
-            raise ConfigError(f"{path}: line {line_no}: {column} must be non-negative, got {min(values)}")
-        seen = first_line.setdefault((prefix_id, series_id), line_no)
-        if seen != line_no:
-            raise ConfigError(
-                f"{path}: line {line_no}: duplicates line {seen} (same eta, probe, phi_true, series_id and setting)"
-            )
-        records.append(record)
-    return records
+    prefixes: dict[str, int] = {}  # text of a row's first four fields -> index into parsed
+    parsed = []  # (eta, probe, phi_true, setting) of each prefix text
+    chunks = []  # per chunk: prefix of each row, then series_id and counts, then seed_used
+    try:
+        for start in range(1, max(len(lines), 2), _PARSE_CHUNK):  # at least one chunk
+            rows, integers = [], []
+            for line in lines[start : start + _PARSE_CHUNK]:
+                parts = line.rsplit(",", 8)  # the prefix text and the eight integer fields
+                prefix = prefixes.get(parts[0])
+                if prefix is None:
+                    if not line or line.isspace():
+                        continue
+                    fields_ = parts[0].split(",")
+                    if len(parts) != 9 or len(fields_) != 4:
+                        raise ValueError(line)
+                    prefix = prefixes[parts[0]] = len(parsed)
+                    parsed.append(_parse_prefix(fields_))
+                rows.append(prefix)
+                integers += parts[1:]
+            columns = [list(map(int, integers[k::8])) for k in range(8)]
+            chunks.append((rows, np.array(columns[:7], dtype=np.int64), np.array(columns[7], dtype=np.uint64)))
+        prefix = np.concatenate([c[0] for c in chunks]).astype(np.intp)
+        codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
+        probe, setting = codes[prefix].T
+        etas, phases = tuple(p[0] for p in parsed), tuple(p[2] for p in parsed)
+        series_id, *counts = np.concatenate([c[1] for c in chunks], axis=1)
+        _, distinct = _first_seen(np.array(etas)[prefix], probe, np.array(phases)[prefix], setting, series_id)
+        if np.min(counts, initial=0) < 0 or len(distinct) < len(series_id):
+            raise ValueError("a negative count or a repeated row")
+    except (ValueError, OverflowError):
+        raise _first_bad_line(path, lines) from None
+    return EventDataset(
+        config=config,
+        etas=etas,
+        phases=phases,
+        probe=probe,
+        eta_index=prefix,
+        phase_index=prefix,
+        setting=setting,
+        series_id=series_id,
+        counts=np.column_stack(counts),
+        seed_used=np.concatenate([c[2] for c in chunks]),
+    )
 
 
 def cmd_simulate(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    values = _read_config(text)
+    values = _read_config(_read_text(args.config, "config"))
     if args.probe is not None:
         values["probe"] = ProbeKind(args.probe)
     if args.eta is not None:
@@ -443,42 +503,27 @@ def cmd_estimate(args) -> int:
         print(f"error: manifest {manifest_path} not found (needed for the model configuration)", file=sys.stderr)
         return EXIT_INPUT
     manifest, config, include_cc = _load_manifest(manifest_path)
-    records = read_dataset_csv(dataset_path)
-    dataset = EventDataset(config=config, records=tuple(records))
+    dataset = read_dataset_csv(dataset_path, config)
     estimates = estimate_dataset(dataset, include_cc=include_cc)
     report = analyze(dataset, estimates)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates_path = out_dir / "estimates.csv"
-    _write_csv(
-        estimates_path,
-        ESTIMATES_COLUMNS,
-        (
-            (e.series_key[0], e.series_key[1].value, e.series_key[2], e.series_key[3], e.phi_hat, e.log_likelihood_max, e.n_coincidences)
-            for e in estimates
-        ),
-    )
+    prefixes = _prefixes(dataset, estimates.row, with_setting=False)  # eta, probe and phi_true of each series
+    columns = (dataset.series_id[estimates.row], estimates.phi_hat, estimates.loglik, estimates.n_coinc)
+    _write_lines(estimates_path, ESTIMATES_COLUMNS, map("{}{},{:.12g},{:.12g},{}".format, prefixes, *(c.tolist() for c in columns)))
     report_path = out_dir / "report.csv"
-    _write_csv(
-        report_path,
-        REPORT_COLUMNS,
-        (
-            (r.eta, r.probe.value, r.phi_true, r.mean, r.sigma, r.m_bar, r.sigma_scaled, r.crb)
-            for r in report
-        ),
-    )
+    rows = ((r.eta, r.probe.value, r.phi_true, r.mean, r.sigma, r.m_bar, r.sigma_scaled, r.crb) for r in report)
+    _write_csv(report_path, REPORT_COLUMNS, rows)
     outputs = [estimates_path, report_path]
     if args.hist_bin is not None:
-        hist_rows = []
-        groups: dict[tuple, list] = {}
-        for e in estimates:
-            groups.setdefault(e.series_key[:3], []).append(e.phi_hat)
-        for (eta, probe, phi_true), values in groups.items():
-            edges, counts = histogram(values, args.hist_bin)
-            for left, right, count in zip(edges[:-1], edges[1:], counts):
-                hist_rows.append((eta, probe.value, phi_true, left, right, int(count)))
+        hist_lines = []
+        for members in estimates.groups():
+            edges, counts = histogram(estimates.phi_hat[members], args.hist_bin)
+            bins = (edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+            hist_lines += map("{}{:.12g},{:.12g},{}".format, repeat(prefixes[members[0]]), *bins)
         hist_path = out_dir / "histograms.csv"
-        _write_csv(hist_path, ("eta", "probe", "phi_true", "bin_left", "bin_right", "count"), hist_rows)
+        _write_lines(hist_path, ("eta", "probe", "phi_true", "bin_left", "bin_right", "count"), hist_lines)
         outputs.append(hist_path)
     _write_manifest(
         out_dir / "estimate.manifest.json",

@@ -4,13 +4,14 @@ Cramér-Rao bound."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import qfi_lossy
-from .detection import Setting
-from .montecarlo import EventDataset, ProbeKind, probe_weights, setting_models
+from .detection import LABELS, Setting
+from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, RowView, probe_weights, setting_models
 
 SEARCH_INTERVAL = (-math.pi / 2.0, math.pi / 2.0)
 GRID_STEP = 1e-3
@@ -61,8 +62,6 @@ def log_likelihood(counts_by_setting, phi: float, models, include_cc: bool = Tru
     Each setting is scored only on its postselected labels, renormalized
     within that set; a zero-probability label with counts gives -inf.
     """
-    from .detection import LABELS
-
     total = 0.0
     for setting, model in models.items():
         counts = counts_by_setting.get(setting, {})
@@ -100,8 +99,6 @@ def likelihood_grid(
     interval: tuple[float, float] = SEARCH_INTERVAL,
     step: float = GRID_STEP,
 ) -> LikelihoodGrid:
-    from .detection import LABELS
-
     lo, hi = interval
     phis = np.arange(lo, hi, step)
     labels = {}
@@ -182,30 +179,24 @@ def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
     return phi[pick], val[pick], problem
 
 
-def _estimate_series(grid: LikelihoodGrid, series: list[dict]):
-    """Maximum-likelihood estimates for series given as {setting: {label:
-    count}} mappings, a missing setting or label counting zero.
+def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
+    """Maximum-likelihood estimates for series given as count matrices, one
+    per setting of the grid: a row per series, a column per kept label.
 
-    Returns lists of phi_hat, loglik max, n_coinc and problem per series,
-    ``problem`` as in ``_best_phis`` or for a series without registered
-    coincidences.
+    Returns arrays of phi_hat, loglik max and n_coinc and a list of problems,
+    one per series, ``problem`` as in ``_best_phis`` or for a series without
+    registered coincidences.
     """
-    counts = {
-        setting: np.array(
-            [[get(label, 0) for label in labels] for get in (s.get(setting, {}).get for s in series)], dtype=float
-        )
-        for setting, labels in grid.labels.items()
-    }
     n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
-    phi_hat, lmax, problems = np.empty(len(series)), np.empty(len(series)), []
-    for start in range(0, len(series), CHUNK_SERIES):
-        stop = min(start + CHUNK_SERIES, len(series))
+    phi_hat, lmax, problems = np.empty(len(n_coinc)), np.empty(len(n_coinc)), []
+    for start in range(0, len(n_coinc), CHUNK_SERIES):
+        stop = min(start + CHUNK_SERIES, len(n_coinc))
         phi_hat[start:stop], lmax[start:stop], problem = _best_phis(
             grid.phis, _loglik_rows(grid, counts, start, stop), grid.step
         )
         problems += problem
     problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]
-    return phi_hat.tolist(), lmax.tolist(), n_coinc.tolist(), problems
+    return phi_hat, lmax, n_coinc, problems
 
 
 def ml_estimate(
@@ -216,82 +207,133 @@ def ml_estimate(
     grid: LikelihoodGrid | None = None,
     series_key: tuple = (),
 ) -> Estimate:
-    """Maximum-likelihood phase estimate from one series of counts."""
+    """Maximum-likelihood phase estimate from one series of counts, given as
+    {setting: {label: count}}, a missing setting or label counting zero."""
     if grid is None:
         grid = likelihood_grid(models, include_cc=include_cc, interval=interval)
-    (phi_hat,), (lmax,), (n_coinc,), (problem,) = _estimate_series(grid, [counts_by_setting])
+    counts = {
+        setting: np.array([[counts_by_setting.get(setting, {}).get(label, 0) for label in labels]], dtype=float)
+        for setting, labels in grid.labels.items()
+    }
+    (phi_hat,), (lmax,), (n_coinc,), (problem,) = _estimate_series(grid, counts)
     if problem is not None:
         raise DegenerateLikelihoodError(problem)
-    return Estimate(phi_hat=phi_hat, log_likelihood_max=lmax, n_coincidences=n_coinc, series_key=tuple(series_key))
+    return Estimate(phi_hat=float(phi_hat), log_likelihood_max=float(lmax), n_coincidences=int(n_coinc), series_key=tuple(series_key))
 
 
-def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> list[Estimate]:
-    """Maximum-likelihood estimates for every series of a simulated campaign,
-    in the order each series first appears among the records.
+def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of the key ``columns``, compared by value, in
+    order of first appearance; returns each row's number and the first row of
+    each number."""
+    order = np.lexsort(columns[::-1])  # stable: each run of equal rows starts at its first row
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any([np.diff(column[order]) != 0 for column in columns], axis=0)
+    first = order[starts]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = rank[np.cumsum(starts) - 1]
+    return number, np.sort(first)
+
+
+@dataclass(frozen=True, eq=False)
+class Estimates(Sequence):
+    """Per-series estimates as columns, series in order of first appearance;
+    item i is an ``Estimate`` built on access. A series, keyed by (eta, probe,
+    phi_true, series_id) by value, takes its key text from its first dataset
+    ``row``; a ``group`` shares (eta, probe, phi_true), numbered likewise."""
+
+    dataset: EventDataset
+    row: np.ndarray
+    group: np.ndarray
+    phi_hat: np.ndarray
+    loglik: np.ndarray
+    n_coinc: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __getitem__(self, i):
+        return RowView(len(self.row), self.estimate)[i]
+
+    def key(self, i: int) -> tuple:
+        """(eta, probe, phi_true, series_id) of series i."""
+        d, r = self.dataset, self.row[i]
+        return d.etas[d.eta_index[r]], PROBES[d.probe[r]], d.phases[d.phase_index[r]], int(d.series_id[r])
+
+    def estimate(self, i: int) -> Estimate:
+        return Estimate(float(self.phi_hat[i]), float(self.loglik[i]), int(self.n_coinc[i]), self.key(i))
+
+    def groups(self) -> list[np.ndarray]:
+        """Series of each group, in series order."""
+        return np.split(np.argsort(self.group, kind="stable"), np.cumsum(np.bincount(self.group)))[:-1]
+
+
+def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> Estimates:
+    """Maximum-likelihood estimates for every series of a campaign.
 
     Rebuilds the outcome models from the dataset's configuration and shares
     one likelihood grid per (eta, probe) combination, whose series are
-    estimated together. A later record of the same series and setting
-    replaces an earlier one.
+    estimated together. A later row of the same series and setting replaces
+    an earlier one. A series without phase information raises
+    DegenerateLikelihoodError naming the first such series.
     """
-    series: dict[tuple, dict[Setting, dict]] = {}  # series key -> setting -> counts
-    blocks: dict[tuple, list] = {}  # (eta, probe) -> (series index, setting -> counts)
-    for rec in dataset.records:
-        key = (rec.eta, rec.probe, rec.phi_true, rec.series_id)
-        slots = series.get(key)
-        if slots is None:
-            slots = series[key] = {}
-            blocks.setdefault(key[:2], []).append((len(series) - 1, slots))
-        slots[rec.setting] = rec.counts
-    params = dataset.config.imperfections
-    results = [None] * len(series)
-    for (eta, probe), block in blocks.items():
-        grid = likelihood_grid(setting_models(probe, eta, params), include_cc=include_cc)
-        indices, slots = zip(*block)
-        for index, result in zip(indices, zip(*_estimate_series(grid, slots))):
-            results[index] = result
-    estimates = []
-    for key, (phi_hat, lmax, n_coinc, problem) in zip(series, results):
-        if problem is not None:
-            raise DegenerateLikelihoodError(f"series {key}: {problem}")
-        estimates.append(Estimate(phi_hat=phi_hat, log_likelihood_max=lmax, n_coincidences=n_coinc, series_key=key))
+    d = dataset
+    eta, phi = np.array(d.etas)[d.eta_index], np.array(d.phases)[d.phase_index]  # 0.0 == -0.0
+    series, rows = _first_seen(eta, d.probe, phi, d.series_id)
+    group, _ = _first_seen(eta[rows], d.probe[rows], phi[rows])
+    block, block_rows = _first_seen(eta[rows], d.probe[rows])
+    slot = series * len(SETTINGS) + d.setting
+    last = len(slot) - 1 - np.unique(slot[::-1], return_index=True)[1]  # last row of each (series, setting)
+    counts = np.zeros((len(rows), len(SETTINGS), len(LABELS)))
+    counts[series[last], d.setting[last]] = d.counts[last]
+    phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
+    problems: dict[int, str] = {}  # series -> why it carries no phase information
+    for b, first in enumerate(rows[block_rows]):
+        grid = likelihood_grid(
+            setting_models(PROBES[d.probe[first]], d.etas[d.eta_index[first]], d.config.imperfections),
+            include_cc=include_cc,
+        )
+        members = np.flatnonzero(block == b)
+        # C order as the products need it: a column-major matrix rounds differently
+        matrices = {
+            setting: np.ascontiguousarray(counts[members, SETTINGS.index(setting)][:, [LABELS.index(l) for l in labels]])
+            for setting, labels in grid.labels.items()
+        }
+        phi_hat[members], lmax[members], n_coinc[members], problem = _estimate_series(grid, matrices)
+        problems.update((i, p) for i, p in zip(members.tolist(), problem) if p is not None)
+    estimates = Estimates(d, rows, group, phi_hat, lmax, n_coinc)
+    if problems:
+        first = min(problems)
+        eta_true, probe, phi_true, series_id = estimates.key(first)
+        raise DegenerateLikelihoodError(
+            f"series eta={eta_true:.12g} probe={probe.value} phi_true={phi_true:.12g} series_id={series_id}: {problems[first]}"
+        )
     return estimates
 
 
-def analyze(dataset: EventDataset, estimates) -> list[UncertaintyRow]:
-    """Per-(eta, probe, phase) uncertainty report.
+def analyze(dataset: EventDataset, estimates: Estimates) -> list[UncertaintyRow]:
+    """Per-(eta, probe, phase) uncertainty report, one row per group of
+    ``estimates``.
 
     The sample standard deviation is rescaled by the square root of the mean
     number of registered coincidences per series, giving the effective
     uncertainty per photon pair, and compared with 1/sqrt(F).
     """
-    by_group: dict[tuple, list[Estimate]] = {}
-    for est in estimates:
-        eta, probe, phi_true, _ = est.series_key
-        by_group.setdefault((eta, probe, phi_true), []).append(est)
     crb_cache: dict[tuple, float] = {}
     rows = []
-    for (eta, probe, phi_true), group in by_group.items():
-        if len(group) < 2:
-            raise ValueError(f"group (eta={eta}, probe={probe}, phi={phi_true}) has fewer than 2 estimates")
-        values = np.array([e.phi_hat for e in group])
-        counts = np.array([e.n_coincidences for e in group], dtype=float)
+    for members in estimates.groups():
+        eta, probe, phi_true, _ = estimates.key(members[0])
+        if len(members) < 2:
+            raise ValueError(f"group (eta={eta}, probe={probe.value}, phi={phi_true}) has fewer than 2 estimates")
+        values = estimates.phi_hat[members]
+        counts = estimates.n_coinc[members].astype(float)
         sigma = float(np.std(values, ddof=1))
         m_bar = float(counts.mean())
         if (eta, probe) not in crb_cache:
             crb_cache[(eta, probe)] = 1.0 / math.sqrt(qfi_lossy(probe_weights(probe, eta), eta))
-        rows.append(
-            UncertaintyRow(
-                eta=eta,
-                probe=probe,
-                phi_true=phi_true,
-                mean=float(values.mean()),
-                sigma=sigma,
-                m_bar=m_bar,
-                sigma_scaled=sigma * math.sqrt(m_bar),
-                crb=crb_cache[(eta, probe)],
-            )
-        )
+        crb = crb_cache[(eta, probe)]
+        rows.append(UncertaintyRow(eta, probe, phi_true, float(values.mean()), sigma, m_bar, sigma * math.sqrt(m_bar), crb))
     return rows
 
 
@@ -303,9 +345,7 @@ def histogram(estimates, bin_width: float, bounds: tuple[float, float] | None = 
     """
     if bin_width <= 0.0:
         raise ValueError("bin width must be positive")
-    values = np.array(
-        [e.phi_hat if isinstance(e, Estimate) else float(e) for e in estimates], dtype=float
-    )
+    values = np.array(estimates, dtype=float)
     if values.size == 0:
         raise ValueError("cannot histogram an empty set of estimates")
     if bounds is None:

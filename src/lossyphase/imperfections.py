@@ -4,7 +4,7 @@ distinguishability, reduced fringe visibility, multimode-coupler thinning."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,9 @@ class ImperfectionParams:
     coupler_factor: float = 0.5  # per-event retention of the 50:50 output couplers
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("epsilon", "lambda_hom", "v_classical"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -110,16 +113,19 @@ def build_model(probe: FockState, eta: float, config: DetectionConfig, params: I
     return MixedOutcomeModel(quantum, vec, params.lambda_hom)
 
 
-#: Draw order of the thinning: same-counter labels, then cross-counter labels.
-_THINNING_ORDER = ("AA", "BB", "CC", "AB", "AC", "BC")
+#: Draw order of the thinning, as LABELS indices: same-counter labels, then
+#: cross-counter labels.
+_THINNING_ORDER = [LABELS.index(label) for label in ("AA", "BB", "CC", "AB", "AC", "BC")]
 
 
-def apply_coupler_thinning(counts: dict[str, int], rng: np.random.Generator, retain: float = 0.5) -> dict[str, int]:
+def apply_coupler_thinning(counts: list[int], rng: np.random.Generator, retain: float = 0.5) -> list[int]:
     """Thin same-counter events (coupler inefficiency), then thin cross-counter
     events equally (the compensating postprocessing). Net effect: every label
     is binomially thinned with the same retention, leaving relative
-    frequencies unbiased."""
-    binomial = rng.binomial
-    out = dict(counts)
-    out.update({label: int(binomial(int(counts.get(label, 0)), retain)) for label in _THINNING_ORDER})
+    frequencies unbiased. Counts are in LABELS order, one scalar draw per
+    label: one ``binomial`` call on all six gives the same draws, but costs
+    more than six scalar calls."""
+    binomial, out = rng.binomial, list(counts)
+    for i in _THINNING_ORDER:
+        out[i] = binomial(counts[i], retain)
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -15,11 +16,12 @@ from .fock import FockState
 from .imperfections import ImperfectionParams, apply_coupler_thinning, build_model, fibre_input
 from .prep import prepare, solve_prep
 
-#: Stream index reserved for the per-series event-count draw; streams 0 and 1
-#: feed the quarter and half settings.
-_SERIES_STREAM = 2
+#: Settings by their code in a dataset's setting column, which is also the
+#: stream index of their substream.
+SETTINGS = (Setting.QUARTER, Setting.HALF)
 
-_SETTING_STREAM = {Setting.QUARTER: 0, Setting.HALF: 1}
+#: Stream index reserved for the per-series event-count draw.
+_SERIES_STREAM = len(SETTINGS)
 
 # Constants of numpy.random.SeedSequence with its default pool of four words.
 _POOL_SIZE = 4
@@ -32,6 +34,10 @@ _MASK32 = 0xFFFFFFFF
 class ProbeKind(Enum):
     OPTIMAL = "optimal"
     NOON = "noon"
+
+
+#: Probe kinds by their code in a dataset's probe column.
+PROBES = tuple(ProbeKind)
 
 
 def default_phase_list() -> tuple[float, ...]:
@@ -78,10 +84,48 @@ class EventRecord:
     seed_used: int
 
 
-@dataclass(frozen=True)
+class RowView(Sequence):
+    """Read-only sequence of ``n`` items, item i built by ``build(i)`` on access."""
+
+    def __init__(self, n: int, build):
+        self._n, self._build = n, build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        rows = range(self._n)[i]  # raises IndexError; a slice gives a range
+        return [self._build(j) for j in rows] if isinstance(i, slice) else self._build(rows)
+
+
+@dataclass(frozen=True, eq=False)
 class EventDataset:
+    """A campaign's records as columns, one row per record: ``eta_index`` and
+    ``phase_index`` index ``etas`` and ``phases``, ``probe`` and ``setting``
+    index ``PROBES`` and ``SETTINGS``, ``counts`` is in LABELS order. A parsed
+    file lists each row prefix text in both tables, so 0 and -0 keep theirs."""
+
     config: ExperimentConfig
-    records: tuple[EventRecord, ...]
+    etas: tuple[float, ...]
+    phases: tuple[float, ...]
+    probe: np.ndarray
+    eta_index: np.ndarray
+    phase_index: np.ndarray
+    setting: np.ndarray
+    series_id: np.ndarray  # int64
+    counts: np.ndarray  # (rows, labels) int64
+    seed_used: np.ndarray  # uint64
+
+    @property
+    def records(self) -> RowView:
+        """The rows as EventRecords, each built on access."""
+        return RowView(len(self.series_id), self.record)
+
+    def record(self, i: int) -> EventRecord:
+        return EventRecord(
+            self.etas[self.eta_index[i]], PROBES[self.probe[i]], self.phases[self.phase_index[i]], SETTINGS[self.setting[i]],
+            int(self.series_id[i]), dict(zip(LABELS, self.counts[i].tolist())), int(self.seed_used[i]),
+        )
 
 
 def _int_words(value: int) -> list[int]:
@@ -192,18 +236,19 @@ def _label_pvals(probs) -> np.ndarray:
     return probs / total
 
 
-def _draw_counts(pvals: np.ndarray, m: int, rng: np.random.Generator) -> dict[str, int]:
+def _draw_counts(pvals: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
+    """Multinomial label counts in LABELS order."""
     if m < 0:
         raise ValueError("event count must be non-negative")
     if m == 0:
-        return dict.fromkeys(LABELS, 0)
-    return dict(zip(LABELS, rng.multinomial(m, pvals).tolist()))
+        return [0] * len(LABELS)
+    return rng.multinomial(m, pvals).tolist()
 
 
 def sample_counts(distribution: dict[str, float], m: int, rng: np.random.Generator) -> dict[str, int]:
     """Multinomial draw of m coincidence events over the labels."""
     pvals = _label_pvals([float(distribution.get(label, 0.0)) for label in LABELS])
-    return _draw_counts(pvals, m, rng)
+    return dict(zip(LABELS, _draw_counts(pvals, m, rng)))
 
 
 def build_probe(kind: ProbeKind, eta: float, params: ImperfectionParams) -> FockState:
@@ -243,40 +288,37 @@ def run_campaign(config: ExperimentConfig) -> EventDataset:
     Every record is generated from its own substream, so the dataset is a pure
     function of the configuration and any subset can be regenerated alone.
     The substreams are those of ``record_rng``, derived for the whole campaign
-    at once.
+    at once. Rows run over (eta, phase, series, setting), the last fastest.
     """
-    n_streams = len(_SETTING_STREAM) + 1  # the settings' streams and _SERIES_STREAM
-    shape = (len(config.eta_list), len(config.phase_list), config.series_count, n_streams)
-    keys = np.indices(shape).reshape(len(shape), -1).T
-    states = substream_states(config.master_seed, keys).reshape(*shape, 4)
+    shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
+    keys = np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T
+    states = substream_states(config.master_seed, keys).reshape(*shape[:3], _SERIES_STREAM + 1, 4)
     retain = config.imperfections.coupler_factor
-    settings = tuple(_SETTING_STREAM.items())  # (setting, stream), quarter first
-    records: list[EventRecord] = []
+    counts = np.empty((*shape, len(LABELS)), dtype=np.int64)
     for eta_index, eta in enumerate(config.eta_list):
         models = setting_models(config.probe_kind, eta, config.imperfections)
         for phase_index, phi in enumerate(config.phase_list):
-            pvals = [_label_pvals(models[setting].probabilities(phi)) for setting, _ in settings]
-            cell = states[eta_index, phase_index]
-            seeds_used = cell[:, :, 0].tolist()
-            for series_id in range(config.series_count):
-                words = cell[series_id]
+            pvals = [_label_pvals(models[setting].probabilities(phi)) for setting in SETTINGS]
+            cell = counts[eta_index, phase_index]
+            for series_id, words in enumerate(states[eta_index, phase_index]):
                 if config.poissonize_m:
                     m_total = int(_substream(words[_SERIES_STREAM]).poisson(config.events_per_series))
                 else:
                     m_total = config.events_per_series
                 split = (m_total // 2, m_total - m_total // 2)  # quarter, half
-                for (setting, stream), probs, m in zip(settings, pvals, split):
+                for stream, (probs, m) in enumerate(zip(pvals, split)):
                     rng = _substream(words[stream])
-                    counts = apply_coupler_thinning(_draw_counts(probs, m, rng), rng, retain)
-                    records.append(
-                        EventRecord(
-                            eta=eta,
-                            probe=config.probe_kind,
-                            phi_true=phi,
-                            setting=setting,
-                            series_id=series_id,
-                            counts=counts,
-                            seed_used=seeds_used[series_id][stream],
-                        )
-                    )
-    return EventDataset(config=config, records=tuple(records))
+                    cell[series_id, stream] = apply_coupler_thinning(_draw_counts(probs, m, rng), rng, retain)
+    index = np.indices(shape).reshape(len(shape), -1)
+    return EventDataset(
+        config=config,
+        etas=config.eta_list,
+        phases=config.phase_list,
+        probe=np.full(index.shape[1], PROBES.index(config.probe_kind), dtype=np.int8),
+        eta_index=index[0],
+        phase_index=index[1],
+        series_id=index[2],
+        setting=index[3],
+        counts=counts.reshape(-1, len(LABELS)),
+        seed_used=states[:, :, :, : len(SETTINGS), 0].reshape(-1),
+    )

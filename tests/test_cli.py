@@ -24,11 +24,13 @@ from lossyphase.cli import (
     _FIELDS,
     _config_dict,
     config_from_dict,
+    _fmt,
     main,
     parse_config,
     read_dataset_csv,
+    write_dataset_csv,
 )
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind
+from lossyphase.montecarlo import PROBES, EventDataset, ExperimentConfig, ProbeKind
 
 SMALL_CONFIG = """\
 # compact campaign for integration checks
@@ -171,6 +173,15 @@ class TestFringes:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", ["0", "0.1"])
+    def test_nan_delta_exits_2(self, tmp_path, capsys, epsilon):
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "0.361", "--delta", "nan", "--epsilon", epsilon, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "delta must be finite, got nan" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_counts_mode(self, tmp_path):
         out = tmp_path / "fringes.csv"
         rc = main([
@@ -217,9 +228,9 @@ class TestSimulate:
             "--probe", "noon", "--eta", "0.361",
         ])
         assert rc == 0
-        records = read_dataset_csv(out_dir / "dataset.csv")
-        assert {r.probe for r in records} == {ProbeKind.NOON}
-        assert {r.eta for r in records} == {0.361}
+        dataset = read_dataset_csv(out_dir / "dataset.csv", ExperimentConfig())
+        assert set(dataset.probe.tolist()) == {PROBES.index(ProbeKind.NOON)}
+        assert {dataset.etas[i] for i in dataset.eta_index.tolist()} == {0.361}
 
     def test_parse_error_exits_1(self, tmp_path):
         config_path = tmp_path / "bad.cfg"
@@ -234,6 +245,17 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(config_path) in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("epsilon", ["0", "0.1"])
+    def test_nan_delta_exits_2(self, tmp_path, capsys, epsilon):
+        """A NaN delta is rejected by name, so no manifest carries a NaN token."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(f"eta_list = 0.361\nphases = 0.0\nseries = 2\nevents = 20\nepsilon = {epsilon}\ndelta = nan\n")
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "delta must be finite, got nan" in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
@@ -288,6 +310,32 @@ class TestEstimate:
         rc = main(["estimate", "--dataset", str(data), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("name, content", [("missing.csv", None), ("latin.csv", b"eta,probe\n\xff\n")])
+    def test_unreadable_dataset_exits_1(self, sim_dir, tmp_path, capsys, name, content):
+        dataset = tmp_path / name
+        if content is not None:
+            dataset.write_bytes(content)
+        rc = main([
+            "estimate", "--dataset", str(dataset), "--manifest", str(sim_dir / "manifest.json"),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot read dataset {dataset}" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_degenerate_series_named_in_plain_text(self, tmp_path, capsys):
+        """At three events per series some series register no coincidence."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("eta_list = 0.361\nprobe = noon\nphases = 0.0\nseries = 20\nevents = 3\nseed = 0\n")
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(est)]) == 2
+        err = capsys.readouterr().err
+        assert "error: series eta=0.361 probe=noon phi_true=0 series_id=0: " in err
+        assert "ProbeKind" not in err and len(err.strip().splitlines()) == 1
+
     @staticmethod
     def estimate_edited(sim_dir, tmp_path, edit):
         """Run estimate on a copy of the dataset whose data lines ``edit`` changed."""
@@ -340,7 +388,7 @@ class TestEstimate:
         assert self.estimate_edited(sim_dir, tmp_path, edit) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert "series (0.547, <ProbeKind.OPTIMAL: 'optimal'>, 0.0, 3)" in err
+        assert "series eta=0.547 probe=optimal phi_true=0 series_id=3:" in err
         assert "no registered coincidences" in err
 
     @pytest.mark.parametrize(
@@ -396,7 +444,7 @@ VALUE_TEXT = {
     "events": st.integers(1, 10**6).map(str),
     "seed": st.integers(0, 2**70).map(str),
     "epsilon": st.floats(0.0, 1.0).map(repr),
-    "delta": st.floats(allow_nan=False).map(repr),
+    "delta": _FINITE.map(repr),
     "lambda_hom": st.floats(0.0, 1.0).map(repr),
     "v_classical": st.floats(0.0, 1.0).map(repr),
     "poissonize_m": _BOOL_TEXT,
@@ -462,6 +510,65 @@ class TestConfigSchema:
     @example("eta_list", [10**400])
     def test_one_json_value_replaced(self, key, value):
         parses_or_rejects(lambda: config_from_dict({**SMALL_MANIFEST_CONFIG, key: value}))
+
+
+def _csv_float(value: float) -> float:
+    """The float a dataset CSV stores for ``value``."""
+    return float(_fmt(value))
+
+
+@st.composite
+def datasets(draw):
+    """Datasets of unique rows over three etas and four phases, whose zero
+    phase, if any, may be -0.0."""
+    etas = draw(st.lists(st.floats(0.01, 1.0).map(_csv_float), min_size=3, max_size=3, unique=True))
+    phases = draw(st.lists(_FINITE.map(_csv_float), min_size=4, max_size=4, unique=True))
+    phases = [-0.0 if phi == 0.0 and draw(st.booleans()) else phi for phi in phases]
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3), st.integers(0, 1), st.integers(-5, 2**63 - 1))
+    rows = draw(st.lists(keys, max_size=20, unique=True))
+    counts = draw(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=6, max_size=6), min_size=len(rows), max_size=len(rows)))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(rows), max_size=len(rows)))
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return EventDataset(
+        ExperimentConfig(),
+        tuple(etas),
+        tuple(phases),
+        probe=columns[1],
+        eta_index=columns[0],
+        phase_index=columns[2],
+        setting=columns[3],
+        series_id=columns[4],
+        counts=np.array(counts, dtype=np.int64).reshape(-1, 6),
+        seed_used=np.array(seeds, dtype=np.uint64),
+    )
+
+
+class TestDatasetRoundTrip:
+    @given(datasets())
+    def test_write_read_write_is_byte_identical(self, tmp_path_factory, dataset):
+        first, second = (tmp_path_factory.mktemp("rt") / "dataset.csv" for _ in range(2))
+        write_dataset_csv(first, dataset)
+        parsed = read_dataset_csv(first, ExperimentConfig())
+        write_dataset_csv(second, parsed)
+        assert second.read_bytes() == first.read_bytes()
+        phases = np.array(parsed.phases)[parsed.phase_index]
+        np.testing.assert_array_equal(np.signbit(phases), np.signbit(np.array(dataset.phases)[dataset.phase_index]))
+        for name in ("probe", "setting", "series_id", "counts", "seed_used"):
+            np.testing.assert_array_equal(getattr(parsed, name), getattr(dataset, name))
+
+    @given(datasets().filter(lambda d: len(d.series_id) > 0), st.data())
+    def test_value_equal_duplicate_rejected_with_its_line(self, tmp_path_factory, dataset, data):
+        path = tmp_path_factory.mktemp("dup") / "dataset.csv"
+        write_dataset_csv(path, dataset)
+        header, *rows = path.read_text().splitlines()
+        k = data.draw(st.integers(0, len(rows) - 1))
+        at = data.draw(st.integers(0, len(rows)))
+        rows.insert(at, "+" + rows[k])  # eta spelled differently, same value
+        path.write_text("\n".join([header, *rows]) + "\n")
+        original, copy = (k + 3, at + 2) if at <= k else (k + 2, at + 2)
+        later, earlier = max(original, copy), min(original, copy)
+        with pytest.raises(ConfigError, match=f": line {later}: duplicates line {earlier} "):
+            read_dataset_csv(path, ExperimentConfig())
 
 
 class TestDeterminism:

@@ -12,7 +12,6 @@ from lossyphase.estimator import (
     CHUNK_SERIES,
     TIE_TOL,
     DegenerateLikelihoodError,
-    Estimate,
     _best_phis,
     _NEG,
     analyze,
@@ -23,7 +22,7 @@ from lossyphase.estimator import (
     ml_estimate,
 )
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
+from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, run_campaign, setting_models
 
 IDEAL = ImperfectionParams()
 
@@ -226,8 +225,8 @@ class TestMlEstimate:
         models = models_for(ProbeKind.OPTIMAL, 0.361)
         wins = 0
         groups: dict[int, dict] = {}
-        for rec in dataset.records:
-            groups.setdefault(rec.series_id, {})[rec.setting] = rec.counts
+        for series_id, setting, counts in zip(dataset.series_id.tolist(), dataset.setting.tolist(), dataset.counts.tolist()):
+            groups.setdefault(series_id, {})[SETTINGS[setting]] = dict(zip(LABELS, counts))
         for counts in groups.values():
             at_truth = log_likelihood(counts, 0.0, models)
             displaced = max(
@@ -253,8 +252,14 @@ class TestEstimateDataset:
         estimates = estimate_dataset(dataset, include_cc=False)
         assert len(estimates) == 2 * 2 * config.series_count
         groups = {}
-        for rec in dataset.records:
-            groups.setdefault((rec.eta, rec.probe, rec.phi_true, rec.series_id), {})[rec.setting] = rec.counts
+        for i, counts in enumerate(dataset.counts.tolist()):
+            key = (
+                dataset.etas[dataset.eta_index[i]],
+                PROBES[dataset.probe[i]],
+                dataset.phases[dataset.phase_index[i]],
+                int(dataset.series_id[i]),
+            )
+            groups.setdefault(key, {})[SETTINGS[dataset.setting[i]]] = dict(zip(LABELS, counts))
         assert [e.series_key for e in estimates] == list(groups)
         grids = {eta: likelihood_grid(models_for(ProbeKind.NOON, eta), include_cc=False) for eta in config.eta_list}
         for est in estimates:
@@ -267,6 +272,20 @@ class TestEstimateDataset:
             phi_hat, lmax = best_phi(grid.phis, (quarter + half)[0], grid.step)
             assert (repr(est.phi_hat), repr(est.log_likelihood_max)) == (repr(phi_hat), repr(lmax))
             assert est.n_coincidences == sum(int(vec.sum()) for vec in vecs)
+
+    def test_later_rows_replace_earlier(self):
+        """Two equal etas key the same series: the second one's rows win."""
+        config = ExperimentConfig(
+            eta_list=(0.361, 0.361), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=4,
+            events_per_series=200, master_seed=8,
+        )
+        dataset = run_campaign(config)
+        later = dataset.eta_index == 1
+        columns = ("probe", "eta_index", "phase_index", "setting", "series_id", "counts", "seed_used")
+        alone = EventDataset(config, dataset.etas, dataset.phases, *(getattr(dataset, name)[later] for name in columns))
+        both = estimate_dataset(dataset)
+        assert len(both) == config.series_count
+        np.testing.assert_array_equal(both.phi_hat, estimate_dataset(alone).phi_hat)
 
     def test_consistency_sigma_scales_with_events(self):
         sigmas = []
@@ -357,9 +376,12 @@ class TestAnalyze:
         assert abs(rows[0].crb - 1.0 / math.sqrt(qfi_lossy(NOON_WEIGHTS, 0.4))) < 1e-12
 
     def test_small_group_rejected(self):
-        est = Estimate(0.0, 0.0, 10, (0.361, ProbeKind.NOON, 0.0, 0))
-        with pytest.raises(ValueError):
-            analyze(None, [est])
+        config = ExperimentConfig(
+            eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=1, master_seed=3
+        )
+        dataset = run_campaign(config)
+        with pytest.raises(ValueError, match="fewer than 2 estimates"):
+            analyze(dataset, estimate_dataset(dataset))
 
 
 class TestHistogram:

@@ -38,6 +38,12 @@ class TestParams:
         with pytest.raises(ValueError):
             ImperfectionParams(coupler_factor=0.0)
 
+    @pytest.mark.parametrize("name", ["epsilon", "delta", "lambda_hom", "v_classical", "coupler_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            ImperfectionParams(**{name: value})
+
     def test_ideal_flag(self):
         assert IDEAL.ideal
         assert not ImperfectionParams(epsilon=0.01).ideal
@@ -132,31 +138,41 @@ class TestDegradeDistribution:
 class TestCouplerThinning:
     def test_zero_counts(self):
         rng = np.random.default_rng(0)
-        counts = {label: 0 for label in LABELS}
+        counts = [0] * len(LABELS)
         assert apply_coupler_thinning(counts, rng) == counts
 
     def test_deterministic_given_seed(self):
-        counts = {label: 1000 for label in LABELS}
+        counts = [1000] * len(LABELS)
         a = apply_coupler_thinning(counts, np.random.default_rng(7))
         b = apply_coupler_thinning(counts, np.random.default_rng(7))
         assert a == b
 
+    def test_one_call_gives_the_same_draws(self):
+        """Six scalar draws in thinning order equal one binomial call on the
+        counts in that order."""
+        order = [LABELS.index(label) for label in ("AA", "BB", "CC", "AB", "AC", "BC")]
+        counts = [40, 0, 7, 1000, 3, 250]
+        vectorized = np.empty(len(LABELS), dtype=np.int64)
+        vectorized[order] = np.random.default_rng(4).binomial(np.array(counts)[order], 0.37)
+        assert apply_coupler_thinning(counts, np.random.default_rng(4), 0.37) == vectorized.tolist()
+
     def test_unbiased_ratios(self):
         rng = np.random.default_rng(123)
-        counts = {"AA": 400_000, "AB": 200_000, "BB": 100_000, "AC": 200_000, "BC": 50_000, "CC": 50_000}
+        by_label = {"AA": 400_000, "AB": 200_000, "BB": 100_000, "AC": 200_000, "BC": 50_000, "CC": 50_000}
+        counts = [by_label[label] for label in LABELS]
         thinned = apply_coupler_thinning(counts, rng)
-        total_in = sum(counts.values())
-        total_out = sum(thinned.values())
-        for label in LABELS:
-            expected = counts[label] / total_in
-            got = thinned[label] / total_out
+        total_in = sum(counts)
+        total_out = sum(thinned)
+        for k in range(len(LABELS)):
+            expected = counts[k] / total_in
+            got = thinned[k] / total_out
             se = math.sqrt(expected * (1 - expected) / total_out)
             assert abs(got - expected) < 5 * se
 
     def test_expected_pair_ratio(self):
         rng = np.random.default_rng(5)
-        counts = {"AA": 1_000_000, "AB": 500_000, "BB": 0, "AC": 0, "BC": 0, "CC": 0}
-        thinned = apply_coupler_thinning(counts, rng)
+        counts = [1_000_000 if label == "AA" else 500_000 if label == "AB" else 0 for label in LABELS]
+        thinned = dict(zip(LABELS, apply_coupler_thinning(counts, rng)))
         ratio = thinned["AA"] / thinned["AB"]
         se = 2.0 * math.sqrt(1.0 / thinned["AA"] + 1.0 / thinned["AB"])
         assert abs(ratio - 2.0) < 3 * se

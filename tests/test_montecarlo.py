@@ -9,8 +9,9 @@ from scipy import stats
 
 from lossyphase.cli import write_dataset_csv
 from lossyphase.detection import HALF_LABELS, LABELS, Setting
-from lossyphase.imperfections import ImperfectionParams, apply_coupler_thinning
+from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import (
+    SETTINGS,
     ExperimentConfig,
     ProbeKind,
     default_phase_list,
@@ -130,42 +131,66 @@ def small_config(**kwargs):
     return ExperimentConfig(**base)
 
 
+#: The row columns of an EventDataset.
+COLUMNS = ("probe", "eta_index", "phase_index", "setting", "series_id", "counts", "seed_used")
+
+
 class TestRunCampaign:
     def test_bit_reproducible(self):
         config = small_config()
         a = run_campaign(config)
         b = run_campaign(config)
-        assert a == b
+        assert (a.etas, a.phases) == (b.etas, b.phases)
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_record_shape(self):
         config = small_config()
         dataset = run_campaign(config)
-        assert len(dataset.records) == 1 * 2 * 5 * 2  # etas x phases x series x settings
-        settings = {rec.setting for rec in dataset.records}
-        assert settings == {Setting.QUARTER, Setting.HALF}
+        assert dataset.counts.shape == (1 * 2 * 5 * 2, len(LABELS))  # etas x phases x series x settings
+        assert set(dataset.setting.tolist()) == {SETTINGS.index(Setting.QUARTER), SETTINGS.index(Setting.HALF)}
+        assert (dataset.etas, dataset.phases) == (config.eta_list, config.phase_list)
+
+    def test_records_view(self):
+        """``records`` is a read-only view whose items are built from the columns."""
+        dataset = run_campaign(small_config(series_count=2))
+        records = dataset.records
+        assert len(records) == len(dataset.series_id) == 8
+        rec = records[-1]
+        assert (rec.eta, rec.probe, rec.phi_true, rec.setting, rec.series_id) == (
+            0.361, ProbeKind.NOON, 0.04, Setting.HALF, 1
+        )
+        assert rec.counts == dict(zip(LABELS, dataset.counts[-1].tolist()))
+        assert rec.seed_used == int(dataset.seed_used[-1])
+        assert records[1:3] == [records[1], records[2]]
+        with pytest.raises(IndexError):
+            records[8]
+        with pytest.raises(TypeError):
+            records[0] = rec
 
     def test_lossless_noon_has_no_loss_counts(self):
         config = small_config(eta_list=(1.0,), series_count=10)
         dataset = run_campaign(config)
-        for rec in dataset.records:
-            for label in HALF_LABELS:
-                assert rec.counts[label] == 0
+        assert not dataset.counts[:, [LABELS.index(label) for label in HALF_LABELS]].any()
 
     def test_subset_independence(self):
         """Any record only depends on its own substream key."""
         full = run_campaign(small_config(series_count=5))
         subset = run_campaign(small_config(series_count=3))
-        key = lambda r: (r.eta, r.probe, r.phi_true, r.setting, r.series_id)
-        full_by_key = {key(r): r for r in full.records}
-        for rec in subset.records:
-            assert full_by_key[key(rec)] == rec
+
+        def rows(dataset):
+            keys = zip(dataset.eta_index.tolist(), dataset.phase_index.tolist(), dataset.setting.tolist(), dataset.series_id.tolist())
+            return {key: (counts, seed) for key, counts, seed in zip(keys, dataset.counts.tolist(), dataset.seed_used.tolist())}
+
+        full_rows = rows(full)
+        for key, row in rows(subset).items():
+            assert full_rows[key] == row
 
     def test_poissonize_changes_totals(self):
         fixed = run_campaign(small_config(poissonize_m=False, series_count=8))
         # all settings of one series sum to the drawn event count before thinning;
         # with fixed M and no thinning randomness removed we can only check bounds
-        for rec in fixed.records:
-            assert sum(rec.counts.values()) <= 400
+        assert (fixed.counts.sum(axis=1) <= 400).all()
 
     def test_frequency_consistency(self):
         """Pooled post-thinning counts follow the model distribution."""
@@ -181,10 +206,7 @@ class TestRunCampaign:
         models = setting_models(ProbeKind.OPTIMAL, 0.361, ImperfectionParams())
         for setting in (Setting.QUARTER, Setting.HALF):
             probs = np.asarray(models[setting].probabilities(0.04), dtype=float)
-            pooled = np.zeros(len(LABELS))
-            for rec in dataset.records:
-                if rec.setting is setting:
-                    pooled += [rec.counts[label] for label in LABELS]
+            pooled = dataset.counts[dataset.setting == SETTINGS.index(setting)].sum(axis=0).astype(float)
             total = pooled.sum()
             # chi-square goodness of fit at the 1e-3 level
             chi2 = float(((pooled - total * probs) ** 2 / (total * probs)).sum())
@@ -251,17 +273,22 @@ class TestPinnedDatasets:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_records_match_record_rng(self):
-        """Bulk-seeded records equal a per-record replay through record_rng."""
+        """Bulk-seeded rows equal a per-record replay through record_rng,
+        sample_counts and the thinning's scalar draws in their defined order."""
         config = PINNED_DATASETS[0][0]
         dataset = run_campaign(config)
         models = setting_models(config.probe_kind, 0.4, config.imperfections)
-        for rec in dataset.records[::5]:
-            phase_index = config.phase_list.index(rec.phi_true)
-            rng_m, _ = record_rng(config.master_seed, 0, phase_index, rec.series_id, 2)
+        for row in range(0, len(dataset.series_id), 5):
+            eta_index, phase_index = int(dataset.eta_index[row]), int(dataset.phase_index[row])
+            series_id, setting = int(dataset.series_id[row]), SETTINGS[dataset.setting[row]]
+            rng_m, _ = record_rng(config.master_seed, eta_index, phase_index, series_id, 2)
             m_total = int(rng_m.poisson(config.events_per_series))
-            m = m_total // 2 if rec.setting is Setting.QUARTER else m_total - m_total // 2
-            stream = 0 if rec.setting is Setting.QUARTER else 1
-            rng, seed_used = record_rng(config.master_seed, 0, phase_index, rec.series_id, stream)
-            dist = dict(zip(LABELS, models[rec.setting].probabilities(rec.phi_true)))
-            counts = apply_coupler_thinning(sample_counts(dist, m, rng), rng, 0.8)
-            assert (rec.counts, rec.seed_used) == (counts, seed_used)
+            m = m_total // 2 if setting is Setting.QUARTER else m_total - m_total // 2
+            stream = 0 if setting is Setting.QUARTER else 1
+            rng, seed_used = record_rng(config.master_seed, eta_index, phase_index, series_id, stream)
+            phi = config.phase_list[phase_index]
+            dist = dict(zip(LABELS, models[setting].probabilities(phi)))
+            drawn = sample_counts(dist, m, rng)
+            counts = {label: int(rng.binomial(drawn[label], 0.8)) for label in ("AA", "BB", "CC", "AB", "AC", "BC")}
+            row_counts = dict(zip(LABELS, dataset.counts[row].tolist()))
+            assert (row_counts, int(dataset.seed_used[row])) == (counts, seed_used)
