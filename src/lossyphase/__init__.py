@@ -20,7 +20,6 @@ from .detection import (
     DetectionConfig,
     OutcomeModel,
     Setting,
-    TwoSettingModel,
     classical_fisher,
     fringe_scan,
     optimize_theta_d,

@@ -352,6 +352,8 @@ def _parse_prefix(fields_: list[str]) -> tuple:
     parsed = (float(fields_[0]), ProbeKind(fields_[1]), float(fields_[2]), Setting(fields_[3]))
     if not (math.isfinite(parsed[0]) and math.isfinite(parsed[2])):
         raise ValueError(f"eta and phi_true must be finite, got {fields_[0]} and {fields_[2]}")
+    if not 0.0 < parsed[0] <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {fields_[0]}")
     return parsed
 
 
@@ -393,9 +395,9 @@ _PARSE_CHUNK = 4096
 def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     """The dataset a CSV holds, rows in file order, modelled by ``config``.
 
-    Rejects, naming the line, a malformed row, a non-finite eta or phi_true,
-    an integer outside its column's range, a negative count and a second row
-    for the same (eta, probe, phi_true, series_id, setting) compared by value.
+    Rejects, naming the line, a malformed row, an eta outside (0, 1], a
+    non-finite phi_true, an integer outside its column's range, a negative
+    count and a row whose (eta, probe, phi_true, series_id, setting) repeats by value.
     Rows are parsed in bulk, ``_PARSE_CHUNK`` at a time, and checked with
     array operations; only a rejected file is read again line by line to
     name the first bad line.
@@ -497,6 +499,9 @@ def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool]:
 
 
 def cmd_estimate(args) -> int:
+    if args.hist_bin is not None and not 0.0 < args.hist_bin < math.inf:
+        print(f"error: --hist-bin must be a positive finite width, got {args.hist_bin}", file=sys.stderr)
+        return EXIT_DOMAIN
     dataset_path = Path(args.dataset)
     manifest_path = Path(args.manifest) if args.manifest else dataset_path.parent / "manifest.json"
     if not manifest_path.exists():

@@ -4,7 +4,6 @@ classical Fisher information."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,8 +29,6 @@ HALF_LABELS = ("AC", "BC", "CC")
 
 _TWO_PHOTON = ((2, 0), (1, 1), (0, 2))
 _ONE_PHOTON = ((1, 0), (0, 1))
-
-_FISHER_STEP = 1e-5
 
 
 class Setting(Enum):
@@ -126,7 +123,35 @@ def outcome_distribution(
     return out
 
 
+def classical_distribution(probe: FockState, eta: float, config: DetectionConfig) -> dict[str, float]:
+    """Coincidence probabilities when the two photons traverse the network as
+    independent classical particles.
+
+    Each photon follows the intensity splitting ratios only, so nothing here
+    depends on the phase: the distinguishable part of a mixture carries flat
+    fringes.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    theta = config.theta_d
+    sensing = {"A": eta * theta, "B": eta * (1.0 - theta), "C": 1.0 - eta}
+    reference = {"A": 1.0 - theta, "B": theta, "C": 0.0}
+    out = {label: 0.0 for label in LABELS}
+    for pattern, amp in probe.amplitudes.items():
+        weight = abs(amp) ** 2
+        routes = [sensing] * pattern[0] + [reference] * pattern[1]
+        for d1 in "ABC":
+            for d2 in "ABC":
+                label = "".join(sorted(d1 + d2))
+                out[label] += weight * routes[0][d1] * routes[1][d2]
+    return out
+
+
 def _transfer(patterns, splitter: ModeTransform) -> np.ndarray:
+    """Transfer of ``splitter`` on the given patterns, through the Fock pipeline.
+
+    OutcomeModel keeps this and not _transfer_two_closed: the two differ in the
+    last bit for almost every theta, 0.5 included, and this rounding fixes the counts."""
     cols = []
     for pat in patterns:
         image = apply_transform(basis(pat), splitter)
@@ -138,7 +163,7 @@ def _transfer_two_closed(theta: float) -> np.ndarray:
     """Two-photon transfer of the final splitter in the (|20>, |11>, |02>) basis.
 
     Closed form of _transfer(_TWO_PHOTON, beam_splitter(theta, 0, 1, 2)); kept
-    for the inner loop of the transmission/phase optimizer.
+    for the optimizer's inner loop, whose optimum depends on this rounding.
     """
     t = math.sqrt(theta)
     r = math.sqrt(1.0 - theta)
@@ -153,40 +178,47 @@ def _transfer_two_closed(theta: float) -> np.ndarray:
     )
 
 
+def _branch_amplitudes(probe: FockState, eta: float) -> list:
+    """No-loss amplitudes on _TWO_PHOTON and one-loss amplitudes on _ONE_PHOTON, each
+    scaled by the root of its branch probability, then the two-loss probability."""
+    out = [np.zeros(3, dtype=complex), np.zeros(2, dtype=complex), 0.0]
+    for b in apply_loss(probe, 0, eta):
+        if b.lost_count == 2:
+            out[2] = float(b.probability)
+        else:
+            patterns = (_TWO_PHOTON, _ONE_PHOTON)[b.lost_count]
+            out[b.lost_count] = np.array([b.state.amplitude(p) for p in patterns], dtype=complex) * math.sqrt(b.probability)
+    return out
+
+
 @dataclass(frozen=True)
 class OutcomeModel:
     """Vectorized phase-to-probability map for one detection configuration.
 
     Precomputes the loss branches and the splitter transfer so that
-    ``probabilities`` evaluates on whole phase grids at once. Matches
-    outcome_distribution exactly.
+    ``probabilities`` evaluates on whole phase grids at once. It mixes outcome_distribution
+    (matched exactly) with weight ``1 - lambda_hom`` of classical_distribution.
     """
 
     probe: FockState
     eta: float
     config: DetectionConfig
     single_photon_visibility: float = 1.0
+    lambda_hom: float = 1.0
 
     def __post_init__(self):
         _check_probe(self.probe)
         if not 0.0 <= self.single_photon_visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
-        branch_by_l = {b.lost_count: b for b in apply_loss(self.probe, 0, self.eta)}
-        two = np.zeros(3, dtype=complex)
-        if 0 in branch_by_l:
-            b = branch_by_l[0]
-            scale = math.sqrt(b.probability)
-            two = np.array([b.state.amplitude(p) for p in _TWO_PHOTON], dtype=complex) * scale
-        one = np.zeros(2, dtype=complex)
-        if 1 in branch_by_l:
-            b = branch_by_l[1]
-            scale = math.sqrt(b.probability)
-            one = np.array([b.state.amplitude(p) for p in _ONE_PHOTON], dtype=complex) * scale
-        p_cc = branch_by_l[2].probability if 2 in branch_by_l else 0.0
+        if not 0.0 <= self.lambda_hom <= 1.0:
+            raise ValueError(f"lambda_hom must be in [0, 1], got {self.lambda_hom}")
+        two, one, p_cc = _branch_amplitudes(self.probe, self.eta)
+        classical = classical_distribution(self.probe, self.eta, self.config)
         splitter = beam_splitter(self.config.theta_d, 0, 1, 2)
         object.__setattr__(self, "_two", two)
         object.__setattr__(self, "_one", one)
-        object.__setattr__(self, "_p_cc", float(p_cc))
+        object.__setattr__(self, "_p_cc", p_cc)
+        object.__setattr__(self, "_classical", np.array([classical[label] for label in LABELS], dtype=float))
         object.__setattr__(self, "_t2", _transfer(_TWO_PHOTON, splitter))
         object.__setattr__(self, "_t1", _transfer(_ONE_PHOTON, splitter))
 
@@ -212,52 +244,35 @@ class OutcomeModel:
         vb = t1[1, 1] * self._one[1] * np.ones_like(e1)
         pbc = np.abs(ub) ** 2 + np.abs(vb) ** 2 + 2.0 * v * np.real(ub * np.conj(vb))
         pcc = np.full_like(paa, self._p_cc)
-        return np.stack([paa, pab, pbb, pac, pbc, pcc], axis=-1)
+        q = np.stack([paa, pab, pbb, pac, pbc, pcc], axis=-1)
+        return self.lambda_hom * q + (1.0 - self.lambda_hom) * self._classical
 
 
-@dataclass(frozen=True)
-class TwoSettingModel:
-    """Postselected union of both settings: no-loss labels from the quarter
-    setting, loss labels from the half setting. Sums to one at every phase."""
-
-    quarter: OutcomeModel
-    half: OutcomeModel
-
-    def probabilities(self, phi) -> np.ndarray:
-        q = self.quarter.probabilities(phi)
-        h = self.half.probabilities(phi)
-        return np.concatenate([q[..., :3], h[..., 3:]], axis=-1)
+#: Offsets u_k = 2 pi k / 5 and weights of the exact slope: a degree-2 trigonometric
+#: polynomial f has f'(0) = 0.4 sum_k f(u_k) (sin u_k + 2 sin 2u_k).
+_NODES = 2.0 * math.pi * np.arange(5) / 5.0
+_SLOPE_WEIGHTS = 0.4 * (np.sin(_NODES) + 2.0 * np.sin(2.0 * _NODES))
 
 
-def classical_fisher(model, phi: float, step: float = _FISHER_STEP) -> float:
-    """Fisher information of the label distribution at ``phi`` by central difference.
+def classical_fisher(models, phi: float) -> float:
+    """Fisher information at ``phi`` of ``models``, one OutcomeModel per Setting,
+    each scored on its kept labels; labels with probability below 1e-12 are skipped.
 
-    Labels with vanishing probability and derivative are skipped; a vanishing
-    probability with a nonzero derivative is flagged with a warning.
-    """
-    fn = model.probabilities
-    p = np.asarray(fn(phi), dtype=float)
-    d = (np.asarray(fn(phi + step), dtype=float) - np.asarray(fn(phi - step), dtype=float)) / (2.0 * step)
+    Every label probability is a trigonometric polynomial of degree 2 in phi,
+    so the five samples at ``phi + _NODES`` give its slope exactly."""
     info = 0.0
-    for pk, dk in zip(p, d):
-        if pk < 1e-12:
-            if abs(dk) > 1e-8:
-                warnings.warn("vanishing outcome probability with nonzero slope; contribution skipped")
-            continue
-        info += dk * dk / pk
-    return float(info)
-
-
-def _no_loss_amplitudes(probe: FockState, eta: float) -> np.ndarray:
-    for branch in apply_loss(probe, 0, eta):
-        if branch.lost_count == 0:
-            scale = math.sqrt(branch.probability)
-            return np.array([branch.state.amplitude(p) for p in _TWO_PHOTON], dtype=complex) * scale
-    return np.zeros(3, dtype=complex)
+    for setting, model in models.items():
+        p = model.probabilities(phi + _NODES)[:, [LABELS.index(label) for label in setting.kept_labels]]
+        slope = _SLOPE_WEIGHTS @ p
+        live = p[0] >= 1e-12
+        info += float(np.sum(slope[live] ** 2 / p[0, live]))
+    return info
 
 
 def _no_loss_fisher(coeff: np.ndarray, theta: float, offset: float) -> float:
-    """Fisher information of the no-loss labels at phi = 0, analytic derivative."""
+    """Fisher information of the no-loss labels at phi = 0, analytic derivative:
+    the objective of optimize_theta_d, kept apart from classical_fisher because
+    its golden searches break last-bit ties, so another rounding moves theta_d."""
     transfer = _transfer_two_closed(theta)
     harmonics = np.array([2.0, 1.0, 0.0])
     rotated = coeff * np.exp(1j * harmonics * offset)
@@ -282,7 +297,7 @@ def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
     _check_probe(probe)
     if abs(probe.amplitude((1, 1))) ** 2 < 1e-12:
         return DetectionConfig(Setting.QUARTER, 0.5)
-    coeff = _no_loss_amplitudes(probe, eta)
+    coeff = _branch_amplitudes(probe, eta)[0]
 
     def best_theta(offset: float) -> tuple[float, float]:
         grid = np.linspace(0.01, 0.99, 50)
@@ -326,12 +341,9 @@ def fringe_scan(
     phis = np.asarray(list(phi_grid), dtype=float)
     if phis.size == 0:
         raise ValueError("phase grid must be non-empty")
-    model = TwoSettingModel(
-        OutcomeModel(probe, eta, quarter, single_photon_visibility),
-        OutcomeModel(probe, eta, half, single_photon_visibility),
-    )
-    probs = model.probabilities(phis)
     table = {"phi": phis}
-    for k, label in enumerate(LABELS):
-        table[label] = probs[..., k]
+    for setting, config in ((Setting.QUARTER, quarter), (Setting.HALF, half)):
+        probs = OutcomeModel(probe, eta, config, single_photon_visibility).probabilities(phis)
+        for label in setting.kept_labels:
+            table[label] = probs[..., LABELS.index(label)]
     return table

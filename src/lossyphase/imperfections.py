@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .detection import LABELS, DetectionConfig, OutcomeModel
+from .detection import LABELS, DetectionConfig, OutcomeModel, classical_distribution  # re-exported
 from .fock import FockState
 
 
@@ -51,30 +51,6 @@ def fibre_input(epsilon: float, delta: float = 0.0) -> FockState:
     return FockState(2, amps)
 
 
-def classical_distribution(probe: FockState, eta: float, config: DetectionConfig) -> dict[str, float]:
-    """Coincidence probabilities when the two photons traverse the network as
-    independent classical particles.
-
-    Each photon follows the intensity splitting ratios only, so nothing here
-    depends on the phase: the distinguishable part of a mixture carries flat
-    fringes.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    theta = config.theta_d
-    sensing = {"A": eta * theta, "B": eta * (1.0 - theta), "C": 1.0 - eta}
-    reference = {"A": 1.0 - theta, "B": theta, "C": 0.0}
-    out = {label: 0.0 for label in LABELS}
-    for pattern, amp in probe.amplitudes.items():
-        weight = abs(amp) ** 2
-        routes = [sensing] * pattern[0] + [reference] * pattern[1]
-        for d1 in "ABC":
-            for d2 in "ABC":
-                label = "".join(sorted(d1 + d2))
-                out[label] += weight * routes[0][d1] * routes[1][d2]
-    return out
-
-
 def degrade_distribution(ideal: dict[str, float], distinguishable: dict[str, float], lambda_hom: float) -> dict[str, float]:
     """Convex mixture of the interfering and classically-routed distributions."""
     if not 0.0 <= lambda_hom <= 1.0:
@@ -89,28 +65,9 @@ def degrade_distribution(ideal: dict[str, float], distinguishable: dict[str, flo
     }
 
 
-@dataclass(frozen=True)
-class MixedOutcomeModel:
-    """Outcome model degraded by partial distinguishability: a convex mixture
-    of the quantum model with the phase-independent classical routing."""
-
-    quantum: OutcomeModel
-    classical: np.ndarray
-    lambda_hom: float
-
-    def probabilities(self, phi) -> np.ndarray:
-        q = self.quantum.probabilities(phi)
-        return self.lambda_hom * q + (1.0 - self.lambda_hom) * self.classical
-
-
-def build_model(probe: FockState, eta: float, config: DetectionConfig, params: ImperfectionParams):
+def build_model(probe: FockState, eta: float, config: DetectionConfig, params: ImperfectionParams) -> OutcomeModel:
     """Outcome model for one setting including distinguishability and visibility."""
-    quantum = OutcomeModel(probe, eta, config, single_photon_visibility=params.v_classical)
-    if params.lambda_hom >= 1.0:
-        return quantum
-    classical = classical_distribution(probe, eta, config)
-    vec = np.array([classical[label] for label in LABELS], dtype=float)
-    return MixedOutcomeModel(quantum, vec, params.lambda_hom)
+    return OutcomeModel(probe, eta, config, single_photon_visibility=params.v_classical, lambda_hom=params.lambda_hom)
 
 
 #: Draw order of the thinning, as LABELS indices: same-counter labels, then

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import NOON_WEIGHTS, ProbeWeights, optimize_weights
-from .detection import LABELS, DetectionConfig, Setting, optimize_theta_d
+from .detection import LABELS, DetectionConfig, OutcomeModel, Setting, optimize_theta_d
 from .fock import FockState
 from .imperfections import ImperfectionParams, apply_coupler_thinning, build_model, fibre_input
 from .prep import prepare, solve_prep
@@ -271,7 +271,7 @@ def probe_weights(kind: ProbeKind, eta: float) -> ProbeWeights:
     return weights
 
 
-def setting_models(kind: ProbeKind, eta: float, params: ImperfectionParams) -> dict[Setting, object]:
+def setting_models(kind: ProbeKind, eta: float, params: ImperfectionParams) -> dict[Setting, OutcomeModel]:
     """Outcome models for both settings of one (probe, transmission) choice."""
     probe = build_probe(kind, eta, params)
     quarter = optimize_theta_d(probe, eta)

@@ -26,7 +26,6 @@ from lossyphase.detection import (
     DetectionConfig,
     OutcomeModel,
     Setting,
-    TwoSettingModel,
     classical_fisher,
     fringe_scan,
     optimize_theta_d,
@@ -116,10 +115,8 @@ def test_criterion_05_crb_saturation():
                 weights, fisher = optimize_weights(eta)
             probe = probe_state(weights)
             quarter = optimize_theta_d(probe, eta)
-            model = TwoSettingModel(
-                OutcomeModel(probe, eta, quarter), OutcomeModel(probe, eta, HALF_BALANCED)
-            )
-            worst = max(worst, abs(classical_fisher(model, 0.0) - fisher) / fisher)
+            models = {Setting.QUARTER: OutcomeModel(probe, eta, quarter), Setting.HALF: OutcomeModel(probe, eta, HALF_BALANCED)}
+            worst = max(worst, abs(classical_fisher(models, 0.0) - fisher) / fisher)
     _verdict(5, "detection saturates the Cramér-Rao bound at zero phase", worst < 1e-6, f"worst rel {worst:.2e}")
 
 
@@ -178,9 +175,8 @@ def test_criterion_07_end_to_end_efficiency():
         reports[kind] = analyze(dataset, estimate_dataset(dataset))
         for eta in config.eta_list:
             models = setting_models(kind, eta, config.imperfections)
-            model = TwoSettingModel(models[Setting.QUARTER], models[Setting.HALF])
             for phi in phases:
-                local_crb[(kind, eta, phi)] = 1.0 / math.sqrt(classical_fisher(model, phi))
+                local_crb[(kind, eta, phi)] = 1.0 / math.sqrt(classical_fisher(models, phi))
     crb_mismatch = []
     pooled = {}
     group_text = {}

@@ -6,8 +6,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from lossyphase.detection import OutcomeModel
 from lossyphase.estimator import estimate_dataset
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign
+from lossyphase.imperfections import ImperfectionParams
+from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,3 +48,12 @@ def test_counters_read_rows_and_series():
     tracer._after_estimate_dataset(estimates)
     assert tracer.counters["montecarlo.records"] == rows
     assert tracer.counters["estimator.series"] == series
+
+
+@pytest.mark.parametrize("params", [ImperfectionParams(), ImperfectionParams(lambda_hom=0.95, v_classical=0.97)])
+@pytest.mark.parametrize("kind", list(ProbeKind))
+def test_every_model_is_an_outcome_model(kind, params):
+    """The tracer's ``detection.OutcomeModel.probabilities`` counter sees every
+    probability evaluation only while no other model type exists."""
+    for model in setting_models(kind, 0.361, params).values():
+        assert type(model) is OutcomeModel

@@ -360,6 +360,29 @@ class TestEstimate:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("eta_text", ["1.5", "0", "-0.2", "nan"])
+    def test_eta_outside_unit_interval_exits_1(self, sim_dir, tmp_path, capsys, eta_text):
+        def edit(data):
+            data[4][0] = eta_text
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'edited.csv'}: line 6: eta" in err and f"got {eta_text}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0", "-0.01"])
+    def test_bad_hist_bin_exits_2_before_reading(self, sim_dir, tmp_path, capsys, width):
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "missing.csv"), "--manifest", str(sim_dir / "manifest.json"),
+            "--out-dir", str(tmp_path / "o"), f"--hist-bin={width}",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--hist-bin must be a positive finite width, got {float(width)}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("eta_text", [None, "0.3610"], ids=["same-text", "same-value"])
     def test_duplicate_row_exits_1(self, sim_dir, tmp_path, capsys, eta_text):
         def edit(data):

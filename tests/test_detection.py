@@ -14,14 +14,14 @@ from lossyphase.detection import (
     DetectionConfig,
     OutcomeModel,
     Setting,
-    TwoSettingModel,
     classical_fisher,
+    classical_distribution,
     fringe_scan,
     optimize_theta_d,
     outcome_distribution,
 )
 from lossyphase.fock import FockState, apply_loss, basis
-from lossyphase.imperfections import ImperfectionParams
+from lossyphase.imperfections import ImperfectionParams, degrade_distribution
 from lossyphase.montecarlo import ProbeKind, setting_models
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
@@ -159,56 +159,70 @@ class TestFringeScan:
             fringe_scan(noon_probe(), 0.5, QUARTER_BALANCED, HALF_BALANCED, [])
 
 
+def noon_lossless_models():
+    return {
+        Setting.QUARTER: OutcomeModel(noon_probe(), 1.0, QUARTER_BALANCED),
+        Setting.HALF: OutcomeModel(noon_probe(), 1.0, HALF_BALANCED),
+    }
+
+
 class TestClassicalFisher:
     def test_noon_lossless_saturates(self):
-        model = TwoSettingModel(
-            OutcomeModel(noon_probe(), 1.0, QUARTER_BALANCED),
-            OutcomeModel(noon_probe(), 1.0, HALF_BALANCED),
-        )
-        assert abs(classical_fisher(model, 0.0) - 4.0) < 1e-6
+        assert abs(classical_fisher(noon_lossless_models(), 0.0) - 4.0) < 1e-6
+
+    def test_noon_lossless_is_exactly_four_off_zero_phase(self):
+        # F = 4 wherever no label vanishes; the AB (or AA, BB) fringe
+        # vanishes at phi = pi/4 (-pi/4) modulo pi
+        grid = np.linspace(-0.7, 0.7, 29)
+        models = noon_lossless_models()
+        for phi in np.concatenate([grid, grid + math.pi / 2]):
+            assert abs(classical_fisher(models, phi) - 4.0) < 1e-12
 
     def test_zero_at_fringe_extremum(self):
         model = OutcomeModel(noon_probe(), 1.0, QUARTER_BALANCED)
         # extremum of sin(2 phi) at phi = pi/4
-        assert classical_fisher(model, math.pi / 4) < 1e-8
+        assert classical_fisher({Setting.QUARTER: model}, math.pi / 4) < 1e-8
 
-    def test_central_difference_matches_analytic(self):
+    def test_five_node_slope_matches_analytic(self):
         # the optimizer's analytic-derivative objective against the generic
-        # central-difference Fisher information
-        from lossyphase.detection import _no_loss_amplitudes, _no_loss_fisher
+        # Fisher information of the quarter setting's kept labels
+        from lossyphase.detection import _branch_amplitudes, _no_loss_fisher
 
         probe = optimal_probe(0.361)
-        coeff = _no_loss_amplitudes(probe, 0.361)
+        coeff = _branch_amplitudes(probe, 0.361)[0]
         for theta in (0.3, 0.5, 0.7):
-            cfg = DetectionConfig(Setting.QUARTER, theta)
-            model = OutcomeModel(probe, 0.361, cfg)
-
-            def quarter_only(phi, model=model):
-                return np.asarray(model.probabilities(phi))[..., :3]
-
-            class Wrap:
-                def probabilities(self, phi):
-                    return quarter_only(phi)
-
-            numeric = classical_fisher(Wrap(), 0.0)
+            model = OutcomeModel(probe, 0.361, DetectionConfig(Setting.QUARTER, theta))
+            numeric = classical_fisher({Setting.QUARTER: model}, 0.0)
             analytic = _no_loss_fisher(coeff, theta, math.pi / 4)
-            assert abs(numeric - analytic) < 1e-8
+            assert abs(numeric - analytic) < 1e-12
 
 
 class TestOffOperatingPoint:
     """classical_fisher on the simulated two-setting measurement, away from
-    zero phase, against the outcome_distribution oracle."""
+    zero phase, against the outcome_distribution, classical_distribution and
+    degrade_distribution oracle."""
 
     @pytest.mark.parametrize("eta", EXPERIMENT_ETAS)
     @pytest.mark.parametrize("kind", [ProbeKind.OPTIMAL, ProbeKind.NOON])
     def test_matches_reference_pipeline(self, kind, eta):
-        models = setting_models(kind, eta, ImperfectionParams())
-        quarter, half = models[Setting.QUARTER], models[Setting.HALF]
-        model = TwoSettingModel(quarter, half)
+        self.check(kind, eta, ImperfectionParams())
+
+    @pytest.mark.parametrize("eta", EXPERIMENT_ETAS)
+    @pytest.mark.parametrize("kind", [ProbeKind.OPTIMAL, ProbeKind.NOON])
+    def test_imperfect_matches_reference_pipeline(self, kind, eta):
+        self.check(kind, eta, ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97))
+
+    @staticmethod
+    def check(kind, eta, params):
+        models = setting_models(kind, eta, params)
+
+        def dist(model, phi):
+            ideal = outcome_distribution(model.probe, eta, phi, model.config, params.v_classical)
+            classical = classical_distribution(model.probe, eta, model.config)
+            return degrade_distribution(ideal, classical, params.lambda_hom)
 
         def reference(phi):
-            q = outcome_distribution(quarter.probe, eta, phi, quarter.config)
-            h = outcome_distribution(half.probe, eta, phi, half.config)
+            q, h = dist(models[Setting.QUARTER], phi), dist(models[Setting.HALF], phi)
             return np.array([q[label] for label in QUARTER_LABELS] + [h[label] for label in HALF_LABELS])
 
         step = 1e-5
@@ -216,7 +230,7 @@ class TestOffOperatingPoint:
             p = reference(phi)
             d = (reference(phi + step) - reference(phi - step)) / (2.0 * step)
             expected = float(np.sum(d[p > 1e-12] ** 2 / p[p > 1e-12]))
-            assert abs(classical_fisher(model, phi) - expected) / expected < 1e-9
+            assert abs(classical_fisher(models, phi) - expected) / expected < 1e-9
 
 
 class TestOptimizeThetaD:
@@ -239,8 +253,6 @@ class TestOptimizeThetaD:
             weights, fisher = optimize_weights(eta)
             probe = probe_state(weights)
         quarter = optimize_theta_d(probe, eta)
-        model = TwoSettingModel(
-            OutcomeModel(probe, eta, quarter), OutcomeModel(probe, eta, HALF_BALANCED)
-        )
-        achieved = classical_fisher(model, 0.0)
+        models = {Setting.QUARTER: OutcomeModel(probe, eta, quarter), Setting.HALF: OutcomeModel(probe, eta, HALF_BALANCED)}
+        achieved = classical_fisher(models, 0.0)
         assert abs(achieved - fisher) / fisher < 1e-6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lossyphase.bounds import NOON_WEIGHTS, probe_state
+from lossyphase.bounds import NOON_WEIGHTS, ProbeWeights, probe_state
 from lossyphase.detection import (
     LABELS,
     DetectionConfig,
@@ -113,16 +113,23 @@ class TestDegradeDistribution:
         with pytest.raises(ValueError):
             degrade_distribution(bad, good, 0.5)
 
-    def test_mixed_model_matches_componentwise(self):
-        probe = probe_state(NOON_WEIGHTS)
-        params = ImperfectionParams(lambda_hom=0.9, v_classical=0.95)
-        model = build_model(probe, 0.361, QUARTER_BALANCED, params)
-        ideal = outcome_distribution(
-            probe, 0.361, 0.17, QUARTER_BALANCED, single_photon_visibility=0.95
-        )
-        classical = classical_distribution(probe, 0.361, QUARTER_BALANCED)
-        expected = degrade_distribution(ideal, classical, 0.9)
-        got = model.probabilities(0.17)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(-3.2, 3.2),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_mixed_model_matches_componentwise(self, a, b, eta, phi, lam, vis):
+        lo, hi = sorted((a, b))
+        probe = probe_state(ProbeWeights(lo, hi - lo, 1.0 - hi))
+        params = ImperfectionParams(lambda_hom=lam, v_classical=vis)
+        model = build_model(probe, eta, QUARTER_BALANCED, params)
+        ideal = outcome_distribution(probe, eta, phi, QUARTER_BALANCED, single_photon_visibility=vis)
+        classical = classical_distribution(probe, eta, QUARTER_BALANCED)
+        expected = degrade_distribution(ideal, classical, lam)
+        got = model.probabilities(phi)
         for k, label in enumerate(LABELS):
             assert abs(got[k] - expected[label]) < 1e-12
 
