@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,6 +124,19 @@ def _polish(x0: float, x1: float, eta: float) -> tuple[float, float, float]:
     return x0, x1, best
 
 
+@lru_cache(maxsize=1)
+def _simplex_grid() -> tuple[np.ndarray, ...]:
+    """Read-only x0, x1, x2 of the GRID_STEP lattice points on the simplex;
+    they do not depend on eta, so a process builds them once."""
+    vals = np.arange(0.0, 1.0 + GRID_STEP / 2.0, GRID_STEP)
+    g0, g1 = np.meshgrid(vals, vals, indexing="ij")
+    mask = g0 + g1 <= 1.0 + SIMPLEX_TOL
+    grid = (g0[mask], g1[mask], np.clip(1.0 - g0[mask] - g1[mask], 0.0, 1.0))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def optimize_weights(eta: float) -> tuple[ProbeWeights, float]:
     """Maximize qfi_lossy over the weight simplex.
 
@@ -130,12 +144,7 @@ def optimize_weights(eta: float) -> tuple[ProbeWeights, float]:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]; at eta = 0 the information vanishes identically")
-    vals = np.arange(0.0, 1.0 + GRID_STEP / 2.0, GRID_STEP)
-    g0, g1 = np.meshgrid(vals, vals, indexing="ij")
-    mask = g0 + g1 <= 1.0 + SIMPLEX_TOL
-    x0 = g0[mask]
-    x1 = g1[mask]
-    x2 = np.clip(1.0 - x0 - x1, 0.0, 1.0)
+    x0, x1, x2 = _simplex_grid()
     surface = _qfi_surface(x0, x1, x2, eta)
     i = int(np.argmax(surface))
     b0, b1, best = _polish(float(x0[i]), float(x1[i]), eta)

@@ -17,11 +17,13 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bounds import optimize_weights, noon_precision, sil_precision
-from .detection import LABELS, Setting
+from .bounds import ProbeWeights, optimize_weights, noon_precision, sil_precision
+from .detection import LABELS, DetectionConfig, Setting
 from .estimator import DegenerateLikelihoodError, _first_seen, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
-from .montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, run_campaign, setting_models
+from .montecarlo import (
+    PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design, run_campaign, setting_models,
+)
 from .prep import solve_prep
 
 EXIT_OK = 0
@@ -196,28 +198,49 @@ def _config_dict(config: ExperimentConfig, include_cc: bool) -> dict:
     return {key: kind.dump(by_field[attr]) for key, (attr, kind) in _FIELDS.items()}
 
 
-def config_from_dict(data: dict) -> tuple[ExperimentConfig, bool]:
-    """The configuration a manifest's config object records.
-
-    Every key of ``_FIELDS`` must be present with the JSON type ``simulate``
-    writes; a missing or mistyped key raises ConfigError naming it.
-    """
+def _load_fields(data: dict, schema, name: str) -> dict:
+    """Values by key of the JSON object ``data`` called ``name``: every
+    (key, kind) of ``schema`` must be present with the JSON type of its kind;
+    a missing or mistyped key raises ConfigError naming it."""
     values = {}
-    for key, (_, kind) in _FIELDS.items():
+    for key, kind in schema:
         if key not in data:
-            raise ConfigError(f"config lacks required field {key!r}")
+            raise ConfigError(f"{name} lacks required field {key!r}")
         value = data[key]
         try:
             if not kind.is_json(value):
                 raise ValueError(value)
             values[key] = kind.load(value)
         except (ValueError, OverflowError):
-            raise ConfigError(f"{key} must be {kind.expected}, got {value!r}") from None
+            raise ConfigError(f"{name}.{key} must be {kind.expected}, got {value!r}") from None
+    return values
+
+
+def config_from_dict(data: dict) -> tuple[ExperimentConfig, bool]:
+    """The configuration a manifest's config object records.
+
+    Every key of ``_FIELDS`` must be present with the JSON type ``simulate``
+    writes; a missing or mistyped key raises ConfigError naming it.
+    """
+    values = _load_fields(data, ((key, kind) for key, (_, kind) in _FIELDS.items()), "config")
     kwargs, include_cc = _assemble(values)
     return ExperimentConfig(**kwargs), include_cc
 
 
-def _write_manifest(path: Path, command: str, config: dict, seed: int, outputs) -> None:
+_FINITE = _Kind("a finite number", float, lambda value: _is_number(value) and math.isfinite(value), float)
+
+#: The keys of a ``design`` entry of the simulate manifest and their kinds.
+_DESIGN_FIELDS = {"probe": _PROBE, **dict.fromkeys(("eta", "x0", "x1", "x2", "theta_d", "conditional_phase"), _FINITE)}
+
+
+def _design_entry(kind: ProbeKind, eta: float, params: ImperfectionParams) -> dict:
+    """The manifest's record of the design ``simulate`` uses for one (probe, eta)."""
+    weights, quarter = probe_design(kind, eta, params)
+    values = (kind.value, eta, *weights.as_tuple(), quarter.theta_d, quarter.phase_offset)
+    return dict(zip(_DESIGN_FIELDS, values))
+
+
+def _write_manifest(path: Path, command: str, config: dict, seed: int, outputs, **extra) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -225,8 +248,17 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int, outputs) 
         "artifact_version": __version__,
         "outputs": [str(p) for p in outputs],
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **extra,
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_table(out: str, header, rows, command: str, config: dict, seed: int) -> None:
+    """A CSV table at ``out`` and its manifest beside it."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(path, header, rows)
+    _write_manifest(path.with_suffix(path.suffix + ".manifest.json"), command, config, seed, [path])
 
 
 def cmd_bounds(args) -> int:
@@ -240,36 +272,15 @@ def cmd_bounds(args) -> int:
         grid = [args.eta_min]
     else:
         grid = list(np.linspace(args.eta_min, args.eta_max, args.steps))
-    for eta in ExperimentConfig().eta_list:
-        if args.eta_min <= eta <= args.eta_max:
-            grid.append(eta)
+    grid += [eta for eta in ExperimentConfig().eta_list if args.eta_min <= eta <= args.eta_max]
     grid = sorted(set(round(e, 12) for e in grid))
     rows = []
     for eta in grid:
         weights, f_max = optimize_weights(eta)
-        prep = solve_prep(weights)
-        rows.append(
-            (
-                eta,
-                1.0 / np.sqrt(f_max),
-                noon_precision(eta),
-                sil_precision(eta, 2.0),
-                weights.x0,
-                weights.x1,
-                weights.x2,
-                prep.success_prob,
-            )
-        )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ("eta", "dphi_optimal", "dphi_noon", "dphi_sil", "x0", "x1", "x2", "prep_success_p"), rows)
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "bounds",
-        {"eta_min": args.eta_min, "eta_max": args.eta_max, "steps": args.steps},
-        0,
-        [out],
-    )
+        bounds = (1.0 / np.sqrt(f_max), noon_precision(eta), sil_precision(eta, 2.0))
+        rows.append((eta, *bounds, *weights.as_tuple(), solve_prep(weights).success_prob))
+    header = ("eta", "dphi_optimal", "dphi_noon", "dphi_sil", "x0", "x1", "x2", "prep_success_p")
+    _write_table(args.out, header, rows, "bounds", {"eta_min": args.eta_min, "eta_max": args.eta_max, "steps": args.steps}, 0)
     return EXIT_OK
 
 
@@ -293,27 +304,11 @@ def cmd_fringes(args) -> int:
     for setting in (Setting.QUARTER, Setting.HALF):
         probs = np.asarray(models[setting].probabilities(phis), dtype=float)
         for i, phi in enumerate(phis):
-            if args.counts is not None:
-                values = rng.multinomial(args.counts, probs[i] / probs[i].sum())
-            else:
-                values = probs[i]
+            values = probs[i] if args.counts is None else rng.multinomial(args.counts, probs[i] / probs[i].sum())
             rows.append((phi, setting.value, *values))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ("phi", "setting", *LABELS), rows)
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "fringes",
-        {
-            "eta": args.eta,
-            "probe": kind.value,
-            "phi_steps": args.phi_steps,
-            "counts": args.counts,
-            **{key: getattr(args, key) for key in _IMPERFECTIONS},
-        },
-        seed,
-        [out],
-    )
+    settings = {"eta": args.eta, "probe": kind.value, "phi_steps": args.phi_steps, "counts": args.counts}
+    settings.update((key, getattr(args, key)) for key in _IMPERFECTIONS)
+    _write_table(args.out, ("phi", "setting", *LABELS), rows, "fringes", settings, seed)
     return EXIT_OK
 
 
@@ -477,12 +472,18 @@ def cmd_simulate(args) -> int:
         _config_dict(config, include_cc),
         config.master_seed,
         [dataset_path],
+        design=[_design_entry(config.probe_kind, eta, config.imperfections) for eta in config.eta_list],
     )
     return EXIT_OK
 
 
-def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool]:
-    """A simulate manifest and the model configuration it records."""
+def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool, dict]:
+    """A simulate manifest, the model configuration it records and its design
+    entries by probe and by the eta text a dataset prints, a list per key of
+    (weights, quarter-setting DetectionConfig, index in the list). A missing
+    design list, a missing, mistyped or non-finite value, weights the
+    preparation network cannot make and a theta_d outside [0, 1] raise
+    ConfigError naming the key or the entry."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -495,7 +496,24 @@ def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool]:
         raise ConfigError(f"manifest {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"manifest {path}: invalid config: {exc}") from exc
-    return manifest, config, include_cc
+    entries = manifest.get("design")
+    if type(entries) is not list:
+        raise ConfigError(f"manifest {path}: no 'design' list (a manifest written before simulate recorded its design)")
+    designs: dict[tuple[ProbeKind, str], list] = {}
+    for i, entry in enumerate(entries):
+        name = f"manifest {path}: design[{i}]"
+        if type(entry) is not dict:
+            raise ConfigError(f"{name} must be an object, got {entry!r}")
+        values = _load_fields(entry, _DESIGN_FIELDS.items(), name)
+        key = (values["probe"], _fmt(values["eta"]))
+        try:
+            weights = ProbeWeights(values["x0"], values["x1"], values["x2"])
+            solve_prep(weights)
+            quarter = DetectionConfig(Setting.QUARTER, values["theta_d"], values["conditional_phase"])
+        except ValueError as exc:
+            raise ConfigError(f"{name} (probe={key[0].value} eta={key[1]}): {exc}") from None
+        designs.setdefault(key, []).append((weights, quarter, i))
+    return manifest, config, include_cc, designs
 
 
 def cmd_estimate(args) -> int:
@@ -507,14 +525,31 @@ def cmd_estimate(args) -> int:
     if not manifest_path.exists():
         print(f"error: manifest {manifest_path} not found (needed for the model configuration)", file=sys.stderr)
         return EXIT_INPUT
-    manifest, config, include_cc = _load_manifest(manifest_path)
+    manifest, config, include_cc, designs = _load_manifest(manifest_path)
+    replayed = set()  # indices of the design entries used
+
+    def replay(kind: ProbeKind, eta: float):
+        found = designs.get((kind, _fmt(eta)), [])
+        if len(found) != 1:
+            raise ConfigError(f"manifest {manifest_path}: {len(found) or 'no'} design entries for probe={kind.value} eta={_fmt(eta)}")
+        replayed.add(found[0][2])
+        return found[0][:2]
+
     dataset = read_dataset_csv(dataset_path, config)
-    estimates = estimate_dataset(dataset, include_cc=include_cc)
-    report = analyze(dataset, estimates)
+    estimates = estimate_dataset(dataset, include_cc=include_cc, design=replay)
+    report = analyze(dataset, estimates, design=replay)
+    prefixes = _prefixes(dataset, estimates.row, with_setting=False)  # eta, probe and phi_true of each series
+    hist_lines = []
+    for members in estimates.groups() if args.hist_bin is not None else ():
+        try:
+            edges, counts = histogram(estimates.phi_hat[members], args.hist_bin)
+        except ValueError as exc:
+            raise ValueError(f"--hist-bin {args.hist_bin!r}: {exc}") from None
+        bins = (edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+        hist_lines += map("{}{:.12g},{:.12g},{}".format, repeat(prefixes[members[0]]), *bins)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates_path = out_dir / "estimates.csv"
-    prefixes = _prefixes(dataset, estimates.row, with_setting=False)  # eta, probe and phi_true of each series
     columns = (dataset.series_id[estimates.row], estimates.phi_hat, estimates.loglik, estimates.n_coinc)
     _write_lines(estimates_path, ESTIMATES_COLUMNS, map("{}{},{:.12g},{:.12g},{}".format, prefixes, *(c.tolist() for c in columns)))
     report_path = out_dir / "report.csv"
@@ -522,21 +557,12 @@ def cmd_estimate(args) -> int:
     _write_csv(report_path, REPORT_COLUMNS, rows)
     outputs = [estimates_path, report_path]
     if args.hist_bin is not None:
-        hist_lines = []
-        for members in estimates.groups():
-            edges, counts = histogram(estimates.phi_hat[members], args.hist_bin)
-            bins = (edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
-            hist_lines += map("{}{:.12g},{:.12g},{}".format, repeat(prefixes[members[0]]), *bins)
         hist_path = out_dir / "histograms.csv"
         _write_lines(hist_path, ("eta", "probe", "phi_true", "bin_left", "bin_right", "count"), hist_lines)
         outputs.append(hist_path)
-    _write_manifest(
-        out_dir / "estimate.manifest.json",
-        "estimate",
-        {**manifest["config"], "dataset": str(dataset_path), "hist_bin": args.hist_bin},
-        config.master_seed,
-        outputs,
-    )
+    settings = {**manifest["config"], "dataset": str(dataset_path), "hist_bin": args.hist_bin}
+    used = [entry for i, entry in enumerate(manifest["design"]) if i in replayed]
+    _write_manifest(out_dir / "estimate.manifest.json", "estimate", settings, config.master_seed, outputs, design=used)
     return EXIT_OK
 
 

@@ -4,14 +4,14 @@ Cramér-Rao bound."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import qfi_lossy
-from .detection import LABELS, Setting
-from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, RowView, probe_weights, setting_models
+from .bounds import ProbeWeights, qfi_lossy
+from .detection import LABELS, DetectionConfig, Setting
+from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, RowView, probe_design, setting_models
 
 SEARCH_INTERVAL = (-math.pi / 2.0, math.pi / 2.0)
 GRID_STEP = 1e-3
@@ -23,6 +23,15 @@ GRID_STEP = 1e-3
 TIE_TOL = 1e-4
 
 _NEG = -1e30  # stand-in for log(0) that keeps 0 * log(0) = 0 in matrix products
+
+
+#: The design of each (probe, eta) block: its target weights and quarter-setting
+#: detection, as ``montecarlo.probe_design`` resolves them.
+Design = Callable[[ProbeKind, float], tuple[ProbeWeights, DetectionConfig]]
+
+
+def _design(dataset: EventDataset, design: Design | None) -> Design:
+    return design or (lambda kind, eta: probe_design(kind, eta, dataset.config.imperfections))
 
 
 class DegenerateLikelihoodError(ValueError):
@@ -269,16 +278,17 @@ class Estimates(Sequence):
         return np.split(np.argsort(self.group, kind="stable"), np.cumsum(np.bincount(self.group)))[:-1]
 
 
-def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> Estimates:
+def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Design | None = None) -> Estimates:
     """Maximum-likelihood estimates for every series of a campaign.
 
-    Rebuilds the outcome models from the dataset's configuration and shares
-    one likelihood grid per (eta, probe) combination, whose series are
-    estimated together. A later row of the same series and setting replaces
-    an earlier one. A series without phase information raises
-    DegenerateLikelihoodError naming the first such series.
+    Builds the outcome models of each (eta, probe) block from its ``design``
+    (by default resolved from the dataset's configuration) and shares one
+    likelihood grid per block, whose series are estimated together. A later
+    row of the same series and setting replaces an earlier one. A series
+    without phase information raises DegenerateLikelihoodError naming the
+    first such series.
     """
-    d = dataset
+    d, design = dataset, _design(dataset, design)
     eta, phi = np.array(d.etas)[d.eta_index], np.array(d.phases)[d.phase_index]  # 0.0 == -0.0
     series, rows = _first_seen(eta, d.probe, phi, d.series_id)
     group, _ = _first_seen(eta[rows], d.probe[rows], phi[rows])
@@ -290,10 +300,9 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> Estimate
     phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
     problems: dict[int, str] = {}  # series -> why it carries no phase information
     for b, first in enumerate(rows[block_rows]):
-        grid = likelihood_grid(
-            setting_models(PROBES[d.probe[first]], d.etas[d.eta_index[first]], d.config.imperfections),
-            include_cc=include_cc,
-        )
+        kind, transmission = PROBES[d.probe[first]], d.etas[d.eta_index[first]]
+        models = setting_models(kind, transmission, d.config.imperfections, design(kind, transmission))
+        grid = likelihood_grid(models, include_cc=include_cc)
         members = np.flatnonzero(block == b)
         # C order as the products need it: a column-major matrix rounds differently
         matrices = {
@@ -312,14 +321,16 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True) -> Estimate
     return estimates
 
 
-def analyze(dataset: EventDataset, estimates: Estimates) -> list[UncertaintyRow]:
+def analyze(dataset: EventDataset, estimates: Estimates, design: Design | None = None) -> list[UncertaintyRow]:
     """Per-(eta, probe, phase) uncertainty report, one row per group of
     ``estimates``.
 
     The sample standard deviation is rescaled by the square root of the mean
     number of registered coincidences per series, giving the effective
-    uncertainty per photon pair, and compared with 1/sqrt(F).
+    uncertainty per photon pair, and compared with 1/sqrt(F), F the lossy QFI
+    of the weights of ``design`` as in ``estimate_dataset``.
     """
+    design = _design(dataset, design)
     crb_cache: dict[tuple, float] = {}
     rows = []
     for members in estimates.groups():
@@ -331,30 +342,37 @@ def analyze(dataset: EventDataset, estimates: Estimates) -> list[UncertaintyRow]
         sigma = float(np.std(values, ddof=1))
         m_bar = float(counts.mean())
         if (eta, probe) not in crb_cache:
-            crb_cache[(eta, probe)] = 1.0 / math.sqrt(qfi_lossy(probe_weights(probe, eta), eta))
+            crb_cache[(eta, probe)] = 1.0 / math.sqrt(qfi_lossy(design(probe, eta)[0], eta))
         crb = crb_cache[(eta, probe)]
         rows.append(UncertaintyRow(eta, probe, phi_true, float(values.mean()), sigma, m_bar, sigma * math.sqrt(m_bar), crb))
     return rows
+
+
+#: Most bins one histogram may have; checked before any bin is allocated.
+MAX_BINS = 10**6
 
 
 def histogram(estimates, bin_width: float, bounds: tuple[float, float] | None = None):
     """Fixed-width binning of phase estimates, left-closed right-open bins.
 
     Bin edges are anchored at integer multiples of the width, so boundaries do
-    not depend on sample order. Returns (edges, counts).
+    not depend on sample order. Returns (edges, counts). A width that would
+    give more than MAX_BINS bins raises ValueError.
     """
     if bin_width <= 0.0:
         raise ValueError("bin width must be positive")
     values = np.array(estimates, dtype=float)
     if values.size == 0:
         raise ValueError("cannot histogram an empty set of estimates")
+    lo, hi = bounds or (float(values.min()), float(values.max()))
+    # In bin units; a quotient that overflows to inf fails too.
+    if not ((hi - lo) / bin_width <= MAX_BINS and math.isfinite(max(abs(lo), abs(hi)) / bin_width)):
+        raise ValueError(f"bin width {bin_width!r} spans more than {MAX_BINS} bins")
     if bounds is None:
-        lo = math.floor(values.min() / bin_width) * bin_width
-        hi = math.ceil(values.max() / bin_width + 1e-9) * bin_width
+        lo = math.floor(lo / bin_width) * bin_width
+        hi = math.ceil(hi / bin_width + 1e-9) * bin_width
         if hi <= lo:
             hi = lo + bin_width
-    else:
-        lo, hi = bounds
     n_bins = max(int(round((hi - lo) / bin_width)), 1)
     edges = lo + bin_width * np.arange(n_bins + 1)
     idx = np.floor((values - lo) / bin_width).astype(int)

@@ -203,14 +203,7 @@ def apply_loss(state: FockState, mode: int, transmission: float) -> list[Conditi
     if not 0 <= mode < m:
         raise ValueError(f"mode index {mode} out of range for {m} modes")
     extended = FockState(m + 1, {p + (0,): a for p, a in state.amplitudes.items()})
-    t = math.sqrt(transmission)
-    r = math.sqrt(1.0 - transmission)
-    mat = np.eye(m + 1, dtype=complex)
-    mat[mode, mode] = t
-    mat[m, mode] = r
-    mat[mode, m] = -r
-    mat[m, m] = t
-    evolved = apply_transform(extended, ModeTransform(m + 1, mat))
+    evolved = apply_transform(extended, beam_splitter(transmission, m, mode, m + 1))  # environment mode m
 
     l_max = max((p[mode] for p in state.amplitudes), default=0)
     buckets: dict[int, dict[Pattern, complex]] = {l: {} for l in range(l_max + 1)}

@@ -251,10 +251,9 @@ def sample_counts(distribution: dict[str, float], m: int, rng: np.random.Generat
     return dict(zip(LABELS, _draw_counts(pvals, m, rng)))
 
 
-def build_probe(kind: ProbeKind, eta: float, params: ImperfectionParams) -> FockState:
+def build_probe(weights: ProbeWeights, params: ImperfectionParams) -> FockState:
     """Probe state actually delivered to the interferometer: the splitter
-    settings target the ideal weights, the fibre state feeds the network."""
-    weights = probe_weights(kind, eta)
+    settings target ``weights``, the fibre state feeds the network."""
     cfg = solve_prep(weights)
     state, _ = prepare(
         cfg.theta1, cfg.theta2, cfg.attenuated_arm, input_state=fibre_input(params.epsilon, params.delta)
@@ -263,18 +262,22 @@ def build_probe(kind: ProbeKind, eta: float, params: ImperfectionParams) -> Fock
 
 
 @lru_cache(maxsize=None)
-def probe_weights(kind: ProbeKind, eta: float) -> ProbeWeights:
-    """Target weights of a probe; optimized once per (kind, eta) per process."""
-    if kind is ProbeKind.NOON:
-        return NOON_WEIGHTS
-    weights, _ = optimize_weights(eta)
-    return weights
+def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[ProbeWeights, DetectionConfig]:
+    """Target weights and quarter-setting detection of one (probe,
+    transmission) choice, resolved once per process: the weights maximize the
+    lossy QFI, then the final splitter and conditional phase suit the
+    delivered probe."""
+    weights = NOON_WEIGHTS if kind is ProbeKind.NOON else optimize_weights(eta)[0]
+    return weights, optimize_theta_d(build_probe(weights, params), eta)
 
 
-def setting_models(kind: ProbeKind, eta: float, params: ImperfectionParams) -> dict[Setting, OutcomeModel]:
-    """Outcome models for both settings of one (probe, transmission) choice."""
-    probe = build_probe(kind, eta, params)
-    quarter = optimize_theta_d(probe, eta)
+def setting_models(
+    kind: ProbeKind, eta: float, params: ImperfectionParams, design: tuple[ProbeWeights, DetectionConfig] | None = None
+) -> dict[Setting, OutcomeModel]:
+    """Outcome models for both settings of one (probe, transmission) choice,
+    built from ``design`` or else from the one ``probe_design`` resolves."""
+    weights, quarter = design or probe_design(kind, eta, params)
+    probe = build_probe(weights, params)
     half = DetectionConfig(Setting.HALF, 0.5)
     return {
         Setting.QUARTER: build_model(probe, eta, quarter, params),

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lossyphase.bounds import (
+    GRID_STEP,
     NOON_WEIGHTS,
+    SIMPLEX_TOL,
     ProbeWeights,
+    _polish,
     _qfi_surface,
+    _simplex_grid,
     noon_precision,
     optimize_weights,
     precision_curve,
@@ -162,6 +166,34 @@ class TestOptimizeWeights:
     def test_monotone_in_eta(self):
         values = [optimize_weights(float(e))[1] for e in np.arange(0.01, 1.0001, 0.01)]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def uncached_optimize_weights(eta):
+    """Test-side oracle: the grid scan and polish with the simplex grid built afresh."""
+    vals = np.arange(0.0, 1.0 + GRID_STEP / 2.0, GRID_STEP)
+    g0, g1 = np.meshgrid(vals, vals, indexing="ij")
+    mask = g0 + g1 <= 1.0 + SIMPLEX_TOL
+    x0, x1 = g0[mask], g1[mask]
+    i = int(np.argmax(_qfi_surface(x0, x1, np.clip(1.0 - x0 - x1, 0.0, 1.0), eta)))
+    b0, b1, best = _polish(float(x0[i]), float(x1[i]), eta)
+    return ProbeWeights(b0, b1, max(1.0 - b0 - b1, 0.0)), float(best)
+
+
+class TestSimplexGrid:
+    def test_cached_arrays_are_read_only(self):
+        grid = _simplex_grid()
+        assert _simplex_grid() is grid
+        for array in grid:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    @pytest.mark.parametrize("eta", [0.05, 0.13, 0.2, 0.361, 0.4, 0.547, 0.71, 0.9, 1.0])
+    def test_matches_uncached_scan_bit_for_bit(self, eta):
+        weights, f_max = optimize_weights(eta)
+        expected, f_expected = uncached_optimize_weights(eta)
+        assert weights.as_tuple() == expected.as_tuple()
+        assert f_max == f_expected
 
 
 class TestNoonPrecision:

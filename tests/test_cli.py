@@ -30,7 +30,10 @@ from lossyphase.cli import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from lossyphase.montecarlo import PROBES, EventDataset, ExperimentConfig, ProbeKind
+from lossyphase import bounds, montecarlo
+from lossyphase.estimator import analyze, estimate_dataset
+from lossyphase.imperfections import ImperfectionParams
+from lossyphase.montecarlo import PROBES, EventDataset, ExperimentConfig, ProbeKind, probe_design
 
 SMALL_CONFIG = """\
 # compact campaign for integration checks
@@ -209,6 +212,27 @@ class TestSimulate:
         assert manifest["config"] == SMALL_MANIFEST_CONFIG
         assert any(path.endswith("dataset.csv") for path in manifest["outputs"])
 
+    def test_manifest_records_design(self, sim_dir):
+        """One entry per eta in eta_list order, each an exact copy of the resolved design."""
+        entries = json.loads((sim_dir / "manifest.json").read_text())["design"]
+        assert [entry["eta"] for entry in entries] == SMALL_MANIFEST_CONFIG["eta_list"]
+        for entry in entries:
+            weights, quarter = probe_design(ProbeKind.OPTIMAL, entry["eta"], ImperfectionParams())
+            assert entry == {
+                "probe": "optimal", "eta": entry["eta"], "x0": weights.x0, "x1": weights.x1, "x2": weights.x2,
+                "theta_d": quarter.theta_d, "conditional_phase": quarter.phase_offset,
+            }
+
+    def test_noon_design_is_balanced_at_quarter_phase(self, tmp_path):
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(SMALL_CONFIG)
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "s"), "--probe", "noon"]) == 0
+        entries = json.loads((tmp_path / "s" / "manifest.json").read_text())["design"]
+        assert [(entry["probe"], entry["eta"]) for entry in entries] == [("noon", 0.361), ("noon", 0.547)]
+        for entry in entries:
+            assert (entry["x0"], entry["x1"], entry["x2"], entry["theta_d"]) == (0.5, 0.0, 0.5, 0.5)
+            assert entry["conditional_phase"] == math.pi / 4
+
     def test_manifest_replay_reproduces(self, sim_dir, tmp_path):
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         config, _ = config_from_dict(manifest["config"])
@@ -383,6 +407,16 @@ class TestEstimate:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("width", ["1e-300", "1e-8"])
+    def test_too_fine_hist_bin_exits_2_before_writing(self, sim_dir, tmp_path, capsys, width):
+        out_dir = tmp_path / "o"
+        rc = main(["estimate", "--dataset", str(sim_dir / "dataset.csv"), "--out-dir", str(out_dir), "--hist-bin", width])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--hist-bin {float(width)!r}: " in err and "bins" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     @pytest.mark.parametrize("eta_text", [None, "0.3610"], ids=["same-text", "same-value"])
     def test_duplicate_row_exits_1(self, sim_dir, tmp_path, capsys, eta_text):
         def edit(data):
@@ -447,6 +481,142 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert str(manifest) in err and named in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+
+def _edit_design(edit):
+    """A change to the design list of the SMALL_CONFIG simulate manifest."""
+    def change(manifest):
+        edit(manifest["design"])
+    return change
+
+
+def _set(index, key, value):
+    return _edit_design(lambda design: design[index].__setitem__(key, value))
+
+
+class TestDesignReplay:
+    """estimate rebuilds its models from the design the simulate manifest records."""
+
+    @staticmethod
+    def expected_outputs(sim_dir) -> tuple[str, str]:
+        """estimates.csv and report.csv text from in-process estimation with
+        designs optimised afresh, formatted field by field."""
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        config, include_cc = config_from_dict(manifest["config"])
+        dataset = read_dataset_csv(sim_dir / "dataset.csv", config)
+        probe_design.cache_clear()
+        estimates = estimate_dataset(dataset, include_cc=include_cc)
+        report = analyze(dataset, estimates)
+        estimate_rows = [
+            [_fmt(eta), probe.value, _fmt(phi), _fmt(series_id), _fmt(e.phi_hat), _fmt(e.log_likelihood_max), _fmt(e.n_coincidences)]
+            for e in estimates
+            for eta, probe, phi, series_id in [e.series_key]
+        ]
+        report_rows = [
+            [_fmt(r.eta), r.probe.value, *map(_fmt, (r.phi_true, r.mean, r.sigma, r.m_bar, r.sigma_scaled, r.crb))]
+            for r in report
+        ]
+        return tuple(
+            "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+            for header, rows in ((ESTIMATES_COLUMNS, estimate_rows), (REPORT_COLUMNS, report_rows))
+        )
+
+    @pytest.mark.parametrize("probe", ["optimal", "noon"])
+    @pytest.mark.parametrize(
+        "imperfections", ["", "epsilon = 0.02\ndelta = 0.1\nlambda_hom = 0.95\nv_classical = 0.97\n"], ids=["ideal", "imperfect"]
+    )
+    def test_estimate_matches_fresh_optimisation(self, tmp_path, probe, imperfections):
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(SMALL_CONFIG + imperfections)
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim), "--probe", probe]) == 0
+        assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(est)]) == 0
+        estimates, report = self.expected_outputs(sim)
+        assert (est / "estimates.csv").read_text() == estimates
+        assert (est / "report.csv").read_text() == report
+
+    def test_estimate_does_not_optimise(self, sim_dir, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate must replay the recorded design")
+
+        probe_design.cache_clear()
+        for module in (bounds, montecarlo):
+            monkeypatch.setattr(module, "optimize_weights", refuse)
+        monkeypatch.setattr(montecarlo, "optimize_theta_d", refuse)
+        assert main(["estimate", "--dataset", str(sim_dir / "dataset.csv"), "--out-dir", str(tmp_path / "est")]) == 0
+        assert len((tmp_path / "est" / "report.csv").read_text().splitlines()) == 1 + 2 * 3
+
+    def test_estimate_manifest_lists_replayed_entries(self, sim_dir, tmp_path):
+        assert main(["estimate", "--dataset", str(sim_dir / "dataset.csv"), "--out-dir", str(tmp_path / "est")]) == 0
+        recorded = json.loads((tmp_path / "est" / "estimate.manifest.json").read_text())["design"]
+        assert recorded == json.loads((sim_dir / "manifest.json").read_text())["design"]
+
+    def test_estimate_manifest_lists_only_replayed_entries(self, tmp_path):
+        """A dataset of one transmission replays one of the two entries."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("probe = optimal", "probe = noon"))
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        lines = (sim / "dataset.csv").read_text().splitlines()
+        subset = tmp_path / "subset.csv"
+        subset.write_text("\n".join([lines[0], *(line for line in lines[1:] if line.startswith("0.547,"))]) + "\n")
+        assert main(["estimate", "--dataset", str(subset), "--manifest", str(sim / "manifest.json"), "--out-dir", str(est)]) == 0
+        recorded = json.loads((est / "estimate.manifest.json").read_text())["design"]
+        assert recorded == json.loads((sim / "manifest.json").read_text())["design"][1:]
+
+    def test_eta_with_fifteen_digits_finds_its_entry(self, tmp_path):
+        eta = 0.361234567891234
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(f"eta_list = {eta!r}\nprobe = noon\nphases = -0.04, 0.04\nseries = 4\nevents = 300\nseed = 2\n")
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        assert (sim / "dataset.csv").read_text().splitlines()[1].startswith("0.361234567891,noon,")
+        assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(est)]) == 0
+        assert json.loads((est / "estimate.manifest.json").read_text())["design"][0]["eta"] == eta
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda manifest: manifest.pop("design"), "'design'"),
+            (lambda manifest: manifest.__setitem__("design", {}), "'design'"),
+            (_edit_design(lambda design: design.pop(1)), "no design entries for probe=optimal eta=0.547"),
+            (_edit_design(lambda design: design.append(dict(design[0]))), "2 design entries for probe=optimal eta=0.361"),
+            (_set(1, "eta", 0.54700000001), "no design entries for probe=optimal eta=0.547"),
+            (_set(0, "probe", "noon"), "no design entries for probe=optimal eta=0.361"),
+            (_edit_design(lambda design: design.__setitem__(0, [0.361])), "design[0]"),
+            (_edit_design(lambda design: design[0].pop("x0")), "design[0] lacks required field 'x0'"),
+            (_set(0, "x1", "0.2"), "design[0].x1"),
+            (_set(0, "eta", True), "design[0].eta"),
+            (_set(0, "probe", "bogus"), "design[0].probe"),
+            (_set(1, "theta_d", math.nan), "design[1].theta_d"),
+            (_set(0, "conditional_phase", math.inf), "design[0].conditional_phase"),
+            (_set(0, "x2", 10**400), "design[0].x2"),
+            (_set(0, "x1", -0.1), "x1 must be non-negative"),
+            (_set(0, "x0", 0.5), "weights must sum to one"),
+            (_edit_design(lambda design: design[0].update(x0=0.5, x1=0.5, x2=0.0)), "x2 = 0"),
+            (_set(1, "theta_d", 1.5), "theta_d must be in [0, 1]"),
+            (_set(1, "theta_d", -0.01), "theta_d must be in [0, 1]"),
+        ],
+        ids=[
+            "no-design", "design-not-a-list", "no-entry", "two-entries", "eta-other-text", "other-probe",
+            "entry-not-an-object", "no-x0", "string-x1", "bool-eta", "unknown-probe", "nan-theta-d",
+            "inf-conditional-phase", "huge-x2", "negative-x1", "weights-off-simplex", "x2-zero",
+            "theta-d-above-1", "theta-d-below-0",
+        ],
+    )
+    def test_bad_design_exits_1(self, sim_dir, tmp_path, capsys, edit, named):
+        manifest = json.loads((sim_dir / "manifest.json").read_text())
+        edit(manifest)
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(manifest))
+        rc = main([
+            "estimate", "--dataset", str(sim_dir / "dataset.csv"), "--manifest", str(path), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"manifest {path}: " in err and named in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
 

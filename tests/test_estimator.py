@@ -10,6 +10,7 @@ from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, qfi_lossy
 from lossyphase.detection import LABELS, Setting
 from lossyphase.estimator import (
     CHUNK_SERIES,
+    MAX_BINS,
     TIE_TOL,
     DegenerateLikelihoodError,
     _best_phis,
@@ -418,3 +419,16 @@ class TestHistogram:
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             histogram([0.1], 0.0)
+
+    @pytest.mark.parametrize(
+        "values, width",
+        [([-0.5, 0.5], 1e-300), ([0.0, 0.1], 1e-8), ([0.5, 0.5], 5e-324), ([0.1], 1e-320)],
+        ids=["span-1e-300", "span-1e-8", "denormal-width", "quotient-overflows"],
+    )
+    def test_too_many_bins_rejected_before_allocating(self, values, width):
+        with pytest.raises(ValueError, match=f"spans more than {MAX_BINS} bins"):
+            histogram(values, width)
+
+    def test_bin_count_at_the_cap_allowed(self):
+        edges, counts = histogram([0.0, 0.5], 0.5 / (MAX_BINS - 2))
+        assert len(counts) <= MAX_BINS + 2 and counts.sum() == 2
