@@ -10,7 +10,6 @@ beating the N00N probe at every transmission).
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 from lossyphase.cli import main as cli_main
@@ -34,12 +33,12 @@ def main() -> int:
             f"events = {args.events}\n"
             f"seed = {args.seed}\n"
         )
-        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as handle:
-            handle.write(config_text)
-            config_path = handle.name
+        config_path = out_root / probe / "campaign.cfg"
+        config_path.parent.mkdir(parents=True, exist_ok=True)
+        config_path.write_text(config_text, encoding="utf-8")
         sim_dir = out_root / probe / "sim"
         est_dir = out_root / probe / "est"
-        rc = cli_main(["simulate", "--config", config_path, "--out-dir", str(sim_dir)])
+        rc = cli_main(["simulate", "--config", str(config_path), "--out-dir", str(sim_dir)])
         if rc != 0:
             return rc
         rc = cli_main(

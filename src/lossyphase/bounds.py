@@ -191,13 +191,14 @@ def sil_precision_numeric(eta: float, n_photons: float = 2.0, tol: float = 1e-10
 
 @dataclass(frozen=True)
 class PrecisionPoint:
-    """Precision bounds at one transmission, in radians per probe."""
+    """Precision bounds at one transmission, in radians per probe, and the optimal weights."""
 
     eta: float
     dphi_optimal: float
     dphi_noon: float
     dphi_sil: float
     nonclassical: bool
+    weights: ProbeWeights
 
 
 def precision_curve(eta_grid) -> list[PrecisionPoint]:
@@ -205,7 +206,7 @@ def precision_curve(eta_grid) -> list[PrecisionPoint]:
     points = []
     for eta in eta_grid:
         eta = float(eta)
-        _, f_max = optimize_weights(eta)
+        weights, f_max = optimize_weights(eta)
         dphi_opt = 1.0 / math.sqrt(f_max)
         dphi_noon = noon_precision(eta)
         dphi_sil = sil_precision(eta, 2.0)
@@ -220,6 +221,7 @@ def precision_curve(eta_grid) -> list[PrecisionPoint]:
                 dphi_noon=dphi_noon,
                 dphi_sil=dphi_sil,
                 nonclassical=dphi_opt < min(dphi_noon, dphi_sil),
+                weights=weights,
             )
         )
     return points

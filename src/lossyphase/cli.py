@@ -17,9 +17,9 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bounds import ProbeWeights, optimize_weights, noon_precision, sil_precision
+from .bounds import ProbeWeights, precision_curve
 from .detection import LABELS, DetectionConfig, Setting
-from .estimator import DegenerateLikelihoodError, _first_seen, analyze, estimate_dataset, histogram
+from .estimator import MAX_BINS, DegenerateLikelihoodError, _first_seen, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
 from .montecarlo import (
     PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design, run_campaign, setting_models,
@@ -274,11 +274,10 @@ def cmd_bounds(args) -> int:
         grid = list(np.linspace(args.eta_min, args.eta_max, args.steps))
     grid += [eta for eta in ExperimentConfig().eta_list if args.eta_min <= eta <= args.eta_max]
     grid = sorted(set(round(e, 12) for e in grid))
-    rows = []
-    for eta in grid:
-        weights, f_max = optimize_weights(eta)
-        bounds = (1.0 / np.sqrt(f_max), noon_precision(eta), sil_precision(eta, 2.0))
-        rows.append((eta, *bounds, *weights.as_tuple(), solve_prep(weights).success_prob))
+    rows = [
+        (p.eta, p.dphi_optimal, p.dphi_noon, p.dphi_sil, *p.weights.as_tuple(), solve_prep(p.weights).success_prob)
+        for p in precision_curve(grid)
+    ]
     header = ("eta", "dphi_optimal", "dphi_noon", "dphi_sil", "x0", "x1", "x2", "prep_success_p")
     _write_table(args.out, header, rows, "bounds", {"eta_min": args.eta_min, "eta_max": args.eta_max, "steps": args.steps}, 0)
     return EXIT_OK
@@ -352,34 +351,38 @@ def _parse_prefix(fields_: list[str]) -> tuple:
     return parsed
 
 
-def _first_bad_line(path: Path, lines: list[str]) -> ConfigError:
-    """The diagnostic of the first line ``read_dataset_csv`` rejects, found line by line."""
-    prefixes, first_line = {}, {}  # prefix text -> parsed; (parsed prefix, series_id) -> line
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line or line.isspace():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(DATASET_COLUMNS):
-            return ConfigError(f"{path}: line {line_no}: expected {len(DATASET_COLUMNS)} fields")
-        try:
-            values = list(map(int, parts[5:11]))
-            text = tuple(parts[:4])
-            if text not in prefixes:
-                prefixes[text] = _parse_prefix(parts)
-            series_id, seed = int(parts[4]), int(parts[11])
-        except ValueError as exc:
-            return ConfigError(f"{path}: line {line_no}: {exc}")
-        if not (-(2**63) <= series_id < 2**63 and max(values) < 2**63 and 0 <= seed < 2**64):
-            return ConfigError(f"{path}: line {line_no}: series_id, a count or seed_used is out of range")
-        if min(values) < 0:
-            column = DATASET_COLUMNS[5 + values.index(min(values))]
-            return ConfigError(f"{path}: line {line_no}: {column} must be non-negative, got {min(values)}")
-        seen = first_line.setdefault((prefixes[text], series_id), line_no)
-        if seen != line_no:
-            return ConfigError(
-                f"{path}: line {line_no}: duplicates line {seen} (same eta, probe, phi_true, series_id and setting)"
-            )
-    return ConfigError(f"{path}: rejected without a diagnostic")
+def _is_blank(line: str) -> bool:
+    return not line or line.isspace()
+
+
+def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tuple:
+    """The rows of ``lines``, blank ones skipped: each row's index into
+    ``parsed``, its series_id and counts as int64 (7, rows), its seed_used as
+    uint64. A prefix text met first is parsed into ``parsed`` and indexed in
+    ``prefixes``. Every row rule raises ValueError here; for one line, its
+    message is the line's diagnostic."""
+    rows, integers = [], []
+    for line in lines:
+        parts = line.rsplit(",", 8)  # the prefix text and the eight integer fields
+        prefix = prefixes.get(parts[0])
+        if prefix is None:
+            if _is_blank(line):
+                continue
+            fields_ = parts[0].split(",")
+            if len(parts) != 9 or len(fields_) != 4:
+                raise ValueError(f"expected {len(DATASET_COLUMNS)} fields")
+            parsed.append(_parse_prefix(fields_))
+            prefix = prefixes[parts[0]] = len(parsed) - 1
+        rows.append(prefix)
+        integers += parts[1:]
+    columns = [list(map(int, integers[k::8])) for k in range(8)]
+    lowest = [min(column, default=0) for column in columns[1:7]]
+    if min(lowest) < 0:
+        raise ValueError(f"{DATASET_COLUMNS[5 + lowest.index(min(lowest))]} must be non-negative, got {min(lowest)}")
+    try:
+        return rows, np.array(columns[:7], dtype=np.int64), np.array(columns[7], dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("series_id, a count or seed_used is out of range") from None
 
 
 #: Data rows split into text fields at once; each chunk moves into arrays
@@ -392,10 +395,10 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
 
     Rejects, naming the line, a malformed row, an eta outside (0, 1], a
     non-finite phi_true, an integer outside its column's range, a negative
-    count and a row whose (eta, probe, phi_true, series_id, setting) repeats by value.
-    Rows are parsed in bulk, ``_PARSE_CHUNK`` at a time, and checked with
-    array operations; only a rejected file is read again line by line to
-    name the first bad line.
+    count and a row whose (eta, probe, phi_true, series_id, setting) repeats
+    by value. ``_parse_rows`` checks ``_PARSE_CHUNK`` rows at a time, and a
+    failed chunk one line at a time to name its first bad line. Repeated rows
+    are sought once every line parses.
     """
     lines = _read_text(path, "dataset").splitlines()
     if not lines:
@@ -409,34 +412,30 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     prefixes: dict[str, int] = {}  # text of a row's first four fields -> index into parsed
     parsed = []  # (eta, probe, phi_true, setting) of each prefix text
     chunks = []  # per chunk: prefix of each row, then series_id and counts, then seed_used
-    try:
-        for start in range(1, max(len(lines), 2), _PARSE_CHUNK):  # at least one chunk
-            rows, integers = [], []
-            for line in lines[start : start + _PARSE_CHUNK]:
-                parts = line.rsplit(",", 8)  # the prefix text and the eight integer fields
-                prefix = prefixes.get(parts[0])
-                if prefix is None:
-                    if not line or line.isspace():
-                        continue
-                    fields_ = parts[0].split(",")
-                    if len(parts) != 9 or len(fields_) != 4:
-                        raise ValueError(line)
-                    prefix = prefixes[parts[0]] = len(parsed)
-                    parsed.append(_parse_prefix(fields_))
-                rows.append(prefix)
-                integers += parts[1:]
-            columns = [list(map(int, integers[k::8])) for k in range(8)]
-            chunks.append((rows, np.array(columns[:7], dtype=np.int64), np.array(columns[7], dtype=np.uint64)))
-        prefix = np.concatenate([c[0] for c in chunks]).astype(np.intp)
-        codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
-        probe, setting = codes[prefix].T
-        etas, phases = tuple(p[0] for p in parsed), tuple(p[2] for p in parsed)
-        series_id, *counts = np.concatenate([c[1] for c in chunks], axis=1)
-        _, distinct = _first_seen(np.array(etas)[prefix], probe, np.array(phases)[prefix], setting, series_id)
-        if np.min(counts, initial=0) < 0 or len(distinct) < len(series_id):
-            raise ValueError("a negative count or a repeated row")
-    except (ValueError, OverflowError):
-        raise _first_bad_line(path, lines) from None
+    for start in range(1, max(len(lines), 2), _PARSE_CHUNK):  # at least one chunk
+        chunk = lines[start : start + _PARSE_CHUNK]
+        try:
+            chunks.append(_parse_rows(chunk, prefixes, parsed))
+        except ValueError:
+            for line_no, line in enumerate(chunk, start=start + 1):
+                try:
+                    _parse_rows([line], prefixes, parsed)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {line_no}: {exc}") from None
+            raise  # not reached: every rule applies to one row, so some line fails alone
+    prefix = np.concatenate([c[0] for c in chunks]).astype(np.intp)
+    codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
+    probe, setting = codes[prefix].T
+    etas, phases = tuple(p[0] for p in parsed), tuple(p[2] for p in parsed)
+    series_id, *counts = np.concatenate([c[1] for c in chunks], axis=1)
+    number, first = _first_seen(np.array(etas)[prefix], probe, np.array(phases)[prefix], setting, series_id)
+    repeats = np.flatnonzero(first[number] != np.arange(len(number)))  # rows whose key an earlier row has
+    if len(repeats):
+        line_of = [line_no for line_no, line in enumerate(lines[1:], start=2) if not _is_blank(line)]
+        raise ConfigError(
+            f"{path}: line {line_of[repeats[0]]}: duplicates line {line_of[first[number[repeats[0]]]]}"
+            " (same eta, probe, phi_true, series_id and setting)"
+        )
     return EventDataset(
         config=config,
         etas=etas,
@@ -461,6 +460,9 @@ def cmd_simulate(args) -> int:
         values["seed"] = args.seed
     kwargs, include_cc = _assemble(values)
     config = ExperimentConfig(**kwargs)
+    for name, values in (("eta_list", config.eta_list), ("phase_list", config.phase_list)):
+        if len({float(_fmt(value)) for value in values}) < len(values):  # rows compare by printed value
+            raise ValueError(f"{name} {values} repeats a value as the dataset prints it, at 12 significant digits")
     dataset = run_campaign(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -539,12 +541,17 @@ def cmd_estimate(args) -> int:
     estimates = estimate_dataset(dataset, include_cc=include_cc, design=replay)
     report = analyze(dataset, estimates, design=replay)
     prefixes = _prefixes(dataset, estimates.row, with_setting=False)  # eta, probe and phi_true of each series
-    hist_lines = []
-    for members in estimates.groups() if args.hist_bin is not None else ():
+    hist_lines, histograms = [], []
+    if args.hist_bin is not None:
+        groups = estimates.groups()
         try:
-            edges, counts = histogram(estimates.phi_hat[members], args.hist_bin)
+            # MAX_BINS bounds the whole file: the spans of all groups, counted in bin widths
+            if not sum(float(np.ptp(estimates.phi_hat[members])) for members in groups) <= MAX_BINS * args.hist_bin:
+                raise ValueError(f"bin width {args.hist_bin!r} spans more than {MAX_BINS} bins over all groups")
+            histograms = [(members, *histogram(estimates.phi_hat[members], args.hist_bin)) for members in groups]
         except ValueError as exc:
             raise ValueError(f"--hist-bin {args.hist_bin!r}: {exc}") from None
+    for members, edges, counts in histograms:
         bins = (edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
         hist_lines += map("{}{:.12g},{:.12g},{}".format, repeat(prefixes[members[0]]), *bins)
     out_dir = Path(args.out_dir)

@@ -102,14 +102,8 @@ class LikelihoodGrid:
         return float(self.phis[1] - self.phis[0])
 
 
-def likelihood_grid(
-    models,
-    include_cc: bool = True,
-    interval: tuple[float, float] = SEARCH_INTERVAL,
-    step: float = GRID_STEP,
-) -> LikelihoodGrid:
-    lo, hi = interval
-    phis = np.arange(lo, hi, step)
+def likelihood_grid(models, include_cc: bool = True) -> LikelihoodGrid:
+    phis = np.arange(*SEARCH_INTERVAL, GRID_STEP)
     labels = {}
     logs = {}
     for setting, model in models.items():
@@ -208,18 +202,10 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
     return phi_hat, lmax, n_coinc, problems
 
 
-def ml_estimate(
-    counts_by_setting,
-    models,
-    include_cc: bool = True,
-    interval: tuple[float, float] = SEARCH_INTERVAL,
-    grid: LikelihoodGrid | None = None,
-    series_key: tuple = (),
-) -> Estimate:
+def ml_estimate(counts_by_setting, models, include_cc: bool = True) -> Estimate:
     """Maximum-likelihood phase estimate from one series of counts, given as
     {setting: {label: count}}, a missing setting or label counting zero."""
-    if grid is None:
-        grid = likelihood_grid(models, include_cc=include_cc, interval=interval)
+    grid = likelihood_grid(models, include_cc=include_cc)
     counts = {
         setting: np.array([[counts_by_setting.get(setting, {}).get(label, 0) for label in labels]], dtype=float)
         for setting, labels in grid.labels.items()
@@ -227,7 +213,7 @@ def ml_estimate(
     (phi_hat,), (lmax,), (n_coinc,), (problem,) = _estimate_series(grid, counts)
     if problem is not None:
         raise DegenerateLikelihoodError(problem)
-    return Estimate(phi_hat=float(phi_hat), log_likelihood_max=float(lmax), n_coincidences=int(n_coinc), series_key=tuple(series_key))
+    return Estimate(phi_hat=float(phi_hat), log_likelihood_max=float(lmax), n_coincidences=int(n_coinc), series_key=())
 
 
 def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,20 +269,20 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
 
     Builds the outcome models of each (eta, probe) block from its ``design``
     (by default resolved from the dataset's configuration) and shares one
-    likelihood grid per block, whose series are estimated together. A later
-    row of the same series and setting replaces an earlier one. A series
-    without phase information raises DegenerateLikelihoodError naming the
-    first such series.
+    likelihood grid per block, whose series are estimated together. Two rows
+    of the same series and setting raise ValueError; a series without phase
+    information raises DegenerateLikelihoodError naming the first such
+    series.
     """
     d, design = dataset, _design(dataset, design)
     eta, phi = np.array(d.etas)[d.eta_index], np.array(d.phases)[d.phase_index]  # 0.0 == -0.0
     series, rows = _first_seen(eta, d.probe, phi, d.series_id)
+    if len(_first_seen(series, d.setting)[1]) < len(series):
+        raise ValueError("the dataset holds two rows of one series and setting")
     group, _ = _first_seen(eta[rows], d.probe[rows], phi[rows])
     block, block_rows = _first_seen(eta[rows], d.probe[rows])
-    slot = series * len(SETTINGS) + d.setting
-    last = len(slot) - 1 - np.unique(slot[::-1], return_index=True)[1]  # last row of each (series, setting)
     counts = np.zeros((len(rows), len(SETTINGS), len(LABELS)))
-    counts[series[last], d.setting[last]] = d.counts[last]
+    counts[series, d.setting] = d.counts
     phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
     problems: dict[int, str] = {}  # series -> why it carries no phase information
     for b, first in enumerate(rows[block_rows]):
@@ -348,7 +334,7 @@ def analyze(dataset: EventDataset, estimates: Estimates, design: Design | None =
     return rows
 
 
-#: Most bins one histogram may have; checked before any bin is allocated.
+#: Most bins of one histogram, or of all histograms of one estimate; checked before allocating.
 MAX_BINS = 10**6
 
 

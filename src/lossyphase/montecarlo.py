@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ValueError("phase_list must be non-empty")
         if not all(math.isfinite(p) for p in self.phase_list):
             raise ValueError("phase_list entries must be finite")
+        for name, values in (("eta_list", self.eta_list), ("phase_list", self.phase_list)):
+            if len(set(values)) < len(values):  # by value: 0.0 and -0.0 are one phase
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.series_count < 1:
             raise ValueError("series_count must be at least 1")
         if self.events_per_series < 1:

@@ -254,6 +254,10 @@ class TestPrecisionCurve:
             assert point.dphi_optimal <= point.dphi_sil + 1e-9
             assert point.nonclassical
 
+    def test_points_carry_the_optimal_weights(self):
+        for point in precision_curve(EXPERIMENT_ETAS):
+            assert point.weights == optimize_weights(point.eta)[0]
+
     def test_nonclassical_region(self):
         points = precision_curve(np.arange(0.2, 0.901, 0.05))
         assert all(p.dphi_optimal < p.dphi_sil for p in points)

@@ -1,11 +1,14 @@
 """Command-line interface: schemas, determinism, exit codes, config parsing."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -132,6 +135,15 @@ class TestBounds:
     def test_bad_range_exits_2(self, tmp_path):
         rc = main(["bounds", "--eta-min", "0.0", "--eta-max", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_invariant_violation_exits_3(self, tmp_path, monkeypatch, capsys):
+        """An optimum above the N00N bound breaks precision_curve's invariant."""
+        monkeypatch.setattr(bounds, "optimize_weights", lambda eta: (bounds.NOON_WEIGHTS, 1e-6))
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--eta-min", "0.5", "--eta-max", "0.5", "--steps", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "internal invariant violated" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -283,6 +295,27 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("eta_list = 0.361, 0.361", "eta_list"),
+            ("phases = 0, -0.0", "phase_list"),
+            ("eta_list = 0.1, 0.1000000000001", "eta_list"),
+            ("phases = 0.01, 0.0100000000000001", "phase_list"),
+        ],
+        ids=["equal-etas", "zero-and-minus-zero", "etas-printed-alike", "phases-printed-alike"],
+    )
+    def test_repeated_value_exits_2(self, tmp_path, capsys, line, named):
+        """Values that are equal, or that the dataset prints alike, would key
+        the same rows, which estimate rejects; simulate refuses them first."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(f"probe = noon\nseries = 2\nevents = 20\n{line}\n")
+        out_dir = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("seed_line, flags, seed", [("seed = 3\n", [], 3), ("", ["--seed", "4"], 4)])
     def test_bad_env_seed_ignored_when_seed_given(self, tmp_path, monkeypatch, seed_line, flags, seed):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
@@ -414,6 +447,19 @@ class TestEstimate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"--hist-bin {float(width)!r}: " in err and "bins" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_hist_bin_budget_covers_the_whole_file(self, tmp_path, capsys):
+        """Six groups each under MAX_BINS bins at 1e-6 rad, together over it."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("eta_list = 0.361, 0.547\nprobe = noon\nphases = -0.02, 0.0, 0.02\nseries = 30\nevents = 300\n")
+        sim, out_dir = tmp_path / "sim", tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        rc = main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(out_dir), "--hist-bin", "1e-6"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--hist-bin 1e-06: " in err and "over all groups" in err
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
@@ -625,7 +671,7 @@ _BOOL_TEXT = st.sampled_from(["true", "False", "1", "0", "yes", "no", "on", "OFF
 
 
 def _float_list_text(elements):
-    return st.lists(elements, min_size=1, max_size=4).map(lambda values: ", ".join(map(repr, values)))
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(lambda values: ", ".join(map(repr, values)))
 
 
 #: Valid config-file text of every schema key.
@@ -762,6 +808,75 @@ class TestDatasetRoundTrip:
         later, earlier = max(original, copy), min(original, copy)
         with pytest.raises(ConfigError, match=f": line {later}: duplicates line {earlier} "):
             read_dataset_csv(path, ExperimentConfig())
+
+
+#: A small N00N campaign whose dataset rows the fuzz below mutates.
+FUZZ_CONFIG = "eta_list = 0.361\nprobe = noon\nphases = 0.0, 0.04\nseries = 3\nevents = 200\nseed = 4\n"
+
+#: Texts a mutation writes into a field: values of other columns, integers
+#: at and beyond the int64 and uint64 ranges, and malformed numbers.
+_FIELD_TEXTS = (
+    st.sampled_from([
+        "", " ", "-0", "+3", "1_0", "0x1f", "nan", "inf", "-inf", "1e999", "0.3610", "1.5", "0", "noon", "optimal",
+        "quarter", "half", "9223372036854775807", "-9223372036854775809", "18446744073709551616", "9" * 30,
+    ])
+    | st.integers(-(2**65), 2**65).map(str)
+    | st.text(max_size=4)
+)
+
+
+@st.composite
+def mutated_rows(draw, rows: list[str]) -> list[str]:
+    """``rows`` after one to three edits: a field replaced, dropped or added,
+    a row copied, dropped or moved, or a line inserted."""
+    rows = list(rows)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        fields_ = rows[i].split(",")
+        edit = draw(st.sampled_from(["replace", "drop", "add", "copy", "delete", "move", "insert"]))
+        if edit in ("replace", "drop", "add"):
+            k = draw(st.integers(0, len(fields_) - 1))
+            if edit == "replace":
+                fields_[k] = draw(_FIELD_TEXTS)
+            elif edit == "drop":
+                del fields_[k]
+            else:
+                fields_.insert(k, draw(_FIELD_TEXTS))
+            rows[i] = ",".join(fields_)
+        elif edit == "insert":
+            rows.insert(i, draw(st.sampled_from(["", "   ", rows[i] + ","]) | st.text(max_size=12)))
+        elif len(rows) > 1:
+            row = rows[i] if edit == "copy" else rows.pop(i)
+            if edit != "delete":
+                rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def fuzz_sim(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "c.cfg").write_text(FUZZ_CONFIG)
+    assert main(["simulate", "--config", str(root / "c.cfg"), "--out-dir", str(root / "sim")]) == 0
+    return root / "sim"
+
+
+class TestDatasetFuzz:
+    @given(st.data())
+    def test_mutated_rows_end_with_a_designed_exit(self, fuzz_sim, tmp_path_factory, data):
+        """estimate ends with exit 0, 1 or 2 and at most one stderr line, warnings
+        included: none of them escapes as a traceback."""
+        header, *rows = (fuzz_sim / "dataset.csv").read_text().splitlines()
+        path = tmp_path_factory.mktemp("mutated") / "dataset.csv"
+        path.write_text("\n".join([header, *data.draw(mutated_rows(rows))]) + "\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "estimate", "--dataset", str(path), "--manifest", str(fuzz_sim / "manifest.json"),
+                "--out-dir", str(path.parent / "o"),
+            ])
+        assert rc in (0, 1, 2)
+        assert len(stderr.getvalue().splitlines()) == (rc != 0)
 
 
 class TestDeterminism:

@@ -274,19 +274,22 @@ class TestEstimateDataset:
             assert (repr(est.phi_hat), repr(est.log_likelihood_max)) == (repr(phi_hat), repr(lmax))
             assert est.n_coincidences == sum(int(vec.sum()) for vec in vecs)
 
-    def test_later_rows_replace_earlier(self):
-        """Two equal etas key the same series: the second one's rows win."""
+    @pytest.mark.parametrize("eta_index", [0, 1], ids=["same-index", "equal-eta-other-index"])
+    def test_repeated_series_setting_rejected(self, eta_index):
+        """A second row of one series and setting is rejected, not merged,
+        also when it reaches an equal eta through another index."""
         config = ExperimentConfig(
-            eta_list=(0.361, 0.361), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=4,
+            eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=4,
             events_per_series=200, master_seed=8,
         )
         dataset = run_campaign(config)
-        later = dataset.eta_index == 1
-        columns = ("probe", "eta_index", "phase_index", "setting", "series_id", "counts", "seed_used")
-        alone = EventDataset(config, dataset.etas, dataset.phases, *(getattr(dataset, name)[later] for name in columns))
-        both = estimate_dataset(dataset)
-        assert len(both) == config.series_count
-        np.testing.assert_array_equal(both.phi_hat, estimate_dataset(alone).phi_hat)
+        rows = [*range(len(dataset.series_id)), 3]  # row 3 once more, at the end
+        names = ("probe", "phase_index", "setting", "series_id", "counts", "seed_used")
+        columns = {name: getattr(dataset, name)[rows] for name in names}
+        columns["eta_index"] = np.array([0] * len(dataset.series_id) + [eta_index])
+        repeated = EventDataset(config, (0.361, 0.361), dataset.phases, **columns)
+        with pytest.raises(ValueError, match="two rows of one series and setting"):
+            estimate_dataset(repeated)
 
     def test_consistency_sigma_scales_with_events(self):
         sigmas = []

@@ -47,6 +47,12 @@ class TestConfig:
             with pytest.raises(ValueError):
                 ExperimentConfig(phase_list=(0.0, bad))
 
+    @pytest.mark.parametrize("name, values", [("eta_list", (0.361, 0.2, 0.361)), ("phase_list", (0.0, -0.0))])
+    def test_repeated_value_rejected(self, name, values):
+        """Values are compared by value, so 0.0 and -0.0 are one phase."""
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            ExperimentConfig(**{name: values})
+
 
 class TestSampleCounts:
     def test_zero_events(self):
