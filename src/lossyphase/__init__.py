@@ -32,8 +32,6 @@ from .estimator import (
     analyze,
     estimate_dataset,
     histogram,
-    log_likelihood,
-    ml_estimate,
 )
 from .fock import (
     ConditionalBranch,

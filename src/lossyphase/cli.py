@@ -314,14 +314,15 @@ def cmd_fringes(args) -> int:
 def _prefixes(dataset: EventDataset, rows, with_setting: bool) -> list[str]:
     """The eta, probe, phi_true and, if asked, setting fields of the given
     rows as ``_write_csv`` formats them, with a trailing comma; each distinct
-    prefix is formatted once. Index columns, not values, tell prefixes apart,
-    so 0 and -0 keep their own text."""
+    prefix is formatted once. The bits of eta and phi_true, not their values,
+    tell prefixes apart, so 0 and -0 keep their own text."""
     d = dataset
-    columns = [d.eta_index[rows], d.probe[rows], d.phase_index[rows], d.setting[rows]][: 3 + with_setting]
-    number, first = _first_seen(*columns)
+    eta, phi = d.eta[rows], d.phi_true[rows]
+    codes = [d.probe[rows], d.setting[rows]][: 1 + with_setting]
+    number, first = _first_seen(eta.view(np.int64), phi.view(np.int64), *codes)
     texts = [
-        ",".join([_fmt(d.etas[eta]), PROBES[probe].value, _fmt(d.phases[phi]), *(SETTINGS[s].value for s in setting)]) + ","
-        for eta, probe, phi, *setting in zip(*(column[first].tolist() for column in columns))
+        ",".join([_fmt(e), PROBES[probe].value, _fmt(f), *(SETTINGS[s].value for s in setting)]) + ","
+        for e, f, probe, *setting in zip(*(column[first].tolist() for column in (eta, phi, *codes)))
     ]
     return list(map(texts.__getitem__, number.tolist()))
 
@@ -355,6 +356,11 @@ def _is_blank(line: str) -> bool:
     return not line or line.isspace()
 
 
+#: Largest count a dataset row may hold: the 12 counts of a series then sum
+#: below 2**53, so the float64 sum of ``estimator._estimate_series`` is exact.
+MAX_COUNT = 2**49
+
+
 def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tuple:
     """The rows of ``lines``, blank ones skipped: each row's index into
     ``parsed``, its series_id and counts as int64 (7, rows), its seed_used as
@@ -379,6 +385,9 @@ def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tup
     lowest = [min(column, default=0) for column in columns[1:7]]
     if min(lowest) < 0:
         raise ValueError(f"{DATASET_COLUMNS[5 + lowest.index(min(lowest))]} must be non-negative, got {min(lowest)}")
+    highest = [max(column, default=0) for column in columns[1:7]]
+    if max(highest) > MAX_COUNT:
+        raise ValueError(f"{DATASET_COLUMNS[5 + highest.index(max(highest))]} must be at most 2**49, got {max(highest)}")
     try:
         return rows, np.array(columns[:7], dtype=np.int64), np.array(columns[7], dtype=np.uint64)
     except OverflowError:
@@ -426,9 +435,9 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     prefix = np.concatenate([c[0] for c in chunks]).astype(np.intp)
     codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
     probe, setting = codes[prefix].T
-    etas, phases = tuple(p[0] for p in parsed), tuple(p[2] for p in parsed)
+    eta, phi_true = (np.array([p[k] for p in parsed], dtype=float)[prefix] for k in (0, 2))
     series_id, *counts = np.concatenate([c[1] for c in chunks], axis=1)
-    number, first = _first_seen(np.array(etas)[prefix], probe, np.array(phases)[prefix], setting, series_id)
+    number, first = _first_seen(eta, probe, phi_true, setting, series_id)
     repeats = np.flatnonzero(first[number] != np.arange(len(number)))  # rows whose key an earlier row has
     if len(repeats):
         line_of = [line_no for line_no, line in enumerate(lines[1:], start=2) if not _is_blank(line)]
@@ -438,11 +447,9 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
         )
     return EventDataset(
         config=config,
-        etas=etas,
-        phases=phases,
+        eta=eta,
         probe=probe,
-        eta_index=prefix,
-        phase_index=prefix,
+        phi_true=phi_true,
         setting=setting,
         series_id=series_id,
         counts=np.column_stack(counts),
@@ -481,11 +488,11 @@ def cmd_simulate(args) -> int:
 
 def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool, dict]:
     """A simulate manifest, the model configuration it records and its design
-    entries by probe and by the eta text a dataset prints, a list per key of
-    (weights, quarter-setting DetectionConfig, index in the list). A missing
-    design list, a missing, mistyped or non-finite value, weights the
-    preparation network cannot make and a theta_d outside [0, 1] raise
-    ConfigError naming the key or the entry."""
+    entries by probe and by the eta text a dataset prints, each as (weights,
+    quarter-setting DetectionConfig, index in the list). A missing design
+    list, a missing, mistyped or non-finite value, weights the preparation
+    network cannot make, a theta_d outside [0, 1] and two entries of one key
+    raise ConfigError naming the key or the entries."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -501,7 +508,7 @@ def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool, dict]:
     entries = manifest.get("design")
     if type(entries) is not list:
         raise ConfigError(f"manifest {path}: no 'design' list (a manifest written before simulate recorded its design)")
-    designs: dict[tuple[ProbeKind, str], list] = {}
+    designs: dict[tuple[ProbeKind, str], tuple] = {}
     for i, entry in enumerate(entries):
         name = f"manifest {path}: design[{i}]"
         if type(entry) is not dict:
@@ -514,7 +521,9 @@ def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool, dict]:
             quarter = DetectionConfig(Setting.QUARTER, values["theta_d"], values["conditional_phase"])
         except ValueError as exc:
             raise ConfigError(f"{name} (probe={key[0].value} eta={key[1]}): {exc}") from None
-        designs.setdefault(key, []).append((weights, quarter, i))
+        if key in designs:
+            raise ConfigError(f"{name} repeats design[{designs[key][2]}] (probe={key[0].value} eta={key[1]})")
+        designs[key] = (weights, quarter, i)
     return manifest, config, include_cc, designs
 
 
@@ -531,15 +540,16 @@ def cmd_estimate(args) -> int:
     replayed = set()  # indices of the design entries used
 
     def replay(kind: ProbeKind, eta: float):
-        found = designs.get((kind, _fmt(eta)), [])
-        if len(found) != 1:
-            raise ConfigError(f"manifest {manifest_path}: {len(found) or 'no'} design entries for probe={kind.value} eta={_fmt(eta)}")
-        replayed.add(found[0][2])
-        return found[0][:2]
+        key = (kind, _fmt(eta))
+        if key not in designs:
+            raise ConfigError(f"manifest {manifest_path}: no design entries for probe={kind.value} eta={key[1]}")
+        weights, quarter, index = designs[key]
+        replayed.add(index)
+        return weights, quarter
 
     dataset = read_dataset_csv(dataset_path, config)
     estimates = estimate_dataset(dataset, include_cc=include_cc, design=replay)
-    report = analyze(dataset, estimates, design=replay)
+    report = analyze(estimates)
     prefixes = _prefixes(dataset, estimates.row, with_setting=False)  # eta, probe and phi_true of each series
     hist_lines, histograms = [], []
     if args.hist_bin is not None:

@@ -30,10 +30,6 @@ _NEG = -1e30  # stand-in for log(0) that keeps 0 * log(0) = 0 in matrix products
 Design = Callable[[ProbeKind, float], tuple[ProbeWeights, DetectionConfig]]
 
 
-def _design(dataset: EventDataset, design: Design | None) -> Design:
-    return design or (lambda kind, eta: probe_design(kind, eta, dataset.config.imperfections))
-
-
 class DegenerateLikelihoodError(ValueError):
     """Likelihood carries no phase information (e.g. no counts at all)."""
 
@@ -65,30 +61,6 @@ def _kept_labels(setting: Setting, include_cc: bool) -> tuple[str, ...]:
     return labels
 
 
-def log_likelihood(counts_by_setting, phi: float, models, include_cc: bool = True) -> float:
-    """Sum over settings of count times log renormalized label probability.
-
-    Each setting is scored only on its postselected labels, renormalized
-    within that set; a zero-probability label with counts gives -inf.
-    """
-    total = 0.0
-    for setting, model in models.items():
-        counts = counts_by_setting.get(setting, {})
-        labels = _kept_labels(setting, include_cc)
-        probs = np.asarray(model.probabilities(phi), dtype=float)
-        kept = {label: probs[LABELS.index(label)] for label in labels}
-        norm = sum(kept.values())
-        for label in labels:
-            n = counts.get(label, 0)
-            if n == 0:
-                continue
-            p = kept[label] / norm if norm > 0 else 0.0
-            if p <= 0.0:
-                return -math.inf
-            total += n * math.log(p)
-    return total
-
-
 @dataclass(frozen=True)
 class LikelihoodGrid:
     """Log-probabilities precomputed on the search grid, shared across series."""
@@ -103,6 +75,8 @@ class LikelihoodGrid:
 
 
 def likelihood_grid(models, include_cc: bool = True) -> LikelihoodGrid:
+    """Log-probabilities of each setting's postselected labels, renormalized
+    within that set, on the search grid; log(0) is stored as ``_NEG``."""
     phis = np.arange(*SEARCH_INTERVAL, GRID_STEP)
     labels = {}
     logs = {}
@@ -202,20 +176,6 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
     return phi_hat, lmax, n_coinc, problems
 
 
-def ml_estimate(counts_by_setting, models, include_cc: bool = True) -> Estimate:
-    """Maximum-likelihood phase estimate from one series of counts, given as
-    {setting: {label: count}}, a missing setting or label counting zero."""
-    grid = likelihood_grid(models, include_cc=include_cc)
-    counts = {
-        setting: np.array([[counts_by_setting.get(setting, {}).get(label, 0) for label in labels]], dtype=float)
-        for setting, labels in grid.labels.items()
-    }
-    (phi_hat,), (lmax,), (n_coinc,), (problem,) = _estimate_series(grid, counts)
-    if problem is not None:
-        raise DegenerateLikelihoodError(problem)
-    return Estimate(phi_hat=float(phi_hat), log_likelihood_max=float(lmax), n_coincidences=int(n_coinc), series_key=())
-
-
 def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of the key ``columns``, compared by value, in
     order of first appearance; returns each row's number and the first row of
@@ -235,8 +195,9 @@ def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Estimates(Sequence):
     """Per-series estimates as columns, series in order of first appearance;
     item i is an ``Estimate`` built on access. A series, keyed by (eta, probe,
-    phi_true, series_id) by value, takes its key text from its first dataset
-    ``row``; a ``group`` shares (eta, probe, phi_true), numbered likewise."""
+    phi_true, series_id) by value, takes its key from its first dataset
+    ``row``; a ``group`` shares (eta, probe, phi_true), numbered likewise.
+    ``crb`` is the Cramér-Rao bound of the series' (eta, probe) block."""
 
     dataset: EventDataset
     row: np.ndarray
@@ -244,6 +205,7 @@ class Estimates(Sequence):
     phi_hat: np.ndarray
     loglik: np.ndarray
     n_coinc: np.ndarray
+    crb: np.ndarray
 
     def __len__(self) -> int:
         return len(self.row)
@@ -254,7 +216,7 @@ class Estimates(Sequence):
     def key(self, i: int) -> tuple:
         """(eta, probe, phi_true, series_id) of series i."""
         d, r = self.dataset, self.row[i]
-        return d.etas[d.eta_index[r]], PROBES[d.probe[r]], d.phases[d.phase_index[r]], int(d.series_id[r])
+        return float(d.eta[r]), PROBES[d.probe[r]], float(d.phi_true[r]), int(d.series_id[r])
 
     def estimate(self, i: int) -> Estimate:
         return Estimate(float(self.phi_hat[i]), float(self.loglik[i]), int(self.n_coinc[i]), self.key(i))
@@ -267,15 +229,17 @@ class Estimates(Sequence):
 def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Design | None = None) -> Estimates:
     """Maximum-likelihood estimates for every series of a campaign.
 
-    Builds the outcome models of each (eta, probe) block from its ``design``
-    (by default resolved from the dataset's configuration) and shares one
-    likelihood grid per block, whose series are estimated together. Two rows
-    of the same series and setting raise ValueError; a series without phase
-    information raises DegenerateLikelihoodError naming the first such
-    series.
+    Looks up the ``design`` of each (eta, probe) block once (by default
+    ``probe_design`` for the dataset's imperfections), builds the block's
+    outcome models and its Cramér-Rao bound 1/sqrt(F), F the lossy QFI of the
+    design's weights, and shares one likelihood grid per block, whose series
+    are estimated together. Two rows of the same series and setting raise
+    ValueError; a series without phase information raises
+    DegenerateLikelihoodError naming the first such series.
     """
-    d, design = dataset, _design(dataset, design)
-    eta, phi = np.array(d.etas)[d.eta_index], np.array(d.phases)[d.phase_index]  # 0.0 == -0.0
+    d = dataset
+    design = design or (lambda kind, eta: probe_design(kind, eta, d.config.imperfections))
+    eta, phi = d.eta, d.phi_true  # compared by value: 0.0 == -0.0
     series, rows = _first_seen(eta, d.probe, phi, d.series_id)
     if len(_first_seen(series, d.setting)[1]) < len(series):
         raise ValueError("the dataset holds two rows of one series and setting")
@@ -284,12 +248,15 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     counts = np.zeros((len(rows), len(SETTINGS), len(LABELS)))
     counts[series, d.setting] = d.counts
     phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
+    crb = np.empty(len(rows))
     problems: dict[int, str] = {}  # series -> why it carries no phase information
     for b, first in enumerate(rows[block_rows]):
-        kind, transmission = PROBES[d.probe[first]], d.etas[d.eta_index[first]]
-        models = setting_models(kind, transmission, d.config.imperfections, design(kind, transmission))
+        kind, transmission = PROBES[d.probe[first]], float(d.eta[first])
+        weights, quarter = design(kind, transmission)
+        models = setting_models(kind, transmission, d.config.imperfections, (weights, quarter))
         grid = likelihood_grid(models, include_cc=include_cc)
         members = np.flatnonzero(block == b)
+        crb[members] = 1.0 / math.sqrt(qfi_lossy(weights, transmission))
         # C order as the products need it: a column-major matrix rounds differently
         matrices = {
             setting: np.ascontiguousarray(counts[members, SETTINGS.index(setting)][:, [LABELS.index(l) for l in labels]])
@@ -297,7 +264,7 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
         }
         phi_hat[members], lmax[members], n_coinc[members], problem = _estimate_series(grid, matrices)
         problems.update((i, p) for i, p in zip(members.tolist(), problem) if p is not None)
-    estimates = Estimates(d, rows, group, phi_hat, lmax, n_coinc)
+    estimates = Estimates(d, rows, group, phi_hat, lmax, n_coinc, crb)
     if problems:
         first = min(problems)
         eta_true, probe, phi_true, series_id = estimates.key(first)
@@ -307,17 +274,15 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     return estimates
 
 
-def analyze(dataset: EventDataset, estimates: Estimates, design: Design | None = None) -> list[UncertaintyRow]:
+def analyze(estimates: Estimates) -> list[UncertaintyRow]:
     """Per-(eta, probe, phase) uncertainty report, one row per group of
     ``estimates``.
 
     The sample standard deviation is rescaled by the square root of the mean
     number of registered coincidences per series, giving the effective
-    uncertainty per photon pair, and compared with 1/sqrt(F), F the lossy QFI
-    of the weights of ``design`` as in ``estimate_dataset``.
+    uncertainty per photon pair, and compared with the group's ``crb`` from
+    ``estimate_dataset``.
     """
-    design = _design(dataset, design)
-    crb_cache: dict[tuple, float] = {}
     rows = []
     for members in estimates.groups():
         eta, probe, phi_true, _ = estimates.key(members[0])
@@ -327,9 +292,7 @@ def analyze(dataset: EventDataset, estimates: Estimates, design: Design | None =
         counts = estimates.n_coinc[members].astype(float)
         sigma = float(np.std(values, ddof=1))
         m_bar = float(counts.mean())
-        if (eta, probe) not in crb_cache:
-            crb_cache[(eta, probe)] = 1.0 / math.sqrt(qfi_lossy(design(probe, eta)[0], eta))
-        crb = crb_cache[(eta, probe)]
+        crb = float(estimates.crb[members[0]])
         rows.append(UncertaintyRow(eta, probe, phi_true, float(values.mean()), sigma, m_bar, sigma * math.sqrt(m_bar), crb))
     return rows
 

@@ -103,17 +103,15 @@ class RowView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class EventDataset:
-    """A campaign's records as columns, one row per record: ``eta_index`` and
-    ``phase_index`` index ``etas`` and ``phases``, ``probe`` and ``setting``
-    index ``PROBES`` and ``SETTINGS``, ``counts`` is in LABELS order. A parsed
-    file lists each row prefix text in both tables, so 0 and -0 keep theirs."""
+    """A campaign's records as columns, one row per record: ``eta`` and
+    ``phi_true`` are float64 values (a parsed -0 keeps its sign), ``probe`` and
+    ``setting`` index ``PROBES`` and ``SETTINGS``, ``counts`` is in LABELS
+    order."""
 
     config: ExperimentConfig
-    etas: tuple[float, ...]
-    phases: tuple[float, ...]
+    eta: np.ndarray  # float64
     probe: np.ndarray
-    eta_index: np.ndarray
-    phase_index: np.ndarray
+    phi_true: np.ndarray  # float64
     setting: np.ndarray
     series_id: np.ndarray  # int64
     counts: np.ndarray  # (rows, labels) int64
@@ -126,7 +124,7 @@ class EventDataset:
 
     def record(self, i: int) -> EventRecord:
         return EventRecord(
-            self.etas[self.eta_index[i]], PROBES[self.probe[i]], self.phases[self.phase_index[i]], SETTINGS[self.setting[i]],
+            float(self.eta[i]), PROBES[self.probe[i]], float(self.phi_true[i]), SETTINGS[self.setting[i]],
             int(self.series_id[i]), dict(zip(LABELS, self.counts[i].tolist())), int(self.seed_used[i]),
         )
 
@@ -318,11 +316,9 @@ def run_campaign(config: ExperimentConfig) -> EventDataset:
     index = np.indices(shape).reshape(len(shape), -1)
     return EventDataset(
         config=config,
-        etas=config.eta_list,
-        phases=config.phase_list,
+        eta=np.array(config.eta_list)[index[0]],
         probe=np.full(index.shape[1], PROBES.index(config.probe_kind), dtype=np.int8),
-        eta_index=index[0],
-        phase_index=index[1],
+        phi_true=np.array(config.phase_list)[index[1]],
         series_id=index[2],
         setting=index[3],
         counts=counts.reshape(-1, len(LABELS)),

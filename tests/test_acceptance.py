@@ -172,7 +172,7 @@ def test_criterion_07_end_to_end_efficiency():
             master_seed=0,
         )
         dataset = run_campaign(config)
-        reports[kind] = analyze(dataset, estimate_dataset(dataset))
+        reports[kind] = analyze(estimate_dataset(dataset))
         for eta in config.eta_list:
             models = setting_models(kind, eta, config.imperfections)
             for phi in phases:

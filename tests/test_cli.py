@@ -21,6 +21,7 @@ import lossyphase
 from lossyphase.cli import (
     DATASET_COLUMNS,
     ESTIMATES_COLUMNS,
+    MAX_COUNT,
     REPORT_COLUMNS,
     SEED_ENV_VAR,
     ConfigError,
@@ -34,6 +35,7 @@ from lossyphase.cli import (
     write_dataset_csv,
 )
 from lossyphase import bounds, montecarlo
+from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import PROBES, EventDataset, ExperimentConfig, ProbeKind, probe_design
@@ -266,7 +268,7 @@ class TestSimulate:
         assert rc == 0
         dataset = read_dataset_csv(out_dir / "dataset.csv", ExperimentConfig())
         assert set(dataset.probe.tolist()) == {PROBES.index(ProbeKind.NOON)}
-        assert {dataset.etas[i] for i in dataset.eta_index.tolist()} == {0.361}
+        assert set(dataset.eta.tolist()) == {0.361}
 
     def test_parse_error_exits_1(self, tmp_path):
         config_path = tmp_path / "bad.cfg"
@@ -417,6 +419,29 @@ class TestEstimate:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [str(MAX_COUNT + 1), "9223372036854775807", "1" + "0" * 30])
+    def test_count_above_bound_exits_1(self, sim_dir, tmp_path, capsys, text):
+        def edit(data):
+            data[5][DATASET_COLUMNS.index("n_CC")] = text
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert f"line 7: n_CC must be at most 2**49, got {text}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_counts_at_bound_sum_exactly(self, sim_dir, tmp_path):
+        """Every count of the first series at MAX_COUNT: its n_coinc is the
+        exact sum of its kept counts."""
+        def edit(data):
+            for row in data[:2]:
+                row[5:11] = [str(MAX_COUNT)] * 6
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 0
+        first = (tmp_path / "o" / "estimates.csv").read_text().splitlines()[1]
+        kept = len(Setting.QUARTER.kept_labels) + len(Setting.HALF.kept_labels)
+        assert first.split(",")[-1] == str(kept * MAX_COUNT)
+
     @pytest.mark.parametrize("eta_text", ["1.5", "0", "-0.2", "nan"])
     def test_eta_outside_unit_interval_exits_1(self, sim_dir, tmp_path, capsys, eta_text):
         def edit(data):
@@ -462,6 +487,24 @@ class TestEstimate:
         assert "--hist-bin 1e-06: " in err and "over all groups" in err
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("setting", ["quarter", "half"])
+    def test_signed_zero_phase_within_a_series(self, sim_dir, tmp_path, setting):
+        """A series whose rows spell phi_true 0 and -0 is one series, and
+        estimates.csv and report.csv print its first row's spelling."""
+        def edit(data):
+            for row in data:
+                if row[:5] == ["0.361", "optimal", "0", setting, "0"]:
+                    row[2] = "-0"
+
+        assert self.estimate_edited(sim_dir, tmp_path, edit) == 0
+        assert main(["estimate", "--dataset", str(sim_dir / "dataset.csv"), "--out-dir", str(tmp_path / "plain")]) == 0
+        for name, first_line in (("estimates.csv", "0.361,optimal,0,0,"), ("report.csv", "0.361,optimal,0,")):
+            expected = (tmp_path / "plain" / name).read_text()
+            if setting == "quarter":  # the first row of series 0, and so of its group
+                expected = expected.replace("\n" + first_line, "\n" + first_line.replace(",0,", ",-0,", 1), 1)
+                assert "-0" in expected
+            assert (tmp_path / "o" / name).read_text() == expected
 
     @pytest.mark.parametrize("eta_text", [None, "0.3610"], ids=["same-text", "same-value"])
     def test_duplicate_row_exits_1(self, sim_dir, tmp_path, capsys, eta_text):
@@ -553,7 +596,7 @@ class TestDesignReplay:
         dataset = read_dataset_csv(sim_dir / "dataset.csv", config)
         probe_design.cache_clear()
         estimates = estimate_dataset(dataset, include_cc=include_cc)
-        report = analyze(dataset, estimates)
+        report = analyze(estimates)
         estimate_rows = [
             [_fmt(eta), probe.value, _fmt(phi), _fmt(series_id), _fmt(e.phi_hat), _fmt(e.log_likelihood_max), _fmt(e.n_coincidences)]
             for e in estimates
@@ -611,6 +654,26 @@ class TestDesignReplay:
         recorded = json.loads((est / "estimate.manifest.json").read_text())["design"]
         assert recorded == json.loads((sim / "manifest.json").read_text())["design"][1:]
 
+    def test_repeated_entry_of_an_unused_eta_exits_1(self, tmp_path, capsys):
+        """Two entries of one probe and printed eta are rejected when the
+        manifest loads, also for an eta the dataset does not hold."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(SMALL_CONFIG.replace("probe = optimal", "probe = noon"))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        lines = (sim / "dataset.csv").read_text().splitlines()
+        subset = tmp_path / "subset.csv"
+        subset.write_text("\n".join([lines[0], *(line for line in lines[1:] if line.startswith("0.547,"))]) + "\n")
+        manifest = json.loads((sim / "manifest.json").read_text())
+        manifest["design"].append(dict(manifest["design"][0], x0=0.5, x1=0.0, x2=0.5))
+        path = tmp_path / "repeated.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["estimate", "--dataset", str(subset), "--manifest", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"manifest {path}: design[2] repeats design[0] (probe=noon eta=0.361)" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_eta_with_fifteen_digits_finds_its_entry(self, tmp_path):
         eta = 0.361234567891234
         config_path = tmp_path / "c.cfg"
@@ -627,7 +690,7 @@ class TestDesignReplay:
             (lambda manifest: manifest.pop("design"), "'design'"),
             (lambda manifest: manifest.__setitem__("design", {}), "'design'"),
             (_edit_design(lambda design: design.pop(1)), "no design entries for probe=optimal eta=0.547"),
-            (_edit_design(lambda design: design.append(dict(design[0]))), "2 design entries for probe=optimal eta=0.361"),
+            (_edit_design(lambda design: design.append(dict(design[0]))), "design[2] repeats design[0] (probe=optimal eta=0.361)"),
             (_set(1, "eta", 0.54700000001), "no design entries for probe=optimal eta=0.547"),
             (_set(0, "probe", "noon"), "no design entries for probe=optimal eta=0.361"),
             (_edit_design(lambda design: design.__setitem__(0, [0.361])), "design[0]"),
@@ -765,16 +828,14 @@ def datasets(draw):
     phases = [-0.0 if phi == 0.0 and draw(st.booleans()) else phi for phi in phases]
     keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3), st.integers(0, 1), st.integers(-5, 2**63 - 1))
     rows = draw(st.lists(keys, max_size=20, unique=True))
-    counts = draw(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=6, max_size=6), min_size=len(rows), max_size=len(rows)))
+    counts = draw(st.lists(st.lists(st.integers(0, MAX_COUNT), min_size=6, max_size=6), min_size=len(rows), max_size=len(rows)))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(rows), max_size=len(rows)))
     columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
     return EventDataset(
         ExperimentConfig(),
-        tuple(etas),
-        tuple(phases),
+        eta=np.array(etas)[columns[0]],
         probe=columns[1],
-        eta_index=columns[0],
-        phase_index=columns[2],
+        phi_true=np.array(phases)[columns[2]],
         setting=columns[3],
         series_id=columns[4],
         counts=np.array(counts, dtype=np.int64).reshape(-1, 6),
@@ -790,9 +851,8 @@ class TestDatasetRoundTrip:
         parsed = read_dataset_csv(first, ExperimentConfig())
         write_dataset_csv(second, parsed)
         assert second.read_bytes() == first.read_bytes()
-        phases = np.array(parsed.phases)[parsed.phase_index]
-        np.testing.assert_array_equal(np.signbit(phases), np.signbit(np.array(dataset.phases)[dataset.phase_index]))
-        for name in ("probe", "setting", "series_id", "counts", "seed_used"):
+        np.testing.assert_array_equal(np.signbit(parsed.phi_true), np.signbit(dataset.phi_true))
+        for name in ("eta", "probe", "phi_true", "setting", "series_id", "counts", "seed_used"):
             np.testing.assert_array_equal(getattr(parsed, name), getattr(dataset, name))
 
     @given(datasets().filter(lambda d: len(d.series_id) > 0), st.data())

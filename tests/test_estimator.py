@@ -1,6 +1,7 @@
 """Maximum-likelihood estimation: likelihood scoring, grid search, efficiency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +15,16 @@ from lossyphase.estimator import (
     TIE_TOL,
     DegenerateLikelihoodError,
     _best_phis,
+    _estimate_series,
+    _loglik_rows,
     _NEG,
     analyze,
     estimate_dataset,
     histogram,
     likelihood_grid,
-    log_likelihood,
-    ml_estimate,
 )
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, run_campaign, setting_models
+from lossyphase.montecarlo import PROBES, SETTINGS, ExperimentConfig, ProbeKind, run_campaign, setting_models
 
 IDEAL = ImperfectionParams()
 
@@ -41,6 +42,27 @@ def expected_counts(models, phi, m_per_setting, include_cc=True):
             label: m_per_setting * float(probs[LABELS.index(label)]) for label in labels
         }
     return counts
+
+
+def count_matrices(grid, series):
+    """Count matrices of ``series``, each given as {setting: {label: count}}
+    with a missing setting or label counting zero, as ``_estimate_series``
+    takes them: a row per series, a column per kept label of the grid."""
+    return {
+        setting: np.array([[float(s.get(setting, {}).get(label, 0)) for label in labels] for s in series]).reshape(-1, len(labels))
+        for setting, labels in grid.labels.items()
+    }
+
+
+def score_rows(models, series):
+    """The search grid and the log-likelihood row of each of ``series`` over it."""
+    grid = likelihood_grid(models)
+    return grid, _loglik_rows(grid, count_matrices(grid, series), 0, len(series))
+
+
+def grid_index(grid, phi):
+    """Index of the grid point nearest ``phi``."""
+    return int(np.argmin(np.abs(grid.phis - phi)))
 
 
 def best_phi(phis, row, step):
@@ -142,61 +164,72 @@ class TestBatchedPeakSearch:
 
 
 class TestLogLikelihood:
+    """Rows of ``likelihood_grid`` scored against counts by ``_loglik_rows``."""
+
     def test_zero_counts_score_zero(self):
-        models = models_for(ProbeKind.NOON, 0.361)
-        empty = {Setting.QUARTER: {}, Setting.HALF: {}}
-        for phi in (-1.0, 0.0, 0.3):
-            assert log_likelihood(empty, phi, models) == 0.0
+        _, rows = score_rows(models_for(ProbeKind.NOON, 0.361), [{}])
+        assert np.all(rows == 0.0)
 
     def test_maximized_at_generating_phase(self):
         models = models_for(ProbeKind.OPTIMAL, 0.361)
-        counts = expected_counts(models, 0.04, 1000.0)
-        grid = np.arange(-0.5, 0.5, 1e-3)
-        values = [log_likelihood(counts, float(p), models) for p in grid]
-        assert abs(grid[int(np.argmax(values))] - 0.04) < 2e-3
+        grid, (row,) = score_rows(models, [expected_counts(models, 0.04, 1000.0)])
+        assert abs(grid.phis[int(np.argmax(row))] - 0.04) < 2e-3
 
     def test_single_coincidence_matches_fringe(self):
-        models = models_for(ProbeKind.NOON, 1.0)
-        counts = {Setting.QUARTER: {"AB": 1}, Setting.HALF: {}}
+        grid, (row,) = score_rows(models_for(ProbeKind.NOON, 1.0), [{Setting.QUARTER: {"AB": 1}}])
         for phi in (-0.3, 0.0, 0.2):
+            i = grid_index(grid, phi)
             # P(AB) = (1 - sin 2 phi)/2 and the no-loss labels sum to one at eta = 1
-            expected = math.log((1 - math.sin(2 * phi)) / 2)
-            assert abs(log_likelihood(counts, phi, models) - expected) < 1e-12
+            expected = math.log((1 - math.sin(2 * grid.phis[i])) / 2)
+            assert abs(row[i] - expected) < 1e-12
 
     def test_zero_probability_with_counts(self):
-        models = models_for(ProbeKind.NOON, 1.0)
-        counts = {Setting.QUARTER: {}, Setting.HALF: {"AC": 3}}
-        assert log_likelihood(counts, 0.1, models) == -math.inf
+        """A count on a label of probability zero scores the log(0) stand-in."""
+        grid, (row,) = score_rows(models_for(ProbeKind.NOON, 1.0), [{Setting.HALF: {"AC": 3}}])
+        assert np.all(grid.log_probs[Setting.HALF][:, grid.labels[Setting.HALF].index("AC")] == _NEG)
+        assert np.all(row == 3 * _NEG)
 
 
 class TestMlEstimate:
+    """Maximum-likelihood estimates by ``_estimate_series`` and ``estimate_dataset``."""
+
+    @staticmethod
+    def estimate(models, series):
+        grid = likelihood_grid(models)
+        return _estimate_series(grid, count_matrices(grid, series))
+
     def test_recovers_injected_phase(self):
         models = models_for(ProbeKind.OPTIMAL, 0.361)
-        counts = expected_counts(models, 0.04, 1000.0)
-        est = ml_estimate(counts, models)
-        assert abs(est.phi_hat - 0.04) < 2e-3
+        (phi_hat,), _, _, (problem,) = self.estimate(models, [expected_counts(models, 0.04, 1000.0)])
+        assert problem is None and abs(phi_hat - 0.04) < 2e-3
 
     def test_interval_invariant(self):
         models = models_for(ProbeKind.OPTIMAL, 0.361)
-        counts = expected_counts(models, 0.1, 500.0)
-        est = ml_estimate(counts, models)
-        assert -math.pi / 2 <= est.phi_hat < math.pi / 2
+        (phi_hat,), _, _, _ = self.estimate(models, [expected_counts(models, 0.1, 500.0)])
+        assert -math.pi / 2 <= phi_hat < math.pi / 2
 
     def test_degenerate_flat_likelihood(self):
-        models = models_for(ProbeKind.NOON, 0.361)
-        with pytest.raises(DegenerateLikelihoodError):
-            ml_estimate({Setting.QUARTER: {}, Setting.HALF: {}}, models)
+        """A row of zero counts is flat; a series of them stops estimate_dataset."""
+        grid, rows = score_rows(models_for(ProbeKind.NOON, 0.361), [{}])
+        assert _best_phis(grid.phis, rows, grid.step)[2] == ["likelihood is flat over the search interval"]
+        config = ExperimentConfig(
+            eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=3, events_per_series=50, master_seed=1
+        )
+        dataset = run_campaign(config)
+        dataset.counts[dataset.series_id == 1] = 0
+        with pytest.raises(DegenerateLikelihoodError, match="series_id=1: no registered coincidences"):
+            estimate_dataset(dataset)
 
     def test_mirror_lobe_resolved_toward_small_phi(self):
         """The ideal N00N likelihood is exactly symmetric under phi -> pi/2 - phi;
         the tie must go to the lobe nearer zero."""
         models = models_for(ProbeKind.NOON, 0.361)
-        for phi_true in (0.0, 0.2, 0.4):
-            counts = expected_counts(models, phi_true, 1000.0)
-            est = ml_estimate(counts, models)
-            assert abs(est.phi_hat - phi_true) < 2e-3
-            mirror = math.pi / 2 - phi_true
-            assert abs(est.phi_hat - mirror) > 0.1 or phi_true > 0.7
+        phis_true = (0.0, 0.2, 0.4)
+        phi_hat, _, _, problems = self.estimate(models, [expected_counts(models, phi, 1000.0) for phi in phis_true])
+        assert problems == [None] * len(phis_true)
+        for est, phi_true in zip(phi_hat, phis_true):
+            assert abs(est - phi_true) < 2e-3
+            assert abs(est - (math.pi / 2 - phi_true)) > 0.1
 
     def test_median_unbiased_at_zero(self):
         config = ExperimentConfig(
@@ -223,18 +256,13 @@ class TestMlEstimate:
             master_seed=13,
         )
         dataset = run_campaign(config)
-        models = models_for(ProbeKind.OPTIMAL, 0.361)
-        wins = 0
         groups: dict[int, dict] = {}
         for series_id, setting, counts in zip(dataset.series_id.tolist(), dataset.setting.tolist(), dataset.counts.tolist()):
             groups.setdefault(series_id, {})[SETTINGS[setting]] = dict(zip(LABELS, counts))
-        for counts in groups.values():
-            at_truth = log_likelihood(counts, 0.0, models)
-            displaced = max(
-                log_likelihood(counts, 0.3, models), log_likelihood(counts, -0.3, models)
-            )
-            wins += at_truth > displaced
-        assert wins >= 0.99 * len(groups)
+        grid, rows = score_rows(models_for(ProbeKind.OPTIMAL, 0.361), list(groups.values()))
+        at_truth = rows[:, grid_index(grid, 0.0)]
+        displaced = np.maximum(rows[:, grid_index(grid, 0.3)], rows[:, grid_index(grid, -0.3)])
+        assert np.sum(at_truth > displaced) >= 0.99 * len(groups)
 
 
 class TestEstimateDataset:
@@ -254,12 +282,7 @@ class TestEstimateDataset:
         assert len(estimates) == 2 * 2 * config.series_count
         groups = {}
         for i, counts in enumerate(dataset.counts.tolist()):
-            key = (
-                dataset.etas[dataset.eta_index[i]],
-                PROBES[dataset.probe[i]],
-                dataset.phases[dataset.phase_index[i]],
-                int(dataset.series_id[i]),
-            )
+            key = (float(dataset.eta[i]), PROBES[dataset.probe[i]], float(dataset.phi_true[i]), int(dataset.series_id[i]))
             groups.setdefault(key, {})[SETTINGS[dataset.setting[i]]] = dict(zip(LABELS, counts))
         assert [e.series_key for e in estimates] == list(groups)
         grids = {eta: likelihood_grid(models_for(ProbeKind.NOON, eta), include_cc=False) for eta in config.eta_list}
@@ -274,20 +297,20 @@ class TestEstimateDataset:
             assert (repr(est.phi_hat), repr(est.log_likelihood_max)) == (repr(phi_hat), repr(lmax))
             assert est.n_coincidences == sum(int(vec.sum()) for vec in vecs)
 
-    @pytest.mark.parametrize("eta_index", [0, 1], ids=["same-index", "equal-eta-other-index"])
-    def test_repeated_series_setting_rejected(self, eta_index):
+    @pytest.mark.parametrize("phi", [0.0, -0.0], ids=["same-bits", "signed-zero-phase"])
+    def test_repeated_series_setting_rejected(self, phi):
         """A second row of one series and setting is rejected, not merged,
-        also when it reaches an equal eta through another index."""
+        also when its phi_true is -0.0 against the first row's 0.0."""
         config = ExperimentConfig(
             eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=4,
             events_per_series=200, master_seed=8,
         )
         dataset = run_campaign(config)
         rows = [*range(len(dataset.series_id)), 3]  # row 3 once more, at the end
-        names = ("probe", "phase_index", "setting", "series_id", "counts", "seed_used")
-        columns = {name: getattr(dataset, name)[rows] for name in names}
-        columns["eta_index"] = np.array([0] * len(dataset.series_id) + [eta_index])
-        repeated = EventDataset(config, (0.361, 0.361), dataset.phases, **columns)
+        phi_true = dataset.phi_true[rows]
+        phi_true[-1] = phi
+        columns = {name: getattr(dataset, name)[rows] for name in ("eta", "probe", "setting", "series_id", "counts", "seed_used")}
+        repeated = replace(dataset, phi_true=phi_true, **columns)
         with pytest.raises(ValueError, match="two rows of one series and setting"):
             estimate_dataset(repeated)
 
@@ -326,7 +349,7 @@ class TestAnalyze:
             master_seed=17,
         )
         dataset = run_campaign(config)
-        rows = analyze(dataset, estimate_dataset(dataset))
+        rows = analyze(estimate_dataset(dataset))
         ratios = [row.sigma_scaled / row.crb for row in rows]
         assert abs(float(np.mean(ratios)) - 1.0) < 0.05
 
@@ -343,7 +366,7 @@ class TestAnalyze:
                 master_seed=0,
             )
             dataset = run_campaign(config)
-            rows = analyze(dataset, estimate_dataset(dataset))
+            rows = analyze(estimate_dataset(dataset))
             for eta in config.eta_list:
                 ratios = [r.sigma_scaled / r.crb for r in rows if r.eta == eta]
                 assert 0.95 <= float(np.mean(ratios)) <= 1.10
@@ -359,7 +382,7 @@ class TestAnalyze:
                 master_seed=2,
             )
             dataset = run_campaign(config)
-            reports[kind] = {r.eta: r for r in analyze(dataset, estimate_dataset(dataset))}
+            reports[kind] = {r.eta: r for r in analyze(estimate_dataset(dataset))}
         for eta in (0.2, 0.361, 0.4, 0.547):
             assert (
                 reports[ProbeKind.OPTIMAL][eta].sigma_scaled
@@ -376,7 +399,7 @@ class TestAnalyze:
             master_seed=3,
         )
         dataset = run_campaign(config)
-        rows = analyze(dataset, estimate_dataset(dataset))
+        rows = analyze(estimate_dataset(dataset))
         assert abs(rows[0].crb - 1.0 / math.sqrt(qfi_lossy(NOON_WEIGHTS, 0.4))) < 1e-12
 
     def test_small_group_rejected(self):
@@ -385,7 +408,7 @@ class TestAnalyze:
         )
         dataset = run_campaign(config)
         with pytest.raises(ValueError, match="fewer than 2 estimates"):
-            analyze(dataset, estimate_dataset(dataset))
+            analyze(estimate_dataset(dataset))
 
 
 class TestHistogram:

@@ -138,7 +138,7 @@ def small_config(**kwargs):
 
 
 #: The row columns of an EventDataset.
-COLUMNS = ("probe", "eta_index", "phase_index", "setting", "series_id", "counts", "seed_used")
+COLUMNS = ("eta", "probe", "phi_true", "setting", "series_id", "counts", "seed_used")
 
 
 class TestRunCampaign:
@@ -146,7 +146,6 @@ class TestRunCampaign:
         config = small_config()
         a = run_campaign(config)
         b = run_campaign(config)
-        assert (a.etas, a.phases) == (b.etas, b.phases)
         for name in COLUMNS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -155,7 +154,8 @@ class TestRunCampaign:
         dataset = run_campaign(config)
         assert dataset.counts.shape == (1 * 2 * 5 * 2, len(LABELS))  # etas x phases x series x settings
         assert set(dataset.setting.tolist()) == {SETTINGS.index(Setting.QUARTER), SETTINGS.index(Setting.HALF)}
-        assert (dataset.etas, dataset.phases) == (config.eta_list, config.phase_list)
+        assert dataset.eta.tolist() == [0.361] * 20
+        assert dataset.phi_true.tolist() == [0.0] * 10 + [0.04] * 10  # rows run over (eta, phase, series, setting)
 
     def test_records_view(self):
         """``records`` is a read-only view whose items are built from the columns."""
@@ -185,7 +185,7 @@ class TestRunCampaign:
         subset = run_campaign(small_config(series_count=3))
 
         def rows(dataset):
-            keys = zip(dataset.eta_index.tolist(), dataset.phase_index.tolist(), dataset.setting.tolist(), dataset.series_id.tolist())
+            keys = zip(dataset.eta.tolist(), dataset.phi_true.tolist(), dataset.setting.tolist(), dataset.series_id.tolist())
             return {key: (counts, seed) for key, counts, seed in zip(keys, dataset.counts.tolist(), dataset.seed_used.tolist())}
 
         full_rows = rows(full)
@@ -285,7 +285,8 @@ class TestPinnedDatasets:
         dataset = run_campaign(config)
         models = setting_models(config.probe_kind, 0.4, config.imperfections)
         for row in range(0, len(dataset.series_id), 5):
-            eta_index, phase_index = int(dataset.eta_index[row]), int(dataset.phase_index[row])
+            eta_index = config.eta_list.index(dataset.eta[row])
+            phase_index = config.phase_list.index(dataset.phi_true[row])
             series_id, setting = int(dataset.series_id[row]), SETTINGS[dataset.setting[row]]
             rng_m, _ = record_rng(config.master_seed, eta_index, phase_index, series_id, 2)
             m_total = int(rng_m.poisson(config.events_per_series))
