@@ -16,6 +16,10 @@ SIMPLEX_TOL = 1e-12
 #: Simplex scan resolution used by the weight optimizer.
 GRID_STEP = 1e-3
 
+#: Simplex points per block of the weight scan, few enough that the
+#: temporaries of one ``_qfi_surface`` pass stay in cache.
+SCAN_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class ProbeWeights:
@@ -140,13 +144,19 @@ def _simplex_grid() -> tuple[np.ndarray, ...]:
 def optimize_weights(eta: float) -> tuple[ProbeWeights, float]:
     """Maximize qfi_lossy over the weight simplex.
 
-    Dense grid scan at GRID_STEP followed by a local polish; deterministic.
+    Dense grid scan at GRID_STEP, SCAN_BLOCK points at a time, followed by a
+    local polish from the first grid maximum; deterministic.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]; at eta = 0 the information vanishes identically")
     x0, x1, x2 = _simplex_grid()
-    surface = _qfi_surface(x0, x1, x2, eta)
-    i = int(np.argmax(surface))
+    i, top = 0, -math.inf
+    for start in range(0, len(x0), SCAN_BLOCK):
+        block = slice(start, start + SCAN_BLOCK)
+        surface = _qfi_surface(x0[block], x1[block], x2[block], eta)
+        j = int(np.argmax(surface))
+        if surface[j] > top:  # strict: an equal value in a later block keeps the first
+            i, top = start + j, surface[j]
     b0, b1, best = _polish(float(x0[i]), float(x1[i]), eta)
     weights = ProbeWeights(b0, b1, max(1.0 - b0 - b1, 0.0))
     return weights, float(best)

@@ -159,23 +159,19 @@ def _transfer(patterns, splitter: ModeTransform) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def _transfer_two_closed(theta: float) -> np.ndarray:
-    """Two-photon transfer of the final splitter in the (|20>, |11>, |02>) basis.
+def _transfer_two_closed(theta) -> np.ndarray:
+    """Two-photon transfer of the final splitter in the (|20>, |11>, |02>) basis,
+    one 3 x 3 matrix per element of ``theta``, on the last two axes.
 
     Closed form of _transfer(_TWO_PHOTON, beam_splitter(theta, 0, 1, 2)); kept
-    for the optimizer's inner loop, whose optimum depends on this rounding.
+    for the optimizer's objective, whose optimum depends on this rounding.
     """
-    t = math.sqrt(theta)
-    r = math.sqrt(1.0 - theta)
-    s2 = math.sqrt(2.0)
-    return np.array(
-        [
-            [t * t, s2 * t * r, r * r],
-            [-s2 * t * r, t * t - r * r, s2 * t * r],
-            [r * r, -s2 * t * r, t * t],
-        ],
-        dtype=complex,
-    )
+    theta = np.asarray(theta, dtype=float)
+    t = np.sqrt(theta)
+    r = np.sqrt(1.0 - theta)
+    tt, rr, tr = t * t, r * r, math.sqrt(2.0) * t * r
+    entries = (tt, tr, rr, -tr, tt - rr, tr, rr, -tr, tt)
+    return np.stack(entries, axis=-1).reshape(theta.shape + (3, 3)).astype(complex)
 
 
 def _branch_amplitudes(probe: FockState, eta: float) -> list:
@@ -269,19 +265,25 @@ def classical_fisher(models, phi: float) -> float:
     return info
 
 
-def _no_loss_fisher(coeff: np.ndarray, theta: float, offset: float) -> float:
-    """Fisher information of the no-loss labels at phi = 0, analytic derivative:
-    the objective of optimize_theta_d, kept apart from classical_fisher because
-    its golden searches break last-bit ties, so another rounding moves theta_d."""
+def _no_loss_fisher(coeff: np.ndarray, theta, offset):
+    """Fisher information of the no-loss labels at phi = 0, analytic derivative,
+    elementwise over the broadcast ``theta`` and ``offset``: the objective of
+    optimize_theta_d, kept apart from classical_fisher because its golden
+    searches break last-bit ties, so another rounding moves theta_d. Each
+    element is rounded as a lone scalar evaluation would be."""
     transfer = _transfer_two_closed(theta)
     harmonics = np.array([2.0, 1.0, 0.0])
-    rotated = coeff * np.exp(1j * harmonics * offset)
-    amp = transfer @ rotated
-    damp = transfer @ (1j * harmonics * rotated)
+    rotated = coeff * np.exp(1j * harmonics * np.asarray(offset, dtype=float)[..., None])
+    amp = (transfer @ rotated[..., None])[..., 0]
+    damp = (transfer @ (1j * harmonics * rotated)[..., None])[..., 0]
     p = np.abs(amp) ** 2
     dp = 2.0 * np.real(np.conj(amp) * damp)
-    mask = p > 1e-14
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+    terms = np.divide(dp**2, p, out=np.zeros(p.shape), where=p > 1e-14)
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]
+
+
+#: Final-splitter transmissions scanned to bracket each theta_d search.
+_THETA_GRID = np.linspace(0.01, 0.99, 50)
 
 
 def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
@@ -292,29 +294,29 @@ def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
     single conditional phase cannot align the slopes of the one- and two-photon
     fringes simultaneously, so the transmission and the conditional phase are
     optimized jointly (nested bracketed golden-section searches); the optimum
-    lands near, but not exactly at, pi/4.
+    lands near, but not exactly at, pi/4. The theta searches of all scanned
+    offsets run as lanes of one search; the offset search is sequential.
     """
     _check_probe(probe)
     if abs(probe.amplitude((1, 1))) ** 2 < 1e-12:
         return DetectionConfig(Setting.QUARTER, 0.5)
     coeff = _branch_amplitudes(probe, eta)[0]
 
-    def best_theta(offset: float) -> tuple[float, float]:
-        grid = np.linspace(0.01, 0.99, 50)
-        values = [_no_loss_fisher(coeff, t, offset) for t in grid]
-        i = int(np.argmax(values))
+    def best_theta(offset):
+        # one lane per element of offset, bracketed by the best grid point's neighbours
+        offset = np.asarray(offset, dtype=float)
+        i = np.argmax(_no_loss_fisher(coeff, _THETA_GRID, offset[..., None]), axis=-1)
         return golden_section_max(
             lambda t: _no_loss_fisher(coeff, t, offset),
-            grid[max(i - 1, 0)],
-            grid[min(i + 1, len(grid) - 1)],
+            _THETA_GRID[np.maximum(i - 1, 0)],
+            _THETA_GRID[np.minimum(i + 1, len(_THETA_GRID) - 1)],
             tol=1e-9,
         )
 
     # (theta, offset) and (1 - theta, pi - offset) are mirror-equivalent optima;
     # searching offsets up to pi/2 keeps the representative nearest pi/4.
     offsets = np.linspace(0.0, math.pi / 2.0, 61)
-    values = [best_theta(o)[1] for o in offsets]
-    i = int(np.argmax(values))
+    i = int(np.argmax(best_theta(offsets)[1]))
     offset_best, _ = golden_section_max(
         lambda o: best_theta(o)[1],
         offsets[max(i - 1, 0)],
@@ -322,7 +324,7 @@ def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
         tol=1e-8,
     )
     theta_best, _ = best_theta(offset_best)
-    return DetectionConfig(Setting.QUARTER, float(theta_best), conditional_phase=float(offset_best))
+    return DetectionConfig(Setting.QUARTER, theta_best, conditional_phase=offset_best)
 
 
 def fringe_scan(

@@ -123,7 +123,8 @@ def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
     meaningless.
     """
     top, bottom = rows.max(axis=1), rows.min(axis=1)
-    span = top - bottom
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row that is -inf everywhere
+        span = top - bottom
     dead = ~np.isfinite(span) & (top <= _NEG)
     flat = ~dead & (span < 1e-12)
     problem = [
@@ -135,9 +136,9 @@ def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
     is_max &= inner >= rows[:, 2:]
     r, c = np.divmod(np.flatnonzero(is_max), is_max.shape[1])
     lm, l0, lp = rows[r, c], rows[r, c + 1], rows[r, c + 2]
-    denom = lm - 2.0 * l0 + lp
-    curved = denom < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
+        denom = lm - 2.0 * l0 + lp
+        curved = denom < 0.0
         shift = np.where(curved, 0.5 * (lm - lp) / denom, 0.0)
         value = np.where(curved, l0 - (lm - lp) ** 2 / (8.0 * denom), l0)
     # Candidates in the scalar search's order: interior maxima, then the edges.

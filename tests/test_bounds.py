@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lossyphase import bounds
 from lossyphase.bounds import (
     GRID_STEP,
     NOON_WEIGHTS,
@@ -179,6 +180,9 @@ def uncached_optimize_weights(eta):
     return ProbeWeights(b0, b1, max(1.0 - b0 - b1, 0.0)), float(best)
 
 
+SCAN_ETAS = [0.05, 0.13, 0.2, 0.361, 0.4, 0.547, 0.71, 0.9, 1.0]
+
+
 class TestSimplexGrid:
     def test_cached_arrays_are_read_only(self):
         grid = _simplex_grid()
@@ -188,12 +192,37 @@ class TestSimplexGrid:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
-    @pytest.mark.parametrize("eta", [0.05, 0.13, 0.2, 0.361, 0.4, 0.547, 0.71, 0.9, 1.0])
+    @pytest.mark.parametrize("eta", SCAN_ETAS)
     def test_matches_uncached_scan_bit_for_bit(self, eta):
         weights, f_max = optimize_weights(eta)
         expected, f_expected = uncached_optimize_weights(eta)
         assert weights.as_tuple() == expected.as_tuple()
         assert f_max == f_expected
+
+    @pytest.mark.parametrize("eta", SCAN_ETAS)
+    def test_matches_uncached_scan_in_small_blocks(self, eta, monkeypatch):
+        # 61-point blocks (a prime, so block edges fall all over the 1001-point
+        # rows) put the maximum and its near-equals in different blocks; 7-point
+        # blocks would take about 3 s per eta
+        monkeypatch.setattr(bounds, "SCAN_BLOCK", 61)
+        self.test_matches_uncached_scan_bit_for_bit(eta)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 49, 50, 51, 1000])
+    def test_first_maximum_across_blocks(self, block, monkeypatch):
+        # surfaces of few levels tie in and across blocks; the polish must start
+        # from the first maximum, as one argmax over the whole grid finds it
+        levels = np.random.default_rng(block).integers(0, 4, 50).astype(float)
+        edge_tie = levels.copy()
+        edge_tie[[min(block, 49) - 1, min(block, 49)]] = 9.0  # the maximum, tied across the first block edge if any
+        x0 = np.arange(50.0)
+        monkeypatch.setattr(bounds, "SCAN_BLOCK", block)
+        monkeypatch.setattr(bounds, "_qfi_surface", lambda x0, x1, x2, eta: x1)
+        starts = []
+        monkeypatch.setattr(bounds, "_polish", lambda a, b, eta: starts.append(a) or (0.5, 0.5, 0.0))
+        for x1 in (levels, edge_tie):
+            monkeypatch.setattr(bounds, "_simplex_grid", lambda: (x0, x1, x1))
+            optimize_weights(0.5)
+        assert starts == [float(np.argmax(levels)), float(np.argmax(edge_tie))]
 
 
 class TestNoonPrecision:

@@ -14,6 +14,8 @@ from lossyphase.detection import (
     DetectionConfig,
     OutcomeModel,
     Setting,
+    _branch_amplitudes,
+    _no_loss_fisher,
     classical_fisher,
     classical_distribution,
     fringe_scan,
@@ -22,9 +24,11 @@ from lossyphase.detection import (
 )
 from lossyphase.fock import FockState, apply_loss, basis
 from lossyphase.imperfections import ImperfectionParams, degrade_distribution
-from lossyphase.montecarlo import ProbeKind, setting_models
+from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
+#: Imperfections of the benchmark's design sweep.
+SWEEP_PARAMS = ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97)
 
 QUARTER_BALANCED = DetectionConfig(Setting.QUARTER, 0.5)
 HALF_BALANCED = DetectionConfig(Setting.HALF, 0.5)
@@ -186,8 +190,6 @@ class TestClassicalFisher:
     def test_five_node_slope_matches_analytic(self):
         # the optimizer's analytic-derivative objective against the generic
         # Fisher information of the quarter setting's kept labels
-        from lossyphase.detection import _branch_amplitudes, _no_loss_fisher
-
         probe = optimal_probe(0.361)
         coeff = _branch_amplitudes(probe, 0.361)[0]
         for theta in (0.3, 0.5, 0.7):
@@ -233,7 +235,73 @@ class TestOffOperatingPoint:
             assert abs(classical_fisher(models, phi) - expected) / expected < 1e-9
 
 
+def scalar_no_loss_fisher(coeff, theta, offset):
+    """The objective at one (theta, offset), with the closed-form transfer as
+    scalar arithmetic: the oracle for the broadcast _no_loss_fisher."""
+    t, r, s2 = math.sqrt(theta), math.sqrt(1.0 - theta), math.sqrt(2.0)
+    transfer = np.array(
+        [[t * t, s2 * t * r, r * r], [-s2 * t * r, t * t - r * r, s2 * t * r], [r * r, -s2 * t * r, t * t]], dtype=complex
+    )
+    harmonics = np.array([2.0, 1.0, 0.0])
+    rotated = coeff * np.exp(1j * harmonics * offset)
+    amp = transfer @ rotated
+    damp = transfer @ (1j * harmonics * rotated)
+    p = np.abs(amp) ** 2
+    dp = 2.0 * np.real(np.conj(amp) * damp)
+    mask = p > 1e-14
+    return float(np.sum(dp[mask] ** 2 / p[mask]))
+
+
+class TestNoLossFisher:
+    @pytest.mark.parametrize("params", [ImperfectionParams(), SWEEP_PARAMS], ids=["ideal", "sweep"])
+    @pytest.mark.parametrize("eta", [0.1, 0.2, 0.361, 0.496667])
+    def test_broadcast_matches_scalar_oracle_bit_for_bit(self, eta, params):
+        weights, _ = probe_design(ProbeKind.OPTIMAL, eta, params)
+        coeff = _branch_amplitudes(build_probe(weights, params), eta)[0]
+        rng = np.random.default_rng(int(eta * 1e6))
+        theta, offset = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, math.pi / 2.0, 200)
+        theta[:3] = (0.0, 1.0, 0.5)  # a splitter end zeroes a label's probability
+        expected = np.array([scalar_no_loss_fisher(coeff, t, o) for t, o in zip(theta, offset)])
+        points = _no_loss_fisher(coeff, theta, offset)
+        # the optimizer's shapes: a theta row against an offset column, and 0-d
+        table = _no_loss_fisher(coeff, theta[:20], offset[:20, None])
+        table_expected = [[scalar_no_loss_fisher(coeff, t, o) for t in theta[:20]] for o in offset[:20]]
+        assert points.shape == (200,) and table.shape == (20, 20)
+        assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(table.view(np.int64), np.array(table_expected).view(np.int64))
+        assert _no_loss_fisher(coeff, theta[5], offset[5]).view(np.int64) == expected[5].view(np.int64)
+
+
+#: optimize_theta_d's (theta_d, conditional_phase) for the optimal probe on the
+#: campaign etas and three design-sweep etas, ideal and with the sweep's
+#: imperfections, as the scalar nested golden searches found them. None keeps
+#: the setting's pi/4: the probe has no |11> component.
+PINNED_DESIGNS = {
+    ("ideal", 0.2): (0.34477017164424983, 0.7982544575904074),
+    ("ideal", 0.361): (0.3466228365184711, 0.8294044356298309),
+    ("ideal", 0.4): (0.35543707179817463, 0.8260398511988791),
+    ("ideal", 0.547): (0.5, None),
+    ("ideal", 0.1): (0.39568351566122195, 0.6725352500854571),
+    ("ideal", 0.27): (0.3386684311056142, 0.823195747964476),
+    ("ideal", 0.496667): (0.402109123794923, 0.8044218152087861),
+    ("sweep", 0.2): (0.3084740635972591, 0.8428769564784893),
+    ("sweep", 0.361): (0.33004137958270263, 0.8342829316802409),
+    ("sweep", 0.4): (0.34210180161869075, 0.8253840305472273),
+    ("sweep", 0.547): (0.5, None),
+    ("sweep", 0.1): (0.3250721697083642, 0.7910852937910111),
+    ("sweep", 0.27): (0.31287682497235836, 0.8459518254596092),
+    ("sweep", 0.496667): (0.39621736564541593, 0.7939909489371841),
+}
+
+
 class TestOptimizeThetaD:
+    @pytest.mark.parametrize("name, eta", list(PINNED_DESIGNS))
+    def test_pinned_design(self, name, eta):
+        params = SWEEP_PARAMS if name == "sweep" else ImperfectionParams()
+        _, quarter = probe_design(ProbeKind.OPTIMAL, eta, params)  # optimize_theta_d of the delivered probe
+        assert (quarter.theta_d, quarter.conditional_phase) == PINNED_DESIGNS[name, eta]
+        assert type(quarter.theta_d) is float and type(quarter.conditional_phase) in (float, type(None))
+
     def test_noon_keeps_balanced_splitter(self):
         for eta in EXPERIMENT_ETAS:
             cfg = optimize_theta_d(noon_probe(), eta)

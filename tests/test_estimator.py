@@ -1,6 +1,7 @@
 """Maximum-likelihood estimation: likelihood scoring, grid search, efficiency."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -69,7 +70,8 @@ def best_phi(phis, row, step):
     """Scalar peak search, the oracle for the batched one: local maxima are
     refined with a parabola through the best grid point and its neighbors;
     near-ties are broken toward the smallest |phi|."""
-    span = float(np.max(row) - np.min(row))
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row that is -inf everywhere
+        span = float(np.max(row) - np.min(row))
     if not np.isfinite(span) and np.max(row) <= _NEG:
         raise DegenerateLikelihoodError("likelihood is -inf everywhere")
     if span < 1e-12:
@@ -79,7 +81,8 @@ def best_phi(phis, row, step):
     candidates = []
     for i in np.nonzero(is_max)[0] + 1:
         lm, l0, lp = row[i - 1], row[i], row[i + 1]
-        denom = lm - 2.0 * l0 + lp
+        with np.errstate(invalid="ignore"):
+            denom = lm - 2.0 * l0 + lp
         if denom < 0.0:
             shift = 0.5 * (lm - lp) / denom
             value = l0 - (lm - lp) ** 2 / (8.0 * denom)
@@ -161,6 +164,16 @@ class TestBatchedPeakSearch:
         step = 1e-3
         phis = step * (np.arange(len(row)) - origin)
         assert_batched_matches_scalar(phis, np.array([row, row[::-1]]), step)
+
+    def test_dead_row_warns_nothing(self):
+        phis = 1e-3 * (np.arange(5) - 2)
+        rows = np.array([np.full(5, -np.inf), [0.0, -1.0, -2.0, -1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, problem = _best_phis(phis, rows, 1e-3)
+            with pytest.raises(DegenerateLikelihoodError, match="-inf everywhere"):
+                best_phi(phis, rows[0], 1e-3)
+        assert problem == ["likelihood is -inf everywhere", None]
 
 
 class TestLogLikelihood:
