@@ -77,9 +77,12 @@ def _default_seed() -> int:
     if env is None:
         return ExperimentConfig().master_seed
     try:
-        return int(env)
+        seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"environment variable {SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ValueError(f"environment variable {SEED_ENV_VAR} must be non-negative, got {env!r}")
+    return seed
 
 
 def _parse_bool(text: str) -> bool:
@@ -267,6 +270,9 @@ def cmd_bounds(args) -> int:
         return EXIT_DOMAIN
     if args.steps < 1:
         print("error: steps must be positive", file=sys.stderr)
+        return EXIT_DOMAIN
+    if round(args.eta_min, 12) == 0.0:
+        print(f"error: --eta-min {args.eta_min!r} rounds to 0 on the 12-decimal eta grid", file=sys.stderr)
         return EXIT_DOMAIN
     if args.steps == 1:
         grid = [args.eta_min]
@@ -632,6 +638,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # before any work
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -326,26 +326,3 @@ def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
     theta_best, _ = best_theta(offset_best)
     return DetectionConfig(Setting.QUARTER, theta_best, conditional_phase=offset_best)
 
-
-def fringe_scan(
-    probe: FockState,
-    eta: float,
-    quarter: DetectionConfig,
-    half: DetectionConfig,
-    phi_grid,
-    single_photon_visibility: float = 1.0,
-) -> dict[str, np.ndarray]:
-    """Postselected fringe table over a phase grid.
-
-    Emulates the two-setting protocol: AA/AB/BB sampled under the quarter
-    setting, AC/BC/CC under the half setting.
-    """
-    phis = np.asarray(list(phi_grid), dtype=float)
-    if phis.size == 0:
-        raise ValueError("phase grid must be non-empty")
-    table = {"phi": phis}
-    for setting, config in ((Setting.QUARTER, quarter), (Setting.HALF, half)):
-        probs = OutcomeModel(probe, eta, config, single_photon_visibility).probabilities(phis)
-        for label in setting.kept_labels:
-            table[label] = probs[..., LABELS.index(label)]
-    return table

@@ -4,14 +4,14 @@ Cramér-Rao bound."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import ProbeWeights, qfi_lossy
 from .detection import LABELS, DetectionConfig, Setting
-from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, RowView, probe_design, setting_models
+from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, probe_design, setting_models
 
 SEARCH_INTERVAL = (-math.pi / 2.0, math.pi / 2.0)
 GRID_STEP = 1e-3
@@ -32,14 +32,6 @@ Design = Callable[[ProbeKind, float], tuple[ProbeWeights, DetectionConfig]]
 
 class DegenerateLikelihoodError(ValueError):
     """Likelihood carries no phase information (e.g. no counts at all)."""
-
-
-@dataclass(frozen=True)
-class Estimate:
-    phi_hat: float
-    log_likelihood_max: float
-    n_coincidences: int
-    series_key: tuple
 
 
 @dataclass(frozen=True)
@@ -193,12 +185,12 @@ def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class Estimates(Sequence):
-    """Per-series estimates as columns, series in order of first appearance;
-    item i is an ``Estimate`` built on access. A series, keyed by (eta, probe,
-    phi_true, series_id) by value, takes its key from its first dataset
-    ``row``; a ``group`` shares (eta, probe, phi_true), numbered likewise.
-    ``crb`` is the Cramér-Rao bound of the series' (eta, probe) block."""
+class Estimates:
+    """Per-series estimates as columns, series in order of first appearance.
+    A series, keyed by (eta, probe, phi_true, series_id) by value, takes its
+    key from its first dataset ``row``; a ``group`` shares (eta, probe,
+    phi_true), numbered likewise. ``crb`` is the Cramér-Rao bound of the
+    series' (eta, probe) block."""
 
     dataset: EventDataset
     row: np.ndarray
@@ -211,16 +203,10 @@ class Estimates(Sequence):
     def __len__(self) -> int:
         return len(self.row)
 
-    def __getitem__(self, i):
-        return RowView(len(self.row), self.estimate)[i]
-
     def key(self, i: int) -> tuple:
         """(eta, probe, phi_true, series_id) of series i."""
         d, r = self.dataset, self.row[i]
         return float(d.eta[r]), PROBES[d.probe[r]], float(d.phi_true[r]), int(d.series_id[r])
-
-    def estimate(self, i: int) -> Estimate:
-        return Estimate(float(self.phi_hat[i]), float(self.loglik[i]), int(self.n_coinc[i]), self.key(i))
 
     def groups(self) -> list[np.ndarray]:
         """Series of each group, in series order."""

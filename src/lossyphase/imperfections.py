@@ -33,13 +33,6 @@ class ImperfectionParams:
         if not 0.0 < self.coupler_factor <= 1.0:
             raise ValueError("coupler_factor must be in (0, 1]")
 
-    @property
-    def ideal(self) -> bool:
-        return self.epsilon == 0.0 and self.lambda_hom == 1.0 and self.v_classical == 1.0
-
-
-IDEAL = ImperfectionParams()
-
 
 def fibre_input(epsilon: float, delta: float = 0.0) -> FockState:
     """Two-photon state delivered by the fibre: mostly |11> plus a symmetric

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lossyphase.detection import OutcomeModel
-from lossyphase.estimator import estimate_dataset
+from lossyphase.estimator import estimate_dataset, likelihood_grid
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
 
@@ -43,11 +43,15 @@ def test_counters_read_rows_and_series():
     rows, series = 1 * 2 * 3 * 2, 1 * 2 * 3  # etas x phases x series (x settings)
     assert len(dataset.records) == len(dataset.series_id) == rows
     assert len(estimates) == series
+    grid = likelihood_grid(setting_models(ProbeKind.NOON, 0.361, ImperfectionParams()))
+    kept = sum(len(labels) for labels in grid.labels.values())
     tracer = load_tracer().Tracer()
     tracer._after_run_campaign(dataset)
+    tracer._after_likelihood_grid(grid)
     tracer._after_estimate_dataset(estimates)
     assert tracer.counters["montecarlo.records"] == rows
     assert tracer.counters["estimator.series"] == series
+    assert tracer.counters["estimator.loglik_flops"] == 2 * series * kept * len(grid.phis) > 0
 
 
 @pytest.mark.parametrize("params", [ImperfectionParams(), ImperfectionParams(lambda_hom=0.95, v_classical=0.97)])

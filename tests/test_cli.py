@@ -138,6 +138,17 @@ class TestBounds:
         rc = main(["bounds", "--eta-min", "0.0", "--eta-max", "1.0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("eta_min", ["4e-13", "1e-300"])
+    def test_eta_min_rounding_to_zero_exits_2(self, tmp_path, capsys, eta_min):
+        """The grid is rounded to 12 decimals; an eta-min that rounds to 0 is
+        named, not reported as a vanishing information at eta = 0."""
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--eta-min", eta_min, "--eta-max", "0.5", "--steps", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--eta-min" in err and eta_min in err and "12-decimal" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         """An optimum above the N00N bound breaks precision_curve's invariant."""
         monkeypatch.setattr(bounds, "optimize_weights", lambda eta: (bounds.NOON_WEIGHTS, 1e-6))
@@ -187,6 +198,21 @@ class TestFringes:
         assert main(["fringes", "--eta", "0.361", "--counts", "-5", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "--counts" in err and "-5" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts", [[], ["--counts", "10"]], ids=["probabilities", "counts"])
+    @pytest.mark.parametrize("env, flags, named", [
+        (None, ["--seed", "-1"], "--seed"),
+        ("-3", [], SEED_ENV_VAR),
+    ], ids=["flag", "env"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, counts, env, flags, named):
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "0.361", *flags, *counts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "non-negative" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
@@ -326,6 +352,22 @@ class TestSimulate:
         out_dir = tmp_path / "o"
         assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir), *flags]) == 0
         assert json.loads((out_dir / "manifest.json").read_text())["config"]["seed"] == seed
+
+    @pytest.mark.parametrize("env, flags, named", [
+        (None, ["--seed", "-2"], "--seed"),
+        ("-3", [], SEED_ENV_VAR),
+    ], ids=["flag", "env"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, env, flags, named):
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("eta_list = 0.361\nphases = 0.0\nseries = 2\nevents = 20\n")
+        out_dir = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir), *flags]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "non-negative" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_bad_env_seed_exits_1_without_other_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
@@ -598,9 +640,10 @@ class TestDesignReplay:
         estimates = estimate_dataset(dataset, include_cc=include_cc)
         report = analyze(estimates)
         estimate_rows = [
-            [_fmt(eta), probe.value, _fmt(phi), _fmt(series_id), _fmt(e.phi_hat), _fmt(e.log_likelihood_max), _fmt(e.n_coincidences)]
-            for e in estimates
-            for eta, probe, phi, series_id in [e.series_key]
+            [_fmt(eta), probe.value, _fmt(phi), _fmt(series_id), *map(_fmt, (phi_hat, loglik, n_coinc))]
+            for (eta, probe, phi, series_id), phi_hat, loglik, n_coinc in zip(
+                map(estimates.key, range(len(estimates))), estimates.phi_hat, estimates.loglik, estimates.n_coinc
+            )
         ]
         report_rows = [
             [_fmt(r.eta), r.probe.value, *map(_fmt, (r.phi_true, r.mean, r.sigma, r.m_bar, r.sigma_scaled, r.crb))]

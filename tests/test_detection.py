@@ -18,7 +18,6 @@ from lossyphase.detection import (
     _no_loss_fisher,
     classical_fisher,
     classical_distribution,
-    fringe_scan,
     optimize_theta_d,
     outcome_distribution,
 )
@@ -133,34 +132,29 @@ class TestOutcomeModel:
 
 
 class TestFringeScan:
+    """Kept-label fringes of each setting, read from ``OutcomeModel`` as the
+    fringes command does."""
+
     def test_noon_two_photon_fringes_have_period_pi(self):
         phis = np.linspace(-math.pi, math.pi, 101)
-        table = fringe_scan(noon_probe(), 0.361, QUARTER_BALANCED, HALF_BALANCED, phis)
-        for label in QUARTER_LABELS:
-            shifted = fringe_scan(noon_probe(), 0.361, QUARTER_BALANCED, HALF_BALANCED, phis + math.pi)
-            assert np.allclose(table[label], shifted[label], atol=1e-12)
+        model = OutcomeModel(noon_probe(), 0.361, QUARTER_BALANCED)
+        kept = [LABELS.index(label) for label in QUARTER_LABELS]
+        assert np.allclose(model.probabilities(phis)[:, kept], model.probabilities(phis + math.pi)[:, kept], atol=1e-12)
 
     def test_single_photon_fringes_have_period_two_pi(self):
-        probe = optimal_probe(0.361)
-        quarter = optimize_theta_d(probe, 0.361)
+        model = OutcomeModel(optimal_probe(0.361), 0.361, HALF_BALANCED)
         phis = np.linspace(-math.pi, math.pi, 64)
-        base = fringe_scan(probe, 0.361, quarter, HALF_BALANCED, phis)
-        full = fringe_scan(probe, 0.361, quarter, HALF_BALANCED, phis + 2 * math.pi)
-        half = fringe_scan(probe, 0.361, quarter, HALF_BALANCED, phis + math.pi)
-        assert np.allclose(base["AC"], full["AC"], atol=1e-12)
+        ac = LABELS.index("AC")
+        base, full, half = (model.probabilities(p)[:, ac] for p in (phis, phis + 2 * math.pi, phis + math.pi))
+        assert np.allclose(base, full, atol=1e-12)
         # single-photon fringe is not pi-periodic for the optimal probe
-        assert np.max(np.abs(base["AC"] - half["AC"])) > 1e-3
-        assert np.max(np.abs(base["AC"] - np.mean(base["AC"]))) > 1e-3
+        assert np.max(np.abs(base - half)) > 1e-3
+        assert np.max(np.abs(base - np.mean(base))) > 1e-3
 
     def test_lossless_scan_has_no_loss_counts(self):
         phis = np.linspace(0, 2 * math.pi, 32)
-        table = fringe_scan(noon_probe(), 1.0, QUARTER_BALANCED, HALF_BALANCED, phis)
-        for label in HALF_LABELS:
-            assert np.allclose(table[label], 0.0, atol=1e-12)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            fringe_scan(noon_probe(), 0.5, QUARTER_BALANCED, HALF_BALANCED, [])
+        probs = OutcomeModel(noon_probe(), 1.0, HALF_BALANCED).probabilities(phis)
+        assert np.allclose(probs[:, [LABELS.index(label) for label in HALF_LABELS]], 0.0, atol=1e-12)
 
 
 def noon_lossless_models():

@@ -254,7 +254,7 @@ class TestMlEstimate:
             master_seed=31,
         )
         estimates = estimate_dataset(run_campaign(config))
-        values = np.array([e.phi_hat for e in estimates])
+        values = estimates.phi_hat
         # median within Monte Carlo error of the truth
         assert abs(np.median(values)) < 5 * np.std(values) / math.sqrt(len(values))
 
@@ -297,18 +297,19 @@ class TestEstimateDataset:
         for i, counts in enumerate(dataset.counts.tolist()):
             key = (float(dataset.eta[i]), PROBES[dataset.probe[i]], float(dataset.phi_true[i]), int(dataset.series_id[i]))
             groups.setdefault(key, {})[SETTINGS[dataset.setting[i]]] = dict(zip(LABELS, counts))
-        assert [e.series_key for e in estimates] == list(groups)
+        keys = [estimates.key(i) for i in range(len(estimates))]
+        assert keys == list(groups)
         grids = {eta: likelihood_grid(models_for(ProbeKind.NOON, eta), include_cc=False) for eta in config.eta_list}
-        for est in estimates:
-            grid = grids[est.series_key[0]]
+        for i, key in enumerate(keys):
+            grid = grids[key[0]]
             vecs = [
-                np.array([[float(groups[est.series_key][s].get(label, 0)) for label in kept]])
+                np.array([[float(groups[key][s].get(label, 0)) for label in kept]])
                 for s, kept in grid.labels.items()
             ]
             quarter, half = (vec @ grid.log_probs[s].T for vec, s in zip(vecs, grid.labels))
             phi_hat, lmax = best_phi(grid.phis, (quarter + half)[0], grid.step)
-            assert (repr(est.phi_hat), repr(est.log_likelihood_max)) == (repr(phi_hat), repr(lmax))
-            assert est.n_coincidences == sum(int(vec.sum()) for vec in vecs)
+            assert (repr(float(estimates.phi_hat[i])), repr(float(estimates.loglik[i]))) == (repr(phi_hat), repr(lmax))
+            assert estimates.n_coinc[i] == sum(int(vec.sum()) for vec in vecs)
 
     @pytest.mark.parametrize("phi", [0.0, -0.0], ids=["same-bits", "signed-zero-phase"])
     def test_repeated_series_setting_rejected(self, phi):
@@ -340,7 +341,7 @@ class TestEstimateDataset:
                 master_seed=9,
             )
             estimates = estimate_dataset(run_campaign(config))
-            sigmas.append(np.std([e.phi_hat for e in estimates], ddof=1))
+            sigmas.append(np.std(estimates.phi_hat, ddof=1))
         slope = np.polyfit(np.log(event_counts), np.log(sigmas), 1)[0]
         assert abs(slope + 0.5) < 0.05
 

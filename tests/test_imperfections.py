@@ -16,7 +16,6 @@ from lossyphase.detection import (
 )
 from lossyphase.fock import basis
 from lossyphase.imperfections import (
-    IDEAL,
     ImperfectionParams,
     apply_coupler_thinning,
     build_model,
@@ -43,10 +42,6 @@ class TestParams:
     def test_non_finite_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             ImperfectionParams(**{name: value})
-
-    def test_ideal_flag(self):
-        assert IDEAL.ideal
-        assert not ImperfectionParams(epsilon=0.01).ideal
 
 
 class TestFibreInput:
@@ -135,7 +130,7 @@ class TestDegradeDistribution:
 
     def test_ideal_params_give_plain_model(self):
         probe = probe_state(NOON_WEIGHTS)
-        model = build_model(probe, 0.361, QUARTER_BALANCED, IDEAL)
+        model = build_model(probe, 0.361, QUARTER_BALANCED, ImperfectionParams())
         assert isinstance(model, OutcomeModel)
         reference = OutcomeModel(probe, 0.361, QUARTER_BALANCED)
         phis = np.linspace(-1, 1, 9)
