@@ -295,7 +295,8 @@ def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
     fringes simultaneously, so the transmission and the conditional phase are
     optimized jointly (nested bracketed golden-section searches); the optimum
     lands near, but not exactly at, pi/4. The theta searches of all scanned
-    offsets run as lanes of one search; the offset search is sequential.
+    offsets run as lanes of one search, and so do those of the offsets that
+    the next golden steps of the offset search can visit.
     """
     _check_probe(probe)
     if abs(probe.amplitude((1, 1))) ** 2 < 1e-12:

@@ -262,6 +262,25 @@ class TestSilPrecision:
     def test_closed_form_equals_oracle(self, eta, n):
         assert abs(sil_precision(eta, n) - sil_precision_numeric(eta, n)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "eta, n, expected",
+        [
+            (0.01, 1.0, 5.500000000000001),
+            (0.01, 2.0, 3.889087296526012),
+            (0.01, 7.5, 2.008316044185609),
+            (0.361, 1.0, 1.3321783316232578),
+            (0.361, 2.0, 0.9419923320405871),
+            (0.361, 7.5, 0.48644274856643743),
+            (1.0, 1.0, 1.0),
+            (1.0, 2.0, 0.7071067811865475),
+            (1.0, 7.5, 0.3651483716701107),
+        ],
+    )
+    def test_numeric_oracle_pinned(self, eta, n, expected):
+        """Exact values of the golden search: evaluating several of its steps
+        per call must round each point as a lone evaluation would."""
+        assert sil_precision_numeric(eta, n) == expected
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             sil_precision(0.0, 2.0)

@@ -158,6 +158,16 @@ class TestBounds:
         assert "internal invariant violated" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta", ["1e-12", "2e-12"])
+    def test_tiny_eta_row(self, tmp_path, eta):
+        """At eta ~ 1e-12 the bounds are ~3.5e5; the optimum may exceed the
+        SIL by a few parts in 1e12, which is rounding, not a broken invariant."""
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--eta-min", eta, "--eta-max", eta, "--steps", "1", "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]}
+        dphi_opt, dphi_noon, dphi_sil = (float(v) for v in rows[eta][1:4])
+        assert dphi_opt == pytest.approx(dphi_sil, rel=1e-9) and dphi_opt < dphi_noon
+
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["bounds", "--eta-min", "0.3", "--eta-max", "0.5", "--steps", "3"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lossyphase import detection
 from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, probe_state, qfi_lossy
 from lossyphase.detection import (
     HALF_LABELS,
@@ -295,6 +296,22 @@ class TestOptimizeThetaD:
         _, quarter = probe_design(ProbeKind.OPTIMAL, eta, params)  # optimize_theta_d of the delivered probe
         assert (quarter.theta_d, quarter.conditional_phase) == PINNED_DESIGNS[name, eta]
         assert type(quarter.theta_d) is float and type(quarter.conditional_phase) in (float, type(None))
+
+    def test_offset_search_batches_its_steps(self, monkeypatch):
+        """The offset search evaluates its next golden steps in one lane-wise
+        call; one theta search per offset step makes 1,558 calls here."""
+        weights, _ = probe_design(ProbeKind.OPTIMAL, 0.27, SWEEP_PARAMS)
+        probe = build_probe(weights, SWEEP_PARAMS)
+        assert abs(probe.amplitude((1, 1))) ** 2 > 1e-3
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _no_loss_fisher(*args)
+
+        monkeypatch.setattr(detection, "_no_loss_fisher", counted)
+        optimize_theta_d(probe, 0.27)
+        assert len(calls) <= 600
 
     def test_noon_keeps_balanced_splitter(self):
         for eta in EXPERIMENT_ETAS:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import lossyphase
+from lossyphase import golden
 from lossyphase.golden import golden_section_max
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+DEPTH = golden.DEPTH
 
 
 def scalar_golden_section_max(fn, lo, hi, tol=1e-10):
@@ -89,6 +91,52 @@ class TestLanes:
         x, f = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
         assert type(x) is float and type(f) is float
         assert (x, f) == scalar_golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
+
+
+class TestSpeculativeFloatPath:
+    """Float brackets run the scalar search DEPTH steps per call of fn."""
+
+    TOL = 1e-9
+
+    def brackets(self):
+        """About 40 brackets; the tol-wide one takes no step, and widths of
+        tol / INV_PHI**(k - 1/2) take k steps."""
+        rng = np.random.default_rng(13)
+        steps = [DEPTH - 1, DEPTH, DEPTH + 1, 1, 2 * DEPTH, 3 * DEPTH + 1]
+        widths = [self.TOL / _INV_PHI ** (k - 0.5) for k in steps] + [1.0, 0.3, 0.04, 2e-9, 1e-6]
+        out = [(0.0, self.TOL, 0.5 * self.TOL)]
+        for width in np.tile(widths, 4)[:39]:
+            lo = float(rng.uniform(-1.0, 0.5))
+            out.append((lo, lo + width, lo + float(rng.uniform(-0.2, 1.2)) * width))
+        return out
+
+    @pytest.mark.parametrize("depth", [DEPTH, 1, 2, DEPTH + 1])
+    @pytest.mark.parametrize("name", list(OBJECTIVES))
+    def test_matches_scalar_search_bit_for_bit(self, name, depth, monkeypatch):
+        monkeypatch.setattr(golden, "DEPTH", depth)
+        objective, taken = OBJECTIVES[name], set()
+        for lo, hi, centre in self.brackets():
+            calls, oracle_calls = [], []
+
+            def fn(t):
+                calls.append(t)
+                assert len(calls) < 100, "the search does not stop"
+                return objective(t, centre)
+
+            def scalar_fn(t):
+                oracle_calls.append(t)
+                return objective(t, centre)
+
+            x, f = golden_section_max(fn, lo, hi, tol=self.TOL)
+            expected = scalar_golden_section_max(scalar_fn, lo, hi, tol=self.TOL)
+            assert type(x) is float and type(f) is float
+            assert bits([x, f]) == bits(expected)
+            steps = len(oracle_calls) - 3  # the two opening points and the midpoint
+            taken.add(steps)
+            assert all(type(t) is np.ndarray and t.dtype == float and t.ndim == 1 for t in calls)
+            assert calls[0].shape == (2,) and {t.shape for t in calls[1:]} == {(2**depth - 1,)}
+            assert len(calls) == 1 + math.ceil((steps + 1) / depth) <= math.ceil(steps / depth) + 2
+        assert {0, DEPTH - 1, DEPTH, DEPTH + 1} <= taken
 
 
 class TestArguments:
