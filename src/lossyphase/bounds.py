@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -16,9 +15,19 @@ SIMPLEX_TOL = 1e-12
 #: Simplex scan resolution used by the weight optimizer.
 GRID_STEP = 1e-3
 
-#: Simplex points per block of the weight scan, few enough that the
-#: temporaries of one ``_qfi_surface`` pass stay in cache.
-SCAN_BLOCK = 16384
+#: x0 and x1 values of the GRID_STEP lattice, indexed i and j.
+LATTICE = np.arange(0.0, 1.0 + GRID_STEP / 2.0, GRID_STEP)
+LATTICE.flags.writeable = False
+
+#: Lattice indices per side of a cell of the weight scan; a cell whose
+#: concavity bound falls below the best cell anchor is not evaluated.
+SCAN_CELL = 25
+
+#: Relative slack of that bound, far above the rounding of the surface.
+BOUND_SLACK = 1e-9
+
+#: The eight moves of the polish, in the order it tries them.
+PATTERN = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1), (1, 1), (-1, -1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -90,14 +99,21 @@ def qfi_lossy(weights: ProbeWeights, eta: float) -> float:
     )
 
 
-def _qfi_surface(x0, x1, x2, eta: float):
-    """Closed-form qfi_lossy over weight arrays; used for dense scanning."""
+def _loss_branches(x0, x1, x2, eta: float):
+    """Pattern probabilities after loss on the sensing mode: a2, a1 (and x0) for
+    |20>, |11> (and |02>) with no photon lost, b1, b0 for |10>, |01> with one
+    lost, and the two branch probabilities p0, p1."""
     a2 = eta * eta * x2
     a1 = eta * x1
     p0 = a2 + a1 + x0
     b1 = 2.0 * eta * (1.0 - eta) * x2
     b0 = (1.0 - eta) * x1
-    p1 = b1 + b0
+    return a2, a1, p0, b1, b0, b1 + b0
+
+
+def _qfi_surface(x0, x1, x2, eta: float):
+    """Closed-form qfi_lossy over weight arrays; used for dense scanning."""
+    a2, a1, p0, b1, b0, p1 = _loss_branches(x0, x1, x2, eta)
     mean0 = 2.0 * a2 + a1
     sec0 = 4.0 * a2 + a1
     term0 = 4.0 * (sec0 - np.divide(mean0 * mean0, p0, out=np.zeros_like(p0 + 0.0), where=p0 > 0))
@@ -105,59 +121,113 @@ def _qfi_surface(x0, x1, x2, eta: float):
     return term0 + term1
 
 
+def _qfi_gradient(x0, x1, x2, eta: float):
+    """Partial derivatives of _qfi_surface in x0, x1 and x2.
+
+    The surface is concave on the weight orthant (term0 is linear minus a
+    quadratic over a linear form, term1 half a harmonic mean), so
+    F(y) <= F(c) + grad F(c) . (y - c). Where p1 = 0 term1 has no gradient;
+    b0/p1 = b1/p1 = 1/2 there gives a supergradient, as 4 b1 b0 / (b1 + b0)
+    <= b1 + b0.
+    """
+    a2, a1, p0, b1, b0, p1 = _loss_branches(x0, x1, x2, eta)
+    # p0 = 0 only where eta * eta underflows; a NaN bound there has its cell scanned
+    r = np.divide(2.0 * a2 + a1, p0, out=np.full_like(p0 + 0.0, np.nan), where=p0 > 0)
+    u = np.divide(b0, p1, out=np.full_like(p1 + 0.0, 0.5), where=p1 > 0) ** 2
+    v = np.divide(b1, p1, out=np.full_like(p1 + 0.0, 0.5), where=p1 > 0) ** 2
+    d0 = 4.0 * r * r
+    d1 = 4.0 * eta * (1.0 - r) ** 2 + 4.0 * (1.0 - eta) * v
+    d2 = 4.0 * eta * eta * (2.0 - r) ** 2 + 8.0 * eta * (1.0 - eta) * u
+    return d0, d1, d2
+
+
+def _scan_cells(eta: float):
+    """Anchor lattice indices (i, j) of the SCAN_CELL x SCAN_CELL cells that meet
+    the simplex, with the surface at each anchor and a bound on it over the cell.
+
+    The anchor is the cell's lowest corner, so every lattice point y of the cell
+    lies at y - c in [0, w0] x [0, w1] along x0 and x1, with x2 = 1 - x0 - x1.
+    """
+    starts = np.arange(0, len(LATTICE), SCAN_CELL)
+    i, j = np.meshgrid(starts, starts, indexing="ij")
+    meets = LATTICE[i] + LATTICE[j] <= 1.0 + SIMPLEX_TOL
+    i, j = i[meets], j[meets]
+    x0, x1 = LATTICE[i], LATTICE[j]
+    x2 = np.clip(1.0 - x0 - x1, 0.0, 1.0)
+    surface = _qfi_surface(x0, x1, x2, eta)
+    d0, d1, d2 = _qfi_gradient(x0, x1, x2, eta)
+    last = len(LATTICE) - 1
+    w0 = LATTICE[np.minimum(i + SCAN_CELL - 1, last)] - x0
+    w1 = LATTICE[np.minimum(j + SCAN_CELL - 1, last)] - x1
+    bound = surface + np.maximum(0.0, (d0 - d2) * w0) + np.maximum(0.0, (d1 - d2) * w1)
+    return i, j, surface, bound
+
+
 def _polish(x0: float, x1: float, eta: float) -> tuple[float, float, float]:
-    """Local pattern search on the simplex, refining the grid maximizer."""
+    """Local pattern search on the simplex, refining the grid maximizer.
 
-    def value(a: float, b: float) -> float:
-        if a < 0 or b < 0 or a + b > 1.0:
-            return -math.inf
-        return float(_qfi_surface(np.float64(a), np.float64(b), np.float64(1.0 - a - b), eta))
+    Each sweep tries the PATTERN moves in order at one step and takes every one
+    that beats the best value so far; a sweep without a move halves the step.
+    One call of the surface evaluates every move the search would still try if
+    no move came: the rest of this sweep, one more sweep at this step after a
+    move, then a sweep at each smaller step. The search takes the first of them
+    that beats the best value, as the sweeps would, and calls again from there.
+    """
 
-    best = value(x0, x1)
-    step = GRID_STEP
+    def values(a, b):
+        on = (a >= 0) & (b >= 0) & (a + b <= 1.0)
+        return np.where(on, _qfi_surface(a, b, 1.0 - a - b, eta), -math.inf)
+
+    best = float(values(np.float64(x0), np.float64(x1)))
+    step, k, moved = GRID_STEP, 0, False
     while step > 1e-11:
-        moved = False
-        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
-                       (step, -step), (-step, step), (step, step), (-step, -step)):
-            cand = value(x0 + da, x1 + db)
-            if cand > best:
-                best, x0, x1 = cand, x0 + da, x1 + db
-                moved = True
-        if not moved:
-            step *= 0.5
+        sweeps = [step] * (1 + moved)
+        while sweeps[-1] * 0.5 > 1e-11:
+            sweeps.append(sweeps[-1] * 0.5)
+        steps = np.repeat(sweeps, len(PATTERN))[k:]
+        moves = np.tile(PATTERN, (len(sweeps), 1))[k:]
+        a = x0 + steps * moves[:, 0]
+        b = x1 + steps * moves[:, 1]
+        cand = values(a, b)
+        better = np.flatnonzero(cand > best)
+        if not len(better):
+            break
+        m = int(better[0])
+        best, x0, x1, step = float(cand[m]), float(a[m]), float(b[m]), float(steps[m])
+        # a move that ends its sweep starts a fresh one at the same step
+        k = (k + m + 1) % len(PATTERN)
+        moved = k > 0
     return x0, x1, best
-
-
-@lru_cache(maxsize=1)
-def _simplex_grid() -> tuple[np.ndarray, ...]:
-    """Read-only x0, x1, x2 of the GRID_STEP lattice points on the simplex;
-    they do not depend on eta, so a process builds them once."""
-    vals = np.arange(0.0, 1.0 + GRID_STEP / 2.0, GRID_STEP)
-    g0, g1 = np.meshgrid(vals, vals, indexing="ij")
-    mask = g0 + g1 <= 1.0 + SIMPLEX_TOL
-    grid = (g0[mask], g1[mask], np.clip(1.0 - g0[mask] - g1[mask], 0.0, 1.0))
-    for array in grid:
-        array.flags.writeable = False
-    return grid
 
 
 def optimize_weights(eta: float) -> tuple[ProbeWeights, float]:
     """Maximize qfi_lossy over the weight simplex.
 
-    Dense grid scan at GRID_STEP, SCAN_BLOCK points at a time, followed by a
-    local polish from the first grid maximum; deterministic.
+    Finds the first maximum, in (x0, x1) index order, of the surface on the
+    GRID_STEP lattice of the simplex, then polishes it locally; deterministic.
+    The lattice is cut into SCAN_CELL x SCAN_CELL cells. Concavity bounds the
+    surface on a cell by its tangent plane at the cell's anchor, and only the
+    cells whose bound reaches the best anchor value (less BOUND_SLACK) are
+    evaluated, so the maximum and its bits are those of a scan of every point.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]; at eta = 0 the information vanishes identically")
-    x0, x1, x2 = _simplex_grid()
-    i, top = 0, -math.inf
-    for start in range(0, len(x0), SCAN_BLOCK):
-        block = slice(start, start + SCAN_BLOCK)
-        surface = _qfi_surface(x0[block], x1[block], x2[block], eta)
-        j = int(np.argmax(surface))
-        if surface[j] > top:  # strict: an equal value in a later block keeps the first
-            i, top = start + j, surface[j]
-    b0, b1, best = _polish(float(x0[i]), float(x1[i]), eta)
+    n = len(LATTICE)
+    i, j, surface, bound = _scan_cells(eta)
+    top = surface.max()
+    # a NaN bound compares false, so its cell is scanned
+    cells = ~(bound < top - BOUND_SLACK * abs(top))
+    di, dj = np.divmod(np.arange(SCAN_CELL * SCAN_CELL), SCAN_CELL)
+    i = (i[cells, None] + di).ravel()
+    j = (j[cells, None] + dj).ravel()
+    inside = (i < n) & (j < n)
+    i, j = i[inside], j[inside]
+    x0, x1 = LATTICE[i], LATTICE[j]
+    on = x0 + x1 <= 1.0 + SIMPLEX_TOL
+    x0, x1, key = x0[on], x1[on], i[on] * n + j[on]
+    surface = _qfi_surface(x0, x1, np.clip(1.0 - x0 - x1, 0.0, 1.0), eta)
+    first = int(key[surface == surface.max()].min())
+    b0, b1, best = _polish(float(LATTICE[first // n]), float(LATTICE[first % n]), eta)
     weights = ProbeWeights(b0, b1, max(1.0 - b0 - b1, 0.0))
     return weights, float(best)
 

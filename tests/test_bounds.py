@@ -1,6 +1,8 @@
 """Bounds: quantum Fisher information, optimal weights, precision curves."""
 
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from lossyphase.bounds import (
     SIMPLEX_TOL,
     ProbeWeights,
     _polish,
+    _qfi_gradient,
     _qfi_surface,
-    _simplex_grid,
+    _scan_cells,
     noon_precision,
     optimize_weights,
     precision_curve,
@@ -169,60 +172,190 @@ class TestOptimizeWeights:
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
-def uncached_optimize_weights(eta):
-    """Test-side oracle: the grid scan and polish with the simplex grid built afresh."""
+def scalar_polish(x0, x1, eta):
+    """Test-side oracle: the pattern search with one surface evaluation per move."""
+
+    def value(a, b):
+        if a < 0 or b < 0 or a + b > 1.0:
+            return -math.inf
+        return float(_qfi_surface(np.float64(a), np.float64(b), np.float64(1.0 - a - b), eta))
+
+    best = value(x0, x1)
+    step = GRID_STEP
+    while step > 1e-11:
+        moved = False
+        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step),
+                       (step, -step), (-step, step), (step, step), (-step, -step)):
+            cand = value(x0 + da, x1 + db)
+            if cand > best:
+                best, x0, x1 = cand, x0 + da, x1 + db
+                moved = True
+        if not moved:
+            step *= 0.5
+    return x0, x1, best
+
+
+@lru_cache(maxsize=1)
+def full_lattice():
+    """Indices (i, j) and x0, x1, x2 of every GRID_STEP lattice point on the
+    simplex, in (i, j) order."""
     vals = np.arange(0.0, 1.0 + GRID_STEP / 2.0, GRID_STEP)
-    g0, g1 = np.meshgrid(vals, vals, indexing="ij")
-    mask = g0 + g1 <= 1.0 + SIMPLEX_TOL
-    x0, x1 = g0[mask], g1[mask]
-    i = int(np.argmax(_qfi_surface(x0, x1, np.clip(1.0 - x0 - x1, 0.0, 1.0), eta)))
-    b0, b1, best = _polish(float(x0[i]), float(x1[i]), eta)
+    i, j = np.meshgrid(np.arange(len(vals)), np.arange(len(vals)), indexing="ij")
+    mask = vals[i] + vals[j] <= 1.0 + SIMPLEX_TOL
+    i, j = i[mask], j[mask]
+    x0, x1 = vals[i], vals[j]
+    return i, j, x0, x1, np.clip(1.0 - x0 - x1, 0.0, 1.0)
+
+
+@lru_cache(maxsize=None)
+def full_scan_optimize_weights(eta):
+    """Test-side oracle: one argmax over every lattice point, then the scalar polish."""
+    _, _, x0, x1, x2 = full_lattice()
+    # blocks of rows keep the temporaries in cache; values do not depend on the blocking
+    blocks = [slice(start, start + 16384) for start in range(0, len(x0), 16384)]
+    i = int(np.argmax(np.concatenate([_qfi_surface(x0[b], x1[b], x2[b], eta) for b in blocks])))
+    b0, b1, best = scalar_polish(float(x0[i]), float(x1[i]), eta)
     return ProbeWeights(b0, b1, max(1.0 - b0 - b1, 0.0)), float(best)
 
 
 SCAN_ETAS = [0.05, 0.13, 0.2, 0.361, 0.4, 0.547, 0.71, 0.9, 1.0]
 
+#: Transmissions at which every lattice value is checked against its cell bound.
+BOUND_ETAS = [1e-12, 1e-3, 0.05, 0.2, 0.361, 0.5, 0.8, 0.95, 0.999, 1.0]
+
+#: Transmissions at which the pruned scan and polish must match the oracle bit for bit.
+ORACLE_ETAS = sorted(
+    set(BOUND_ETAS)
+    | set(SCAN_ETAS)
+    | {1e-300, 1e-170, 2e-12, 1e-11, 1e-6, 0.999999}
+    | {round(0.1 + 0.85 * i / 15, 6) for i in range(16)}
+    | {float(e) for e in np.linspace(0.003, 1.0, 180)}
+    | {float(e) for e in np.logspace(-12, 0, 90)}
+)
+
+
+def plateau_surface(x0, x1, x2, eta):
+    """A concave stand-in surface whose maximum 1.0 ties over the strip
+    27 i + j >= 8663.5 of lattice indices: its first point (295, 699) ends its
+    cell, and later points such as (296, 672) sit in cells before it."""
+    return np.minimum(1.0, 1.0 + 50.0 * (27.0 * x0 + x1 - 8.6635))
+
+
+def plateau_gradient(x0, x1, x2, eta):
+    """A supergradient of plateau_surface."""
+    slope = (1.0 + 50.0 * (27.0 * x0 + x1 - 8.6635) < 1.0) * 50.0
+    return 27.0 * slope, slope, 0.0 * slope
+
+
+def cell_of_each_point(anchor_i, anchor_j, cell):
+    """Index into the anchor arrays of the cell holding each full_lattice point."""
+    i, j = full_lattice()[:2]
+    table = np.full((i.max() // cell + 1, j.max() // cell + 1), -1)
+    table[anchor_i // cell, anchor_j // cell] = np.arange(len(anchor_i))
+    owner = table[i // cell, j // cell]
+    assert (owner >= 0).all()
+    return owner
+
 
 class TestSimplexGrid:
-    def test_cached_arrays_are_read_only(self):
-        grid = _simplex_grid()
-        assert _simplex_grid() is grid
-        for array in grid:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.5
-
     @pytest.mark.parametrize("eta", SCAN_ETAS)
     def test_matches_uncached_scan_bit_for_bit(self, eta):
         weights, f_max = optimize_weights(eta)
-        expected, f_expected = uncached_optimize_weights(eta)
+        expected, f_expected = full_scan_optimize_weights(eta)
         assert weights.as_tuple() == expected.as_tuple()
         assert f_max == f_expected
 
     @pytest.mark.parametrize("eta", SCAN_ETAS)
     def test_matches_uncached_scan_in_small_blocks(self, eta, monkeypatch):
-        # 61-point blocks (a prime, so block edges fall all over the 1001-point
-        # rows) put the maximum and its near-equals in different blocks; 7-point
-        # blocks would take about 3 s per eta
-        monkeypatch.setattr(bounds, "SCAN_BLOCK", 61)
+        # 7-index cells (a prime, so cell edges fall all over the 1001-index
+        # rows) put the maximum and its near-equals in different cells, and the
+        # x0 = 1 vertex inside a cell instead of at its anchor
+        monkeypatch.setattr(bounds, "SCAN_CELL", 7)
         self.test_matches_uncached_scan_bit_for_bit(eta)
 
     @pytest.mark.parametrize("block", [1, 2, 7, 49, 50, 51, 1000])
     def test_first_maximum_across_blocks(self, block, monkeypatch):
-        # surfaces of few levels tie in and across blocks; the polish must start
-        # from the first maximum, as one argmax over the whole grid finds it
-        levels = np.random.default_rng(block).integers(0, 4, 50).astype(float)
-        edge_tie = levels.copy()
-        edge_tie[[min(block, 49) - 1, min(block, 49)]] = 9.0  # the maximum, tied across the first block edge if any
-        x0 = np.arange(50.0)
-        monkeypatch.setattr(bounds, "SCAN_BLOCK", block)
-        monkeypatch.setattr(bounds, "_qfi_surface", lambda x0, x1, x2, eta: x1)
+        # the polish must start from the first maximum in (i, j) order, as one
+        # argmax over the whole lattice finds it, whatever cell it falls in
+        i, j, x0, x1, x2 = full_lattice()
+        first = int(np.argmax(plateau_surface(x0, x1, x2, 0.5)))
+        assert (i[first], j[first]) == (295, 699)
+        monkeypatch.setattr(bounds, "SCAN_CELL", block)
+        monkeypatch.setattr(bounds, "_qfi_surface", plateau_surface)
+        monkeypatch.setattr(bounds, "_qfi_gradient", plateau_gradient)
         starts = []
-        monkeypatch.setattr(bounds, "_polish", lambda a, b, eta: starts.append(a) or (0.5, 0.5, 0.0))
-        for x1 in (levels, edge_tie):
-            monkeypatch.setattr(bounds, "_simplex_grid", lambda: (x0, x1, x1))
-            optimize_weights(0.5)
-        assert starts == [float(np.argmax(levels)), float(np.argmax(edge_tie))]
+        monkeypatch.setattr(bounds, "_polish", lambda a, b, eta: starts.append((a, b)) or (0.5, 0.5, 0.0))
+        optimize_weights(0.5)
+        assert starts == [(float(x0[first]), float(x1[first]))]
+
+    def test_oracle_over_eta_grid(self):
+        assert len(ORACLE_ETAS) >= 300
+        for eta in ORACLE_ETAS:
+            weights, f_max = optimize_weights(eta)
+            expected, f_expected = full_scan_optimize_weights(eta)
+            assert (weights.as_tuple(), f_max) == (expected.as_tuple(), f_expected), eta
+
+    @pytest.mark.parametrize("cell", [bounds.SCAN_CELL, 7])
+    @pytest.mark.parametrize("eta", BOUND_ETAS + [1e-170])
+    def test_cell_bounds_hold(self, eta, cell, monkeypatch):
+        # at eta = 1e-170 eta * eta underflows, so p0 = 0 at the x2 = 1 vertex
+        monkeypatch.setattr(bounds, "SCAN_CELL", cell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            anchor_i, anchor_j, anchor_f, bound = _scan_cells(eta)
+        i, j, x0, x1, x2 = full_lattice()
+        values = _qfi_surface(x0, x1, x2, eta)
+        owner = cell_of_each_point(anchor_i, anchor_j, cell)
+        assert np.array_equal(anchor_f, values[(i == anchor_i[owner]) & (j == anchor_j[owner])])
+        # a bound that is not finite has its cell scanned, so it cannot prune
+        finite = np.isfinite(bound[owner])
+        assert (values[finite] <= bound[owner][finite]).all()
+
+    def test_vertex_and_lossless_bounds_are_finite(self):
+        # at the x0 = 1 vertex p1 = 0, and at eta = 1 term1 vanishes everywhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eta in BOUND_ETAS:
+                anchor_i, anchor_j, _, bound = _scan_cells(eta)
+                vertex = (anchor_i == 1000) & (anchor_j == 0)
+                assert vertex.sum() == 1
+                assert np.isfinite(bound).all()
+            assert all(np.isfinite(d).all() for d in _qfi_gradient(*full_lattice()[2:], 1.0))
+
+    @pytest.mark.parametrize("eta", [1e-6, 0.05, 0.361, 0.7, 0.999])
+    def test_gradient_matches_differences(self, eta):
+        rng = np.random.default_rng(7)
+        x = rng.dirichlet((2.0, 2.0, 2.0), 50)
+        x = 0.1 + 0.7 * x  # sums to 1 and stays off the edges
+        d0, d1, d2 = _qfi_gradient(x[:, 0], x[:, 1], x[:, 2], eta)
+        h = 1e-6
+        for along, slope in ((np.array([h, 0.0, -h]), d0 - d2), (np.array([0.0, h, -h]), d1 - d2)):
+            up, down = x + along, x - along
+            diff = (_qfi_surface(*up.T, eta) - _qfi_surface(*down.T, eta)) / (2 * h)
+            assert np.allclose(slope, diff, rtol=1e-6, atol=1e-6 * eta)
+
+    def test_scan_evaluates_few_points(self, monkeypatch):
+        evaluated = []
+
+        def counting(x0, x1, x2, eta):
+            evaluated.append(np.size(x0))
+            return _qfi_surface(x0, x1, x2, eta)
+
+        monkeypatch.setattr(bounds, "_qfi_surface", counting)
+        monkeypatch.setattr(bounds, "_polish", lambda a, b, eta: (a, b, 0.0))
+        optimize_weights(0.361)
+        assert sum(evaluated) < 50_000  # of 501,501 lattice points
+
+
+class TestPolish:
+    # near the optimum, off the lattice, on the x1 = 0 edge, on the x2 = 0
+    # edge, and just off the simplex (which scores -inf)
+    STARTS = [(0.236, 0.222), (0.1234567, 0.4567891), (0.5, 0.0), (0.0005, 0.9995), (0.5, 0.5 + 1e-13)]
+
+    @pytest.mark.parametrize("eta", [0.361, 1.0])
+    def test_batched_matches_scalar(self, eta):
+        for x0, x1 in self.STARTS:
+            assert _polish(x0, x1, eta) == scalar_polish(x0, x1, eta)
 
 
 class TestNoonPrecision:
