@@ -68,18 +68,16 @@ def probe_state(weights: ProbeWeights) -> FockState:
     return FockState(2, amps)
 
 
-def qfi_pure(state: FockState, sensing_mode: int = 0) -> float:
-    """Quantum Fisher information of a pure state for a phase on one mode.
-
-    Equals four times the photon-number variance in the sensing mode.
-    """
+def qfi_pure(state: FockState) -> float:
+    """Quantum Fisher information of a pure state for a phase on the sensing
+    mode, mode 0: four times its photon-number variance."""
     if not state.normalized:
         raise ValueError("quantum Fisher information of a pure state needs a normalized input")
     mean = 0.0
     second = 0.0
     for pattern, amp in state.amplitudes.items():
         p = abs(amp) ** 2
-        n = pattern[sensing_mode]
+        n = pattern[0]
         mean += p * n
         second += p * n * n
     return 4.0 * (second - mean * mean)

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import ProbeWeights, precision_curve
 from .detection import LABELS, DetectionConfig, Setting
-from .estimator import MAX_BINS, DegenerateLikelihoodError, _first_seen, analyze, estimate_dataset, histogram
+from .estimator import MAX_BINS, _first_seen, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
 from .montecarlo import (
     PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design, run_campaign, setting_models,
@@ -264,20 +264,14 @@ def _write_table(out: str, header, rows, command: str, config: dict, seed: int) 
     _write_manifest(path.with_suffix(path.suffix + ".manifest.json"), command, config, seed, [path])
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> None:
     if not 0.0 < args.eta_min <= args.eta_max <= 1.0:
-        print("error: need 0 < eta-min <= eta-max <= 1", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("need 0 < eta-min <= eta-max <= 1")
     if args.steps < 1:
-        print("error: steps must be positive", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("steps must be positive")
     if round(args.eta_min, 12) == 0.0:
-        print(f"error: --eta-min {args.eta_min!r} rounds to 0 on the 12-decimal eta grid", file=sys.stderr)
-        return EXIT_DOMAIN
-    if args.steps == 1:
-        grid = [args.eta_min]
-    else:
-        grid = list(np.linspace(args.eta_min, args.eta_max, args.steps))
+        raise ValueError(f"--eta-min {args.eta_min!r} rounds to 0 on the 12-decimal eta grid")
+    grid = list(np.linspace(args.eta_min, args.eta_max, args.steps))  # [eta_min] for one step
     grid += [eta for eta in ExperimentConfig().eta_list if args.eta_min <= eta <= args.eta_max]
     grid = sorted(set(round(e, 12) for e in grid))
     rows = [
@@ -286,19 +280,15 @@ def cmd_bounds(args) -> int:
     ]
     header = ("eta", "dphi_optimal", "dphi_noon", "dphi_sil", "x0", "x1", "x2", "prep_success_p")
     _write_table(args.out, header, rows, "bounds", {"eta_min": args.eta_min, "eta_max": args.eta_max, "steps": args.steps}, 0)
-    return EXIT_OK
 
 
-def cmd_fringes(args) -> int:
+def cmd_fringes(args) -> None:
     if not 0.0 < args.eta <= 1.0:
-        print(f"error: eta must be in (0, 1], got {args.eta}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError(f"eta must be in (0, 1], got {args.eta}")
     if args.phi_steps < 1:
-        print(f"error: phi-steps must be at least 1, got {args.phi_steps}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError(f"phi-steps must be at least 1, got {args.phi_steps}")
     if args.counts is not None and args.counts < 0:
-        print(f"error: --counts must be non-negative, got {args.counts}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError(f"--counts must be non-negative, got {args.counts}")
     params = ImperfectionParams(**{attr: getattr(args, key) for key, attr in _IMPERFECTIONS.items()})
     seed = args.seed if args.seed is not None else _default_seed()
     kind = ProbeKind(args.probe)
@@ -314,7 +304,6 @@ def cmd_fringes(args) -> int:
     settings = {"eta": args.eta, "probe": kind.value, "phi_steps": args.phi_steps, "counts": args.counts}
     settings.update((key, getattr(args, key)) for key in _IMPERFECTIONS)
     _write_table(args.out, ("phi", "setting", *LABELS), rows, "fringes", settings, seed)
-    return EXIT_OK
 
 
 def _prefixes(dataset: EventDataset, rows, with_setting: bool) -> list[str]:
@@ -350,6 +339,9 @@ def _read_text(path, what: str) -> str:
 
 def _parse_prefix(fields_: list[str]) -> tuple:
     """(eta, probe, phi_true, setting) of a dataset row's first four fields."""
+    for name, text in (("eta", fields_[0]), ("phi_true", fields_[2])):  # float would also read these spellings
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(f"{name} must be a decimal number, got {text!r}")
     parsed = (float(fields_[0]), ProbeKind(fields_[1]), float(fields_[2]), Setting(fields_[3]))
     if not (math.isfinite(parsed[0]) and math.isfinite(parsed[2])):
         raise ValueError(f"eta and phi_true must be finite, got {fields_[0]} and {fields_[2]}")
@@ -387,7 +379,15 @@ def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tup
             prefix = prefixes[parts[0]] = len(parsed) - 1
         rows.append(prefix)
         integers += parts[1:]
-    columns = [list(map(int, integers[k::8])) for k in range(8)]
+    try:  # ASCII digits and a leading "-" only: int would also read whitespace, "_", "+" and other digits
+        if ",".join(integers).encode("ascii").translate(None, b"0123456789,-"):
+            raise ValueError
+        columns = [list(map(int, integers[k::8])) for k in range(8)]
+    except ValueError:  # also a non-ASCII character, a misplaced "-" or more digits than int reads
+        for i, text in enumerate(integers):
+            if not (text.isascii() and text.removeprefix("-").isdigit()):
+                raise ValueError(f"{DATASET_COLUMNS[4 + i % 8]} must be an integer of ASCII digits, got {text!r}") from None
+        raise ValueError("series_id, a count or seed_used is out of range") from None
     lowest = [min(column, default=0) for column in columns[1:7]]
     if min(lowest) < 0:
         raise ValueError(f"{DATASET_COLUMNS[5 + lowest.index(min(lowest))]} must be non-negative, got {min(lowest)}")
@@ -410,10 +410,12 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
 
     Rejects, naming the line, a malformed row, an eta outside (0, 1], a
     non-finite phi_true, an integer outside its column's range, a negative
-    count and a row whose (eta, probe, phi_true, series_id, setting) repeats
-    by value. ``_parse_rows`` checks ``_PARSE_CHUNK`` rows at a time, and a
-    failed chunk one line at a time to name its first bad line. Repeated rows
-    are sought once every line parses.
+    count, a number the writer would not spell (whitespace, ``_`` or a
+    non-ASCII character; in an integer field anything but ASCII digits after
+    an optional ``-``) and a row whose (eta, probe, phi_true, series_id,
+    setting) repeats by value. ``_parse_rows`` checks ``_PARSE_CHUNK`` rows
+    at a time, and a failed chunk one line at a time to name its first bad
+    line. Repeated rows are sought once every line parses.
     """
     lines = _read_text(path, "dataset").splitlines()
     if not lines:
@@ -463,7 +465,7 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     )
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     values = _read_config(_read_text(args.config, "config"))
     if args.probe is not None:
         values["probe"] = ProbeKind(args.probe)
@@ -489,7 +491,6 @@ def cmd_simulate(args) -> int:
         [dataset_path],
         design=[_design_entry(config.probe_kind, eta, config.imperfections) for eta in config.eta_list],
     )
-    return EXIT_OK
 
 
 def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool, dict]:
@@ -533,15 +534,13 @@ def _load_manifest(path: Path) -> tuple[dict, ExperimentConfig, bool, dict]:
     return manifest, config, include_cc, designs
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> None:
     if args.hist_bin is not None and not 0.0 < args.hist_bin < math.inf:
-        print(f"error: --hist-bin must be a positive finite width, got {args.hist_bin}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError(f"--hist-bin must be a positive finite width, got {args.hist_bin}")
     dataset_path = Path(args.dataset)
     manifest_path = Path(args.manifest) if args.manifest else dataset_path.parent / "manifest.json"
     if not manifest_path.exists():
-        print(f"error: manifest {manifest_path} not found (needed for the model configuration)", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"manifest {manifest_path} not found (needed for the model configuration)")
     manifest, config, include_cc, designs = _load_manifest(manifest_path)
     replayed = set()  # indices of the design entries used
 
@@ -586,7 +585,6 @@ def cmd_estimate(args) -> int:
     settings = {**manifest["config"], "dataset": str(dataset_path), "hist_bin": args.hist_bin}
     used = [entry for i, entry in enumerate(manifest["design"]) if i in replayed]
     _write_manifest(out_dir / "estimate.manifest.json", "estimate", settings, config.master_seed, outputs, design=used)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -635,16 +633,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that prints a diagnostic and picks the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:  # before any work
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, DegenerateLikelihoodError) as exc:
+    except ValueError as exc:  # DegenerateLikelihoodError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except RuntimeError as exc:

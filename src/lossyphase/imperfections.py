@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .detection import LABELS, DetectionConfig, OutcomeModel, classical_distribution  # re-exported
+from .detection import LABELS, DetectionConfig, OutcomeModel
 from .fock import FockState
 
 
@@ -20,7 +20,6 @@ class ImperfectionParams:
     delta: float = 0.0  # fibre phase of the admixture, radians
     lambda_hom: float = 1.0  # two-photon indistinguishability (HOM dip depth)
     v_classical: float = 1.0  # single-photon fringe visibility
-    coupler_factor: float = 0.5  # per-event retention of the 50:50 output couplers
 
     def __post_init__(self):
         for f in fields(self):
@@ -30,8 +29,6 @@ class ImperfectionParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 < self.coupler_factor <= 1.0:
-            raise ValueError("coupler_factor must be in (0, 1]")
 
 
 def fibre_input(epsilon: float, delta: float = 0.0) -> FockState:
@@ -63,19 +60,22 @@ def build_model(probe: FockState, eta: float, config: DetectionConfig, params: I
     return OutcomeModel(probe, eta, config, single_photon_visibility=params.v_classical, lambda_hom=params.lambda_hom)
 
 
+#: Per-event retention of the 50:50 fibre output couplers.
+COUPLER_RETENTION = 0.5
+
 #: Draw order of the thinning, as LABELS indices: same-counter labels, then
 #: cross-counter labels.
 _THINNING_ORDER = [LABELS.index(label) for label in ("AA", "BB", "CC", "AB", "AC", "BC")]
 
 
-def apply_coupler_thinning(counts: list[int], rng: np.random.Generator, retain: float = 0.5) -> list[int]:
+def apply_coupler_thinning(counts: list[int], rng: np.random.Generator) -> list[int]:
     """Thin same-counter events (coupler inefficiency), then thin cross-counter
     events equally (the compensating postprocessing). Net effect: every label
-    is binomially thinned with the same retention, leaving relative
-    frequencies unbiased. Counts are in LABELS order, one scalar draw per
-    label: one ``binomial`` call on all six gives the same draws, but costs
-    more than six scalar calls."""
-    binomial, out = rng.binomial, list(counts)
+    is binomially thinned with the same retention, ``COUPLER_RETENTION``,
+    leaving relative frequencies unbiased. Counts are in LABELS order, one
+    scalar draw per label: one ``binomial`` call on all six gives the same
+    draws, but costs more than six scalar calls."""
+    binomial, out, retain = rng.binomial, list(counts), COUPLER_RETENTION
     for i in _THINNING_ORDER:
         out[i] = binomial(counts[i], retain)
     return out

@@ -297,7 +297,6 @@ def run_campaign(config: ExperimentConfig) -> EventDataset:
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
     keys = np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T
     states = substream_states(config.master_seed, keys).reshape(*shape[:3], _SERIES_STREAM + 1, 4)
-    retain = config.imperfections.coupler_factor
     counts = np.empty((*shape, len(LABELS)), dtype=np.int64)
     for eta_index, eta in enumerate(config.eta_list):
         models = setting_models(config.probe_kind, eta, config.imperfections)
@@ -312,7 +311,7 @@ def run_campaign(config: ExperimentConfig) -> EventDataset:
                 split = (m_total // 2, m_total - m_total // 2)  # quarter, half
                 for stream, (probs, m) in enumerate(zip(pvals, split)):
                     rng = _substream(words[stream])
-                    cell[series_id, stream] = apply_coupler_thinning(_draw_counts(probs, m, rng), rng, retain)
+                    cell[series_id, stream] = apply_coupler_thinning(_draw_counts(probs, m, rng), rng)
     index = np.indices(shape).reshape(len(shape), -1)
     return EventDataset(
         config=config,

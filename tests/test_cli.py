@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -837,6 +838,14 @@ class TestConfigSchema:
     def test_strategies_cover_the_schema(self):
         assert set(VALUE_TEXT) == set(_FIELDS)
 
+    def test_every_imperfection_is_a_config_key(self):
+        """Every model input of a run can be set in a config file and is
+        written to the simulate manifest."""
+        manifest_config = _config_dict(ExperimentConfig(), True)
+        for field in fields(ImperfectionParams):
+            assert _FIELDS.get(field.name, (None,))[0] == field.name
+            assert field.name in manifest_config
+
     @given(config_texts())
     def test_round_trip(self, text):
         with mock.patch.dict(os.environ):
@@ -990,6 +999,68 @@ class TestDatasetFuzz:
             ])
         assert rc in (0, 1, 2)
         assert len(stderr.getvalue().splitlines()) == (rc != 0)
+
+
+class TestNumberSpelling:
+    """estimate reads only the number spellings write_dataset_csv writes;
+    int and float would also take whitespace, ``_``, ``+`` and non-ASCII
+    digits."""
+
+    @staticmethod
+    def estimate_with(fuzz_sim, tmp_path, column, text):
+        """estimate on the fuzz dataset with ``column`` of line 9 (phi_true
+        0.04, series 0, half setting) replaced by ``text``."""
+        header, *rows = (fuzz_sim / "dataset.csv").read_text().splitlines()
+        parts = rows[7].split(",")
+        assert parts[:5] == ["0.361", "noon", "0.04", "half", "0"]
+        parts[DATASET_COLUMNS.index(column)] = text
+        rows[7] = ",".join(parts)
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        return main([
+            "estimate", "--dataset", str(path), "--manifest", str(fuzz_sim / "manifest.json"),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+
+    @pytest.mark.parametrize("column", ["series_id", "n_AA", "n_CC", "seed_used"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", "\u0663", " 7 ", "+4", "7\t", "\uff17", "--4", "4-"],
+        ids=["underscore", "arabic-indic", "spaces", "plus", "tab", "fullwidth", "two-minus", "trailing-minus"],
+    )
+    def test_integer_spelling_exits_1(self, fuzz_sim, tmp_path, capsys, column, text):
+        assert self.estimate_with(fuzz_sim, tmp_path, column, text) == 1
+        err = capsys.readouterr().err
+        assert f"line 9: {column} must be an integer of ASCII digits, got {text!r}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", ["eta", "phi_true"])
+    @pytest.mark.parametrize("spell", [
+        lambda text: text[:-1] + "_" + text[-1],
+        lambda text: " " + text,
+        lambda text: text + "\t",
+        lambda text: "\u0660" + text[1:],
+    ], ids=["underscore", "leading-space", "trailing-tab", "arabic-indic"])
+    def test_float_spelling_exits_1(self, fuzz_sim, tmp_path, capsys, column, spell):
+        value = {"eta": "0.361", "phi_true": "0.04"}[column]
+        text = spell(value)
+        assert float(text) == float(value)  # the row's own value, spelled otherwise
+        assert self.estimate_with(fuzz_sim, tmp_path, column, text) == 1
+        err = capsys.readouterr().err
+        assert f"line 9: {column} must be a decimal number, got {text!r}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_digits_beyond_the_int_limit_exit_1(self, fuzz_sim, tmp_path, capsys):
+        assert self.estimate_with(fuzz_sim, tmp_path, "seed_used", "9" * 5000) == 1
+        err = capsys.readouterr().err
+        assert "line 9: series_id, a count or seed_used is out of range" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["-0", "007"])
+    def test_ascii_digit_counts_still_read(self, fuzz_sim, tmp_path, text):
+        assert self.estimate_with(fuzz_sim, tmp_path, "n_AA", text) == 0
 
 
 class TestDeterminism:

@@ -12,14 +12,15 @@ from lossyphase.detection import (
     DetectionConfig,
     OutcomeModel,
     Setting,
+    classical_distribution,
     outcome_distribution,
 )
 from lossyphase.fock import basis
 from lossyphase.imperfections import (
+    COUPLER_RETENTION,
     ImperfectionParams,
     apply_coupler_thinning,
     build_model,
-    classical_distribution,
     degrade_distribution,
     fibre_input,
 )
@@ -34,10 +35,8 @@ class TestParams:
             ImperfectionParams(epsilon=1.5)
         with pytest.raises(ValueError):
             ImperfectionParams(lambda_hom=-0.1)
-        with pytest.raises(ValueError):
-            ImperfectionParams(coupler_factor=0.0)
 
-    @pytest.mark.parametrize("name", ["epsilon", "delta", "lambda_hom", "v_classical", "coupler_factor"])
+    @pytest.mark.parametrize("name", ["epsilon", "delta", "lambda_hom", "v_classical"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
@@ -155,8 +154,8 @@ class TestCouplerThinning:
         order = [LABELS.index(label) for label in ("AA", "BB", "CC", "AB", "AC", "BC")]
         counts = [40, 0, 7, 1000, 3, 250]
         vectorized = np.empty(len(LABELS), dtype=np.int64)
-        vectorized[order] = np.random.default_rng(4).binomial(np.array(counts)[order], 0.37)
-        assert apply_coupler_thinning(counts, np.random.default_rng(4), 0.37) == vectorized.tolist()
+        vectorized[order] = np.random.default_rng(4).binomial(np.array(counts)[order], COUPLER_RETENTION)
+        assert apply_coupler_thinning(counts, np.random.default_rng(4)) == vectorized.tolist()
 
     def test_unbiased_ratios(self):
         rng = np.random.default_rng(123)

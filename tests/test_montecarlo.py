@@ -236,11 +236,9 @@ PINNED_DATASETS = [
             series_count=4,
             events_per_series=60,
             master_seed=2**40 + 7,
-            imperfections=ImperfectionParams(
-                epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97, coupler_factor=0.8
-            ),
+            imperfections=ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97),
         ),
-        "d493ae34ba29c2c0dc581a845c2a5bcbfa19b20ec50a4ca8a5bb613f644d787e",
+        "d4c9ad9e1d64ff44a521193794df9090ab409ebe43b0eae2c5721da46bd6593c",
     ),
     (
         ExperimentConfig(
@@ -296,6 +294,6 @@ class TestPinnedDatasets:
             phi = config.phase_list[phase_index]
             dist = dict(zip(LABELS, models[setting].probabilities(phi)))
             drawn = sample_counts(dist, m, rng)
-            counts = {label: int(rng.binomial(drawn[label], 0.8)) for label in ("AA", "BB", "CC", "AB", "AC", "BC")}
+            counts = {label: int(rng.binomial(drawn[label], 0.5)) for label in ("AA", "BB", "CC", "AB", "AC", "BC")}
             row_counts = dict(zip(LABELS, dataset.counts[row].tolist()))
             assert (row_counts, int(dataset.seed_used[row])) == (counts, seed_used)
