@@ -10,9 +10,9 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,14 +57,58 @@ class ConfigError(Exception):
     """Bad input (config text, manifest, dataset or environment); carries a one-line diagnostic."""
 
 
+# The number grammar of every input: config values, LOSSYPHASE_SEED, numeric
+# flags and dataset fields. argparse names a flag's type by its function name.
+
+
+def _is_integer(text: str) -> bool:
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def integer(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits after an optional "-", as
+    the writers spell one; ``int`` would also read whitespace, "_", "+" and
+    non-ASCII digits."""
+    if not _is_integer(text):
+        raise ValueError(f"not an integer of ASCII digits: {text!r}")
+    return int(text)
+
+
+def decimal(text: str) -> float:
+    """The number ``text`` spells as ``float`` reads it, in ASCII, without
+    "_" or surrounding whitespace: 0.361, -4, 1e-11 and nan read."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
 
 
+#: Lines a writer joins and writes at once, and rows it formats at once.
+_WRITE_BLOCK = 2048
+
+
 def _write_lines(path: Path, header, lines) -> None:
-    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8", newline="\n")
+    """The header and then ``lines``, each ended by "\\n", written
+    ``_WRITE_BLOCK`` lines at a time."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        while block := list(islice(lines, _WRITE_BLOCK)):
+            handle.write("\n".join(block) + "\n")
+
+
+def _format_rows(line: str, prefixes: list[str], columns) -> Iterator[str]:
+    """``line.format`` of each row's prefix and its values in ``columns``,
+    one array per field; the columns become Python numbers a row block at a
+    time."""
+    for start in range(0, len(prefixes), _WRITE_BLOCK):
+        rows = slice(start, start + _WRITE_BLOCK)
+        yield from map(line.format, prefixes[rows], *(column[rows].tolist() for column in columns))
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -77,7 +121,7 @@ def _default_seed() -> int:
     if env is None:
         return ExperimentConfig().master_seed
     try:
-        seed = int(env)
+        seed = integer(env)
     except ValueError as exc:
         raise ConfigError(f"environment variable {SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     if seed < 0:
@@ -114,13 +158,13 @@ class _Kind(NamedTuple):
 
 _FLOATS = _Kind(
     "a list of numbers",
-    lambda text: tuple(float(part) for part in text.split(",")),
+    lambda text: tuple(decimal(part.strip()) for part in text.split(",")),
     lambda value: type(value) is list and all(map(_is_number, value)),
     lambda value: tuple(map(float, value)),
     list,
 )
-_FLOAT = _Kind("a number", float, _is_number, float)
-_INT = _Kind("an integer", int, lambda value: type(value) is int, int)
+_FLOAT = _Kind("a number", decimal, _is_number, float)
+_INT = _Kind("an integer", integer, lambda value: type(value) is int, int)
 _BOOL = _Kind("a boolean", _parse_bool, lambda value: type(value) is bool, bool)
 _PROBE = _Kind("'optimal' or 'noon'", _parse_probe, lambda value: type(value) is str, _parse_probe, lambda kind: kind.value)
 
@@ -230,7 +274,7 @@ def config_from_dict(data: dict) -> tuple[ExperimentConfig, bool]:
     return ExperimentConfig(**kwargs), include_cc
 
 
-_FINITE = _Kind("a finite number", float, lambda value: _is_number(value) and math.isfinite(value), float)
+_FINITE = _Kind("a finite number", decimal, lambda value: _is_number(value) and math.isfinite(value), float)
 
 #: The keys of a ``design`` entry of the simulate manifest and their kinds.
 _DESIGN_FIELDS = {"probe": _PROBE, **dict.fromkeys(("eta", "x0", "x1", "x2", "theta_d", "conditional_phase"), _FINITE)}
@@ -325,9 +369,9 @@ def _prefixes(dataset: EventDataset, rows, with_setting: bool) -> list[str]:
 def write_dataset_csv(path: Path, dataset: EventDataset) -> None:
     """One row per record in ``DATASET_COLUMNS`` order, formatted as
     ``_write_csv`` would."""
-    integers = [dataset.series_id.tolist(), *dataset.counts.T.tolist(), dataset.seed_used.tolist()]
+    integers = [dataset.series_id, *dataset.counts.T, dataset.seed_used]
     line = "{}" + ",".join(["{}"] * len(integers))
-    _write_lines(path, DATASET_COLUMNS, map(line.format, _prefixes(dataset, slice(None), True), *integers))
+    _write_lines(path, DATASET_COLUMNS, _format_rows(line, _prefixes(dataset, slice(None), True), integers))
 
 
 def _read_text(path, what: str) -> str:
@@ -339,10 +383,13 @@ def _read_text(path, what: str) -> str:
 
 def _parse_prefix(fields_: list[str]) -> tuple:
     """(eta, probe, phi_true, setting) of a dataset row's first four fields."""
-    for name, text in (("eta", fields_[0]), ("phi_true", fields_[2])):  # float would also read these spellings
-        if not text.isascii() or "_" in text or text != text.strip():
-            raise ValueError(f"{name} must be a decimal number, got {text!r}")
-    parsed = (float(fields_[0]), ProbeKind(fields_[1]), float(fields_[2]), Setting(fields_[3]))
+    values = []
+    for name, text in (("eta", fields_[0]), ("phi_true", fields_[2])):
+        try:
+            values.append(decimal(text))
+        except ValueError:
+            raise ValueError(f"{name} must be a decimal number, got {text!r}") from None
+    parsed = (values[0], ProbeKind(fields_[1]), values[1], Setting(fields_[3]))
     if not (math.isfinite(parsed[0]) and math.isfinite(parsed[2])):
         raise ValueError(f"eta and phi_true must be finite, got {fields_[0]} and {fields_[2]}")
     if not 0.0 < parsed[0] <= 1.0:
@@ -385,7 +432,7 @@ def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tup
         columns = [list(map(int, integers[k::8])) for k in range(8)]
     except ValueError:  # also a non-ASCII character, a misplaced "-" or more digits than int reads
         for i, text in enumerate(integers):
-            if not (text.isascii() and text.removeprefix("-").isdigit()):
+            if not _is_integer(text):
                 raise ValueError(f"{DATASET_COLUMNS[4 + i % 8]} must be an integer of ASCII digits, got {text!r}") from None
         raise ValueError("series_id, a count or seed_used is out of range") from None
     lowest = [min(column, default=0) for column in columns[1:7]]
@@ -400,9 +447,27 @@ def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tup
         raise ValueError("series_id, a count or seed_used is out of range") from None
 
 
-#: Data rows split into text fields at once; each chunk moves into arrays
-#: before the next is split, which bounds the parser's memory.
-_PARSE_CHUNK = 4096
+#: Lines a block of the parser holds: a block is split into lines, and its
+#: rows into text fields and then arrays, before the next block is cut from
+#: the file's text, so the parser's Python objects stay within one block.
+_PARSE_CHUNK = 2048
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines ``text.splitlines()`` gives, in blocks of at least
+    ``_PARSE_CHUNK`` lines (fewer in the last block). Each block ends just
+    after a "\\n", which ends a line whatever precedes it, so no block cuts
+    a line or its "\\r\\n"."""
+    start = 0
+    while start < len(text):
+        stop = start
+        for _ in range(_PARSE_CHUNK):
+            stop = text.find("\n", stop) + 1
+            if not stop:
+                stop = len(text)
+                break
+        yield text[start:stop].splitlines()
+        start = stop
 
 
 def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
@@ -413,12 +478,14 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     count, a number the writer would not spell (whitespace, ``_`` or a
     non-ASCII character; in an integer field anything but ASCII digits after
     an optional ``-``) and a row whose (eta, probe, phi_true, series_id,
-    setting) repeats by value. ``_parse_rows`` checks ``_PARSE_CHUNK`` rows
-    at a time, and a failed chunk one line at a time to name its first bad
-    line. Repeated rows are sought once every line parses.
+    setting) repeats by value. The lines are split a block at a time
+    (``_line_blocks``); ``_parse_rows`` checks each block at once, and a
+    failed block one line at a time to name its first bad line. Repeated
+    rows are sought once every line parses.
     """
-    lines = _read_text(path, "dataset").splitlines()
-    if not lines:
+    blocks = _line_blocks(_read_text(path, "dataset"))
+    lines = next(blocks, None)
+    if lines is None:
         raise ConfigError(f"{path}: empty dataset file")
     header = lines[0].split(",")
     for got, expected in zip(header, DATASET_COLUMNS):
@@ -428,29 +495,42 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
         raise ConfigError(f"{path}: expected {len(DATASET_COLUMNS)} columns, found {len(header)}")
     prefixes: dict[str, int] = {}  # text of a row's first four fields -> index into parsed
     parsed = []  # (eta, probe, phi_true, setting) of each prefix text
-    chunks = []  # per chunk: prefix of each row, then series_id and counts, then seed_used
-    for start in range(1, max(len(lines), 2), _PARSE_CHUNK):  # at least one chunk
-        chunk = lines[start : start + _PARSE_CHUNK]
+    chunks = []  # per block: prefix of each row, then series_id and counts, then seed_used
+    blanks = []  # line numbers of the blank lines, ascending
+    start = 2  # line number of the block's first line
+    for block in chain([lines[1:]], blocks):  # at least one block
         try:
-            chunks.append(_parse_rows(chunk, prefixes, parsed))
+            chunks.append(_parse_rows(block, prefixes, parsed))
         except ValueError:
-            for line_no, line in enumerate(chunk, start=start + 1):
+            for line_no, line in enumerate(block, start=start):
                 try:
                     _parse_rows([line], prefixes, parsed)
                 except ValueError as exc:
                     raise ConfigError(f"{path}: line {line_no}: {exc}") from None
             raise  # not reached: every rule applies to one row, so some line fails alone
-    prefix = np.concatenate([c[0] for c in chunks]).astype(np.intp)
+        if len(chunks[-1][0]) < len(block):
+            blanks += [line_no for line_no, line in enumerate(block, start=start) if _is_blank(line)]
+        start += len(block)
+    prefix, integers, seed_used = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+    del chunks  # before the columns are built, which bounds the peak
+    prefix = prefix.astype(np.intp)
     codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
     probe, setting = codes[prefix].T
     eta, phi_true = (np.array([p[k] for p in parsed], dtype=float)[prefix] for k in (0, 2))
-    series_id, *counts = np.concatenate([c[1] for c in chunks], axis=1)
+    series_id, counts = integers[0].copy(), integers[1:].T.copy()
+    del integers
     number, first = _first_seen(eta, probe, phi_true, setting, series_id)
     repeats = np.flatnonzero(first[number] != np.arange(len(number)))  # rows whose key an earlier row has
     if len(repeats):
-        line_of = [line_no for line_no, line in enumerate(lines[1:], start=2) if not _is_blank(line)]
+
+        def line_of(row: int) -> int:
+            line_no = int(row) + 2
+            for blank in blanks:  # each blank line at or before it moves the row down a line
+                line_no += blank <= line_no
+            return line_no
+
         raise ConfigError(
-            f"{path}: line {line_of[repeats[0]]}: duplicates line {line_of[first[number[repeats[0]]]]}"
+            f"{path}: line {line_of(repeats[0])}: duplicates line {line_of(first[number[repeats[0]]])}"
             " (same eta, probe, phi_true, series_id and setting)"
         )
     return EventDataset(
@@ -460,8 +540,8 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
         phi_true=phi_true,
         setting=setting,
         series_id=series_id,
-        counts=np.column_stack(counts),
-        seed_used=np.concatenate([c[2] for c in chunks]),
+        counts=counts,
+        seed_used=seed_used,
     )
 
 
@@ -573,7 +653,7 @@ def cmd_estimate(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates_path = out_dir / "estimates.csv"
     columns = (dataset.series_id[estimates.row], estimates.phi_hat, estimates.loglik, estimates.n_coinc)
-    _write_lines(estimates_path, ESTIMATES_COLUMNS, map("{}{},{:.12g},{:.12g},{}".format, prefixes, *(c.tolist() for c in columns)))
+    _write_lines(estimates_path, ESTIMATES_COLUMNS, _format_rows("{}{},{:.12g},{:.12g},{}", prefixes, columns))
     report_path = out_dir / "report.csv"
     rows = ((r.eta, r.probe.value, r.phi_true, r.mean, r.sigma, r.m_bar, r.sigma_scaled, r.crb) for r in report)
     _write_csv(report_path, REPORT_COLUMNS, rows)
@@ -597,18 +677,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="precision bounds and optimal weights over a transmission grid")
-    p.add_argument("--eta-min", type=float, default=0.05)
-    p.add_argument("--eta-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=39)
+    p.add_argument("--eta-min", type=decimal, default=0.05)
+    p.add_argument("--eta-max", type=decimal, default=1.0)
+    p.add_argument("--steps", type=integer, default=39)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("fringes", help="coincidence fringes for one transmission and probe")
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eta", type=decimal, required=True)
     p.add_argument("--probe", choices=[k.value for k in ProbeKind], default="optimal")
-    p.add_argument("--phi-steps", type=int, default=201)
-    p.add_argument("--counts", type=int, default=None, help="emit multinomial counts at this rate instead of probabilities")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--phi-steps", type=integer, default=201)
+    p.add_argument("--counts", type=integer, default=None, help="emit multinomial counts at this rate instead of probabilities")
+    p.add_argument("--seed", type=integer, default=None)
     ideal = ImperfectionParams()
     for key, attr in _IMPERFECTIONS.items():
         p.add_argument("--" + key.replace("_", "-"), type=_FIELDS[key][1].parse, default=getattr(ideal, attr))
@@ -619,15 +699,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--probe", choices=[k.value for k in ProbeKind], default=None, help="override the config probe")
-    p.add_argument("--eta", type=float, default=None, help="restrict to a single transmission")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--eta", type=decimal, default=None, help="restrict to a single transmission")
+    p.add_argument("--seed", type=integer, default=None, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="maximum-likelihood estimates and uncertainty report for a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--manifest", default=None, help="manifest path (default: manifest.json next to the dataset)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--hist-bin", type=float, default=None, help="also emit phase-estimate histograms at this bin width")
+    p.add_argument("--hist-bin", type=decimal, default=None, help="also emit phase-estimate histograms at this bin width")
     p.set_defaults(func=cmd_estimate)
     return parser
 

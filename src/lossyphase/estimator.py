@@ -84,24 +84,39 @@ def likelihood_grid(models, include_cc: bool = True) -> LikelihoodGrid:
     return LikelihoodGrid(phis=phis, labels=labels, log_probs=logs)
 
 
-#: Series per stacked likelihood product; bounds the (series, grid) buffers.
-CHUNK_SERIES = 64
+#: Series per stacked likelihood product: the two (series, grid) row buffers
+#: of ``_estimate_series``, 0.8 MB each on the default grid, fit in a 2 MB L2
+#: cache together.
+CHUNK_SERIES = 32
 
 
-def _loglik_rows(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Log-likelihood rows of series start:stop over the grid.
+def _loglik_rows(
+    grid: LikelihoodGrid,
+    counts: dict[Setting, np.ndarray],
+    start: int,
+    stop: int,
+    total: np.ndarray | None = None,
+    part: np.ndarray | None = None,
+) -> np.ndarray:
+    """Log-likelihood rows of series start:stop over the grid, written into
+    the first rows of ``total``, with ``part`` as scratch; both are
+    C-contiguous float arrays of at least stop - start rows and one column per
+    grid point, allocated here when not given.
 
     The stacked (series, 1, labels) @ (labels, grid) product runs one BLAS
     matrix-vector product per series; a plain (series, labels) matrix product
     rounds differently and would change the estimates in the last digits.
+    The products go straight into the buffers, which hold them in the
+    (series, 1, grid) layout a fresh product has, and are then summed in
+    place, so the rows equal the fresh stacked products bit for bit.
     """
-    total = None
-    for setting, log_probs in grid.log_probs.items():
-        rows = (counts[setting][start:stop, None, :] @ log_probs.T)[:, 0, :]
-        if total is None:
-            total = rows
-        else:
-            total += rows
+    n = stop - start
+    total, part = (np.empty((n, len(grid.phis))) if a is None else a[:n] for a in (total, part))
+    for k, (setting, log_probs) in enumerate(grid.log_probs.items()):
+        out = part if k else total
+        np.matmul(counts[setting][start:stop, None, :], log_probs.T, out=out.reshape(n, 1, -1))
+        if k:
+            total += part
     return total
 
 
@@ -159,10 +174,12 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
     """
     n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
     phi_hat, lmax, problems = np.empty(len(n_coinc)), np.empty(len(n_coinc)), []
+    # Allocated once: a fresh 0.8 MB product per chunk may come from new pages each time
+    buffers = [np.empty((min(CHUNK_SERIES, len(n_coinc)), len(grid.phis))) for _ in range(2)]
     for start in range(0, len(n_coinc), CHUNK_SERIES):
         stop = min(start + CHUNK_SERIES, len(n_coinc))
         phi_hat[start:stop], lmax[start:stop], problem = _best_phis(
-            grid.phis, _loglik_rows(grid, counts, start, stop), grid.step
+            grid.phis, _loglik_rows(grid, counts, start, stop, *buffers), grid.step
         )
         problems += problem
     problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -27,7 +28,12 @@ from lossyphase.cli import (
     SEED_ENV_VAR,
     ConfigError,
     _FIELDS,
+    _PARSE_CHUNK,
+    _WRITE_BLOCK,
     _config_dict,
+    _line_blocks,
+    _write_lines,
+    build_parser,
     config_from_dict,
     _fmt,
     main,
@@ -39,7 +45,7 @@ from lossyphase import bounds, montecarlo
 from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import PROBES, EventDataset, ExperimentConfig, ProbeKind, probe_design
+from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design
 
 SMALL_CONFIG = """\
 # compact campaign for integration checks
@@ -1061,6 +1067,239 @@ class TestNumberSpelling:
     @pytest.mark.parametrize("text", ["-0", "007"])
     def test_ascii_digit_counts_still_read(self, fuzz_sim, tmp_path, text):
         assert self.estimate_with(fuzz_sim, tmp_path, "n_AA", text) == 0
+
+
+#: The benchmark's workload definitions; they write the configs it runs.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+class TestNumberGrammar:
+    """Config values, LOSSYPHASE_SEED and the numeric flags read numbers by
+    the rules of the dataset parser: ASCII digits after an optional "-" for
+    an integer, and for a decimal what ``float`` reads in ASCII without "_"
+    or surrounding whitespace."""
+
+    BASE = {"eta_list": "0.361", "phases": "0.0", "series": "2", "events": "20"}
+
+    def simulate_with(self, tmp_path, **values):
+        config_path = tmp_path / "c.cfg"
+        lines = [f"{key} = {value}" for key, value in {**self.BASE, **values}.items()]
+        config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("key, text", [
+        ("series", "1_0"),
+        ("events", "2_0"),
+        ("seed", "٣"),
+        ("seed", "+3"),
+        ("events", "２０"),
+        ("epsilon", "0.0_1"),
+        ("delta", "٠.1"),
+        ("phases", "0.0, 0.0_4"),
+        ("eta_list", "0.361, ٠.5"),
+    ])
+    def test_config_spelling_exits_1(self, tmp_path, capsys, key, text):
+        assert self.simulate_with(tmp_path, **{key: text}) == 1
+        err = capsys.readouterr().err
+        assert f"expected {_FIELDS[key][1].expected} for {key}, got {text!r}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("env", [" 1_2 ", "1_2", "٣", "+5", " 7", "7\n"])
+    def test_env_seed_spelling_exits_1(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+        assert self.simulate_with(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"environment variable {SEED_ENV_VAR} must be an integer, got {env!r}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("bounds", "--steps", "1_0"),
+        ("bounds", "--eta-min", "0.0_5"),
+        ("bounds", "--eta-max", "١"),
+        ("fringes", "--phi-steps", "١١"),
+        ("fringes", "--counts", "+10"),
+        ("fringes", "--seed", "4_2"),
+        ("fringes", "--epsilon", "0.0_1"),
+        ("fringes", "--eta", "0.3_61"),
+        ("simulate", "--seed", "٣"),
+        ("simulate", "--eta", " 0.361"),
+        ("estimate", "--hist-bin", "0.0_1"),
+    ])
+    def test_flag_spelling_exits_2(self, tmp_path, capsys, command, flag, text):
+        out = tmp_path / "o"
+        required = {
+            "bounds": ["--out", str(out)],
+            "fringes": ["--eta", "0.361", "--out", str(out)],
+            "simulate": ["--config", str(tmp_path / "c.cfg"), "--out-dir", str(out)],
+            "estimate": ["--dataset", str(tmp_path / "d.csv"), "--out-dir", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *required, flag, text])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_written_spellings_read(self):
+        """The spellings the README, the benchmark workloads and repr write."""
+        kwargs, _ = parse_config("eta_list = 0.2, 0.361\nphases = -0.04, 0, 1e-11, -0.0\nseries = 007\nseed = -0\ndelta = 1E-11\n")
+        assert kwargs["eta_list"] == (0.2, 0.361)
+        assert kwargs["phase_list"] == (-0.04, 0.0, 1e-11, -0.0)
+        assert (kwargs["series_count"], kwargs["master_seed"], kwargs["imperfections"].delta) == (7, 0, 1e-11)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        kwargs, _ = parse_config(readme.split("### Config file", 1)[1].split("```", 2)[1])
+        assert kwargs["eta_list"] == (0.2, 0.361, 0.4, 0.547) and kwargs["phase_list"] == (-0.04, 0.0, 0.04)
+        args = build_parser().parse_args(["bounds", "--eta-min", "4e-13", "--eta-max", "1", "--steps", "96", "--out", "b"])
+        assert (args.eta_min, args.eta_max, args.steps) == (4e-13, 1.0, 96)
+
+    def test_workload_configs_read(self):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses look their module up by name
+        try:
+            spec.loader.exec_module(workloads)
+            texts = [
+                text
+                for scale in (workloads.FULL, workloads.SMALL)
+                for plan in (build(0, scale) for build in workloads.WORKLOADS.values())
+                for text in plan.files.values()
+            ]
+        finally:
+            del sys.modules[spec.name]
+        assert texts
+        for text in texts:
+            kwargs, _ = parse_config(text)
+            assert kwargs["series_count"] >= 1
+
+
+def block_dataset(n: int) -> EventDataset:
+    """n rows with distinct series ids whose prefixes change from row to row."""
+    i = np.arange(n)
+    return EventDataset(
+        ExperimentConfig(),
+        eta=np.array([0.361, 0.547, 1.0])[i % 3],
+        probe=i % 2,
+        phi_true=np.array([0.0, -0.0, 0.04, -1e-11])[i // 3 % 4],
+        setting=i // 2 % 2,
+        series_id=i,
+        counts=(i[:, None] * 7 + np.arange(6)) % 2001,
+        seed_used=np.uint64(2**64 - 1) - i.astype(np.uint64),
+    )
+
+
+def one_shot_csv(dataset: EventDataset) -> bytes:
+    """The dataset CSV built as one string, each row formatted on its own."""
+    d = dataset
+    lines = [
+        ",".join([
+            _fmt(d.eta[i]), PROBES[d.probe[i]].value, _fmt(d.phi_true[i]), SETTINGS[d.setting[i]].value,
+            *map(str, [d.series_id[i], *d.counts[i], d.seed_used[i]]),
+        ])
+        for i in range(len(d.series_id))
+    ]
+    return ("\n".join([",".join(DATASET_COLUMNS), *lines]) + "\n").encode()
+
+
+class TestDatasetBlocks:
+    """The writers write, and the parser splits, a block of lines at a time;
+    bytes and diagnostics do not depend on where the blocks end."""
+
+    @pytest.mark.parametrize("n", [0, 1, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1])
+    def test_writer_bytes_match_one_shot_join(self, tmp_path, n):
+        path = tmp_path / "dataset.csv"
+        dataset = block_dataset(n)
+        write_dataset_csv(path, dataset)
+        assert path.read_bytes() == one_shot_csv(dataset)
+        lines = [f"{k},{k * k}" for k in range(n)]
+        _write_lines(path, ("a", "b"), iter(lines))
+        assert path.read_bytes() == ("\n".join(["a,b", *lines]) + "\n").encode()
+
+    @given(st.lists(st.sampled_from(["a", ",", "", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " "])), st.integers(1, 3))
+    def test_line_blocks_are_splitlines(self, pieces, size):
+        text = "".join(pieces)
+        with mock.patch("lossyphase.cli._PARSE_CHUNK", size):
+            blocks = list(_line_blocks(text))
+        assert [line for block in blocks for line in block] == text.splitlines()
+        assert all(len(block) >= size for block in blocks[:-1])
+
+    @staticmethod
+    def lines_of(n: int) -> list[str]:
+        """The lines of the dataset CSV of ``block_dataset(n)``, header first."""
+        return one_shot_csv(block_dataset(n)).decode().splitlines()
+
+    @staticmethod
+    def read(tmp_path, lines, newline="\n"):
+        path = tmp_path / "dataset.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        return read_dataset_csv(path, ExperimentConfig())
+
+    def test_blocks_end_where_the_tests_expect(self):
+        text = "\n".join(self.lines_of(2 * _PARSE_CHUNK + 100)) + "\n"
+        assert [len(block) for block in _line_blocks(text)] == [_PARSE_CHUNK, _PARSE_CHUNK, 101]
+
+    @staticmethod
+    def set_field(lines, line_no, column, text):
+        parts = lines[line_no - 1].split(",")
+        parts[DATASET_COLUMNS.index(column)] = text
+        lines[line_no - 1] = ",".join(parts)
+
+    @pytest.mark.parametrize("bad", [
+        [_PARSE_CHUNK], [_PARSE_CHUNK + 1], [_PARSE_CHUNK, _PARSE_CHUNK + 1], [_PARSE_CHUNK + 1, 2 * _PARSE_CHUNK + 1],
+        [2 * _PARSE_CHUNK],
+    ], ids=["last-of-block", "first-of-next", "both", "first-of-two-blocks", "last-of-second"])
+    def test_bad_row_at_a_block_boundary_named(self, tmp_path, bad):
+        """``bad`` holds 1-based line numbers; the first is named."""
+        lines = self.lines_of(2 * _PARSE_CHUNK + 100)
+        for line_no in bad:
+            self.set_field(lines, line_no, "n_AA", "x")
+        with pytest.raises(ConfigError, match=f": line {bad[0]}: n_AA must be an integer of ASCII digits, got 'x'$"):
+            self.read(tmp_path, lines)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_lines_and_line_endings(self, tmp_path, newline):
+        n = 2 * _PARSE_CHUNK
+        lines = self.lines_of(n)
+        for at in (1, 5, _PARSE_CHUNK - 1, _PARSE_CHUNK, _PARSE_CHUNK + 3):
+            lines.insert(at, " " * (at % 3))
+        parsed = self.read(tmp_path, lines, newline)
+        expected = block_dataset(n)
+        for name in ("eta", "probe", "phi_true", "setting", "series_id", "counts", "seed_used"):
+            np.testing.assert_array_equal(getattr(parsed, name), getattr(expected, name))
+        np.testing.assert_array_equal(np.signbit(parsed.phi_true), np.signbit(expected.phi_true))
+        assert not lines[_PARSE_CHUNK - 1].strip() and not lines[_PARSE_CHUNK].strip()  # blank: end of one block, start of the next
+        for bad in (_PARSE_CHUNK + 2, _PARSE_CHUNK + 7):
+            self.set_field(lines, bad, "n_BB", "-1")
+        with pytest.raises(ConfigError, match=f": line {_PARSE_CHUNK + 2}: n_BB must be non-negative, got -1$"):
+            self.read(tmp_path, lines, newline)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("copy_at", [_PARSE_CHUNK, _PARSE_CHUNK + 1, 2 * _PARSE_CHUNK - 3])
+    def test_duplicate_across_blocks_named(self, tmp_path, newline, copy_at):
+        """A row of the first block copied to line ``copy_at``, with blank
+        lines before both and between them."""
+        lines = self.lines_of(2 * _PARSE_CHUNK)
+        row = lines[_PARSE_CHUNK - 3]
+        lines.insert(copy_at - 1, row)
+        for at in (2, _PARSE_CHUNK - 10):
+            lines.insert(at, "\t")
+        first, copy = (i + 1 for i, line in enumerate(lines) if line == row)
+        assert first <= _PARSE_CHUNK < copy  # the original ends the first block
+        with pytest.raises(ConfigError, match=f": line {copy}: duplicates line {first} "):
+            self.read(tmp_path, lines, newline)
+
+    def test_undecodable_later_block_exits_1(self, sim_dir, tmp_path, capsys):
+        dataset = tmp_path / "dataset.csv"
+        lines = self.lines_of(_PARSE_CHUNK + 10)
+        dataset.write_bytes(("\n".join(lines) + "\n").encode() + b"0.361,noon,0,half,\xff\n")
+        rc = main([
+            "estimate", "--dataset", str(dataset), "--manifest", str(sim_dir / "manifest.json"),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot read dataset {dataset}" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminism:

@@ -202,6 +202,28 @@ class TestLogLikelihood:
         assert np.all(grid.log_probs[Setting.HALF][:, grid.labels[Setting.HALF].index("AC")] == _NEG)
         assert np.all(row == 3 * _NEG)
 
+    @pytest.mark.parametrize("kind, eta", [(ProbeKind.OPTIMAL, 0.361), (ProbeKind.NOON, 1.0)], ids=["optimal", "noon-lossless"])
+    @pytest.mark.parametrize("include_cc", [True, False], ids=["3-and-3-labels", "3-and-2-labels"])
+    def test_reused_buffers_match_fresh_product(self, kind, eta, include_cc):
+        """Rows written into reused buffers equal, bit for bit, the fresh
+        stacked products summed, for full chunks and a last partial one; a
+        lossless N00N grid holds the log(0) stand-in."""
+        grid = likelihood_grid(models_for(kind, eta), include_cc=include_cc)
+        assert [len(kept) for kept in grid.labels.values()] == [3, 3 if include_cc else 2]
+        rng = np.random.default_rng(7)
+        n = 2 * CHUNK_SERIES + 5
+        counts = {setting: rng.integers(0, 300, (n, len(kept))).astype(float) for setting, kept in grid.labels.items()}
+        buffers = [np.full((CHUNK_SERIES, len(grid.phis)), np.nan) for _ in range(2)]
+        for start in range(0, n, CHUNK_SERIES):
+            stop = min(start + CHUNK_SERIES, n)
+            quarter, half = ((counts[s][start:stop, None, :] @ grid.log_probs[s].T)[:, 0, :] for s in grid.labels)
+            fresh = quarter + half
+            rows = _loglik_rows(grid, counts, start, stop, *buffers)
+            assert rows.shape == fresh.shape and np.shares_memory(rows, buffers[0])
+            np.testing.assert_array_equal(rows.view(np.uint64), fresh.view(np.uint64))
+            alone = _loglik_rows(grid, counts, start, stop)
+            np.testing.assert_array_equal(alone.view(np.uint64), fresh.view(np.uint64))
+
 
 class TestMlEstimate:
     """Maximum-likelihood estimates by ``_estimate_series`` and ``estimate_dataset``."""
