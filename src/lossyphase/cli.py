@@ -233,12 +233,6 @@ def _assemble(values: dict) -> tuple[dict, bool]:
     return kwargs, include_cc
 
 
-def parse_config(text: str) -> tuple[dict, bool]:
-    """Parse key=value configuration text into run_campaign keyword arguments
-    plus the include_cc estimation toggle."""
-    return _assemble(_read_config(text))
-
-
 def _config_dict(config: ExperimentConfig, include_cc: bool) -> dict:
     """The manifest's config object: every key of ``_FIELDS`` with its value."""
     by_field = {**vars(config), **vars(config.imperfections), "include_cc": include_cc}
@@ -331,8 +325,8 @@ def cmd_fringes(args) -> None:
         raise ValueError(f"eta must be in (0, 1], got {args.eta}")
     if args.phi_steps < 1:
         raise ValueError(f"phi-steps must be at least 1, got {args.phi_steps}")
-    if args.counts is not None and args.counts < 0:
-        raise ValueError(f"--counts must be non-negative, got {args.counts}")
+    if args.counts is not None and not 0 <= args.counts <= np.iinfo(np.int64).max:  # numpy draws int64 counts
+        raise ValueError(f"--counts must be non-negative and at most 2**63 - 1, got {args.counts}")
     params = ImperfectionParams(**{attr: getattr(args, key) for key, attr in _IMPERFECTIONS.items()})
     seed = args.seed if args.seed is not None else _default_seed()
     kind = ProbeKind(args.probe)

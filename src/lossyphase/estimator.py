@@ -120,17 +120,44 @@ def _loglik_rows(
     return total
 
 
-def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
-    """Global maximizer of each likelihood row: local maxima are refined with a
-    parabola through the best grid point and its neighbors; near-ties are
-    broken toward the smallest |phi|.
+#: Series whose peaks are resolved at once: the candidates of 16 chunks, never of a whole block.
+GROUP_SERIES = 16 * CHUNK_SERIES
+
+
+def _peaks(phis: np.ndarray, step: float, chunks, exact_min: Callable[[int], float]):
+    """Global maximizer of each row of the ``chunks`` of likelihood rows:
+    local maxima are refined with a parabola through the best grid point and
+    its neighbors; near-ties are broken toward the smallest |phi|.
+
+    Each chunk is scanned once, before the next is drawn; then all rows are
+    resolved at once. A row's maximum is a candidate or an edge value; its
+    minimum comes from ``exact_min(row)`` only where sampled columns leave the
+    row possibly flat or its maximum is at most ``_NEG``.
 
     Returns (phi_hat, value, problem) per row; ``problem`` holds None, or why
     the row carries no phase information, in which case phi_hat and value are
     meaningless.
     """
-    top, bottom = rows.max(axis=1), rows.min(axis=1)
+    columns = np.r_[0, 1, len(phis) - 2, len(phis) - 1, 997 : len(phis) : 997]  # a prime stride rarely aliases a fringe
+    ats, triples, probes, offset = [], [], [], 0
+    for rows in chunks:  # rows laid end to end: a point on a row's edge gets a neighbor from another row
+        x = rows.reshape(-1)
+        at = x[1:-1] >= x[:-2]  # the local-maximum mask, then its indices: no mask outlives its chunk
+        at &= x[1:-1] >= x[2:]
+        at = np.flatnonzero(at)  # (left, center, right) = x[at], x[at + 1], x[at + 2]
+        ats.append(at + offset)
+        triples.append(x[at[:, None] + np.arange(3)])
+        probes.append(rows[:, columns])
+        offset += x.size
+    r, c = divmod(np.concatenate(ats) + 1, len(phis))
+    inner = (c > 0) & (c < len(phis) - 1)
+    r, c, (lm, l0, lp) = r[inner], c[inner], np.concatenate(triples)[inner].T
+    probes = np.concatenate(probes)
+    top, bottom = np.maximum(probes[:, 0], probes[:, 3]), probes.min(axis=1)
+    np.maximum.at(top, r, l0)
     with np.errstate(invalid="ignore"):  # -inf - -inf in a row that is -inf everywhere
+        unsure = np.flatnonzero(~(top - bottom >= 1e-12) | (top <= _NEG))
+        bottom[unsure] = [exact_min(i) for i in unsure.tolist()]
         span = top - bottom
     dead = ~np.isfinite(span) & (top <= _NEG)
     flat = ~dead & (span < 1e-12)
@@ -138,30 +165,30 @@ def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
         "likelihood is -inf everywhere" if d else "likelihood is flat over the search interval" if f else None
         for d, f in zip(dead.tolist(), flat.tolist())
     ]
-    inner = rows[:, 1:-1]
-    is_max = inner >= rows[:, :-2]
-    is_max &= inner >= rows[:, 2:]
-    r, c = np.divmod(np.flatnonzero(is_max), is_max.shape[1])
-    lm, l0, lp = rows[r, c], rows[r, c + 1], rows[r, c + 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = lm - 2.0 * l0 + lp
         curved = denom < 0.0
         shift = np.where(curved, 0.5 * (lm - lp) / denom, 0.0)
         value = np.where(curved, l0 - (lm - lp) ** 2 / (8.0 * denom), l0)
     # Candidates in the scalar search's order: interior maxima, then the edges.
-    left, right = np.nonzero(rows[:, 0] >= rows[:, 1])[0], np.nonzero(rows[:, -1] >= rows[:, -2])[0]
+    left, right = np.nonzero(probes[:, 0] >= probes[:, 1])[0], np.nonzero(probes[:, 3] >= probes[:, 2])[0]
     row_of = np.concatenate([r, left, right])
-    phi = np.concatenate([phis[c + 1] + shift * step, np.full(len(left), phis[0]), np.full(len(right), phis[-1])])
-    val = np.concatenate([value, rows[left, 0], rows[right, -1]])
-    best = np.full(len(rows), -np.inf)
+    phi = np.concatenate([phis[c] + shift * step, np.full(len(left), phis[0]), np.full(len(right), phis[-1])])
+    val = np.concatenate([value, probes[left, 0], probes[right, 3]])
+    best = np.full(len(probes), -np.inf)
     np.maximum.at(best, row_of, val)
     tied = np.nonzero(val >= best[row_of] - TIE_TOL)[0]
     order = tied[np.lexsort((phi[tied], np.abs(phi[tied]), row_of[tied]))]
     first = np.ones(len(order), dtype=bool)
     first[1:] = row_of[order[1:]] != row_of[order[:-1]]
-    pick = np.zeros(len(rows), dtype=np.intp)
+    pick = np.zeros(len(probes), dtype=np.intp)
     pick[row_of[order[first]]] = order[first]
     return phi[pick], val[pick], problem
+
+
+def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
+    """``_peaks`` of ``rows`` as one chunk."""
+    return _peaks(phis, step, [rows], lambda i: rows[i].min())
 
 
 def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
@@ -169,17 +196,18 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
     per setting of the grid: a row per series, a column per kept label.
 
     Returns arrays of phi_hat, loglik max and n_coinc and a list of problems,
-    one per series, ``problem`` as in ``_best_phis`` or for a series without
+    one per series, ``problem`` as in ``_peaks`` or for a series without
     registered coincidences.
     """
     n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
     phi_hat, lmax, problems = np.empty(len(n_coinc)), np.empty(len(n_coinc)), []
     # Allocated once: a fresh 0.8 MB product per chunk may come from new pages each time
     buffers = [np.empty((min(CHUNK_SERIES, len(n_coinc)), len(grid.phis))) for _ in range(2)]
-    for start in range(0, len(n_coinc), CHUNK_SERIES):
-        stop = min(start + CHUNK_SERIES, len(n_coinc))
-        phi_hat[start:stop], lmax[start:stop], problem = _best_phis(
-            grid.phis, _loglik_rows(grid, counts, start, stop, *buffers), grid.step
+    for first in range(0, len(n_coinc), GROUP_SERIES):
+        last = min(first + GROUP_SERIES, len(n_coinc))
+        chunks = (_loglik_rows(grid, counts, s, min(s + CHUNK_SERIES, last), *buffers) for s in range(first, last, CHUNK_SERIES))
+        phi_hat[first:last], lmax[first:last], problem = _peaks(
+            grid.phis, grid.step, chunks, lambda i: _loglik_rows(grid, counts, first + i, first + i + 1).min()
         )
         problems += problem
     problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]
@@ -326,6 +354,8 @@ def histogram(estimates, bin_width: float, bounds: tuple[float, float] | None = 
         hi = math.ceil(hi / bin_width + 1e-9) * bin_width
         if hi <= lo:
             hi = lo + bin_width
+        if not math.isfinite(hi - lo):  # edges snapped to multiples of a width near the float range
+            raise ValueError(f"bin width {bin_width!r} puts the bin edges beyond the float range")
     n_bins = max(int(round((hi - lo) / bin_width)), 1)
     edges = lo + bin_width * np.arange(n_bins + 1)
     idx = np.floor((values - lo) / bin_width).astype(int)

@@ -41,20 +41,6 @@ def fibre_input(epsilon: float, delta: float = 0.0) -> FockState:
     return FockState(2, amps)
 
 
-def degrade_distribution(ideal: dict[str, float], distinguishable: dict[str, float], lambda_hom: float) -> dict[str, float]:
-    """Convex mixture of the interfering and classically-routed distributions."""
-    if not 0.0 <= lambda_hom <= 1.0:
-        raise ValueError(f"lambda_hom must be in [0, 1], got {lambda_hom}")
-    for name, dist in (("ideal", ideal), ("distinguishable", distinguishable)):
-        total = sum(dist.get(label, 0.0) for label in LABELS)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"{name} distribution is not normalized (sum {total})")
-    return {
-        label: lambda_hom * ideal.get(label, 0.0) + (1.0 - lambda_hom) * distinguishable.get(label, 0.0)
-        for label in LABELS
-    }
-
-
 def build_model(probe: FockState, eta: float, config: DetectionConfig, params: ImperfectionParams) -> OutcomeModel:
     """Outcome model for one setting including distinguishability and visibility."""
     return OutcomeModel(probe, eta, config, single_photon_visibility=params.v_classical, lambda_hom=params.lambda_hom)

@@ -37,7 +37,6 @@ from lossyphase.cli import (
     config_from_dict,
     _fmt,
     main,
-    parse_config,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -46,6 +45,7 @@ from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design
+from oracles import parse_config
 
 SMALL_CONFIG = """\
 # compact campaign for integration checks
@@ -217,6 +217,21 @@ class TestFringes:
         assert "--counts" in err and "-5" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("counts", [str(2**63), "100000000000000000000"])
+    def test_counts_beyond_int64_exits_2(self, tmp_path, capsys, counts):
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "0.361", "--phi-steps", "3", "--counts", counts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--counts" in err and counts in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_largest_int64_counts_draw(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "0.361", "--phi-steps", "3", "--counts", str(2**63 - 1), "--out", str(out)]) == 0
+        for line in out.read_text().splitlines()[1:]:
+            assert sum(map(int, line.split(",")[2:])) == 2**63 - 1
 
     @pytest.mark.parametrize("counts", [[], ["--counts", "10"]], ids=["probabilities", "counts"])
     @pytest.mark.parametrize("env, flags, named", [
@@ -531,6 +546,25 @@ class TestEstimate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"--hist-bin {float(width)!r}: " in err and "bins" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("width", ["1e308", "1.7e308"])
+    def test_hist_bin_edges_past_float_range_exit_2(self, tmp_path, capsys, width):
+        """Estimates of both signs put the snapped edges at -width and +width,
+        whose span overflows."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("eta_list = 0.361\nprobe = noon\nphases = 0.0\nseries = 2\nevents = 40\nseed = 1\n")
+        sim, out_dir = tmp_path / "sim", tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(tmp_path / "plain")]) == 0
+        lines = (tmp_path / "plain" / "estimates.csv").read_text().splitlines()
+        phi_hat = [float(line.split(",")[ESTIMATES_COLUMNS.index("phi_hat")]) for line in lines[1:]]
+        assert min(phi_hat) < 0.0 < max(phi_hat)
+        rc = main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(out_dir), "--hist-bin", width])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--hist-bin {float(width)!r}: " in err and "float range" in err
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists() or not any(out_dir.iterdir())
 

@@ -23,8 +23,9 @@ from lossyphase.detection import (
     outcome_distribution,
 )
 from lossyphase.fock import FockState, apply_loss, basis
-from lossyphase.imperfections import ImperfectionParams, degrade_distribution
+from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
+from oracles import degrade_distribution
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 #: Imperfections of the benchmark's design sweep.

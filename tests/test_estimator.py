@@ -6,15 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, qfi_lossy
 from lossyphase.detection import LABELS, Setting
+from lossyphase import estimator
 from lossyphase.estimator import (
     CHUNK_SERIES,
     MAX_BINS,
     TIE_TOL,
     DegenerateLikelihoodError,
+    LikelihoodGrid,
     _best_phis,
     _estimate_series,
     _loglik_rows,
@@ -174,6 +176,92 @@ class TestBatchedPeakSearch:
             with pytest.raises(DegenerateLikelihoodError, match="-inf everywhere"):
                 best_phi(phis, rows[0], 1e-3)
         assert problem == ["likelihood is -inf everywhere", None]
+
+
+#: Kinds of series for the boundary test, by count pattern on the synthetic
+#: grid; the first three carry no phase information, so only their rows may
+#: need an exact minimum.
+UNSURE_KINDS = ("zero", "flat", "tiny")
+SERIES_KINDS = (*UNSURE_KINDS, "mirror", "lobe")
+
+
+def synthetic_grid():
+    """A 301-point grid symmetric about phi = 0 whose quarter labels give an
+    exactly mirror-symmetric pair of lobes and a lobe off zero, and whose half
+    labels give a constant, a spread of 3e-14 and a tilt."""
+    step = 0.01
+    phis = step * (np.arange(301) - 150)
+    mirror = -((phis * phis - 0.09) ** 2)
+    quarter = np.column_stack([mirror, np.cos(phis - 0.2) * 5.0])
+    half = np.column_stack([np.full(len(phis), -1.0), 1e-14 * phis, 0.3 * phis])
+    labels = {Setting.QUARTER: ("AB", "AA"), Setting.HALF: ("AB", "AA", "BB")}
+    return LikelihoodGrid(phis, labels, {Setting.QUARTER: quarter, Setting.HALF: half})
+
+
+def series_counts(kind, rng):
+    """(quarter, half) counts of a series of ``kind`` on ``synthetic_grid``."""
+    k = int(rng.integers(1, 6))
+    quarter, half = {
+        "zero": ([0, 0], [0, 0, 0]),
+        "flat": ([0, 0], [k, 0, 0]),
+        "tiny": ([0, 0], [k, 1, 0]),
+        "mirror": ([k, 0], [int(rng.integers(0, 3)), 0, 0]),
+        "lobe": ([int(rng.integers(0, 3)), k], [0, 0, int(rng.integers(0, 3))]),
+    }[kind]
+    return np.array(quarter, dtype=float), np.array(half, dtype=float)
+
+
+class TestChunkAndGroupBoundaries:
+    """``_estimate_series`` with chunks of 3 series resolved in groups of 7."""
+
+    @given(st.lists(st.sampled_from(SERIES_KINDS), min_size=1, max_size=22), st.integers(0, 2**16))
+    @example(["lobe", "lobe", "zero", "flat", "mirror", "lobe", "tiny", "mirror", "zero", "flat", "lobe"], 0)
+    @example(["mirror", "lobe", "mirror", "tiny", "lobe", "mirror", "flat", "zero", "mirror", "tiny"], 1)
+    def test_matches_scalar_oracle(self, kinds, seed):
+        grid = synthetic_grid()
+        rng = np.random.default_rng(seed)
+        quarter, half = (np.array(column) for column in zip(*(series_counts(kind, rng) for kind in kinds)))
+        counts = {Setting.QUARTER: quarter, Setting.HALF: half}
+        fallback = []
+
+        def spy(grid, counts, start, stop, *buffers):
+            if not buffers:  # the exact-minimum recomputation of one row
+                fallback.append((start, stop))
+            return _loglik_rows(grid, counts, start, stop, *buffers)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "CHUNK_SERIES", 3)
+            patch.setattr(estimator, "GROUP_SERIES", 7)
+            patch.setattr(estimator, "_loglik_rows", spy)
+            phi_hat, lmax, n_coinc, problems = _estimate_series(grid, counts)
+        rows = _loglik_rows(grid, counts, 0, len(kinds))
+        for start, stop in fallback:  # the row alone has the bits it has in its chunk
+            alone = _loglik_rows(grid, counts, start, stop)
+            np.testing.assert_array_equal(alone.view(np.uint64), rows[start:stop].view(np.uint64))
+        assert sorted(start for start, _ in fallback) == [i for i, kind in enumerate(kinds) if kind in UNSURE_KINDS]
+        for i, kind in enumerate(kinds):
+            assert n_coinc[i] == quarter[i].sum() + half[i].sum()
+            quarter_row, half_row = (m[i : i + 1] @ grid.log_probs[s].T for m, s in ((quarter, Setting.QUARTER), (half, Setting.HALF)))
+            row = (quarter_row + half_row)[0]
+            if kind == "zero":
+                assert problems[i] == "no registered coincidences"
+                continue
+            try:
+                expected = best_phi(grid.phis, row, grid.step)
+            except DegenerateLikelihoodError as exc:
+                assert kind in UNSURE_KINDS and problems[i] == str(exc)
+            else:
+                assert kind not in UNSURE_KINDS and problems[i] is None
+                assert (repr(float(phi_hat[i])), repr(float(lmax[i]))) == tuple(map(repr, expected))
+                if kind == "mirror":  # the lobes at +-0.3 tie; the negative one wins
+                    assert phi_hat[i] < 0.0
+
+    def test_row_at_or_below_log0_standin_checks_its_minimum(self):
+        """The sampled columns span 2e30, but the unsampled -inf makes the
+        row -inf everywhere in the scalar search's terms."""
+        phis = 1e-3 * (np.arange(5) - 2)
+        row = [_NEG, 3 * _NEG, -np.inf, 3 * _NEG, _NEG]
+        assert_batched_matches_scalar(phis, np.array([row, [0.0, -1.0, -2.0, -1.0, 0.0]]), 1e-3)
 
 
 class TestLogLikelihood:

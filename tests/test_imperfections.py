@@ -21,9 +21,9 @@ from lossyphase.imperfections import (
     ImperfectionParams,
     apply_coupler_thinning,
     build_model,
-    degrade_distribution,
     fibre_input,
 )
+from oracles import degrade_distribution
 
 QUARTER_BALANCED = DetectionConfig(Setting.QUARTER, 0.5)
 HOM_CONFIG = DetectionConfig(Setting.QUARTER, 0.5, conditional_phase=0.0)
