@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, apply_loss
-from .golden import golden_section_max
 
 SIMPLEX_TOL = 1e-12
 
@@ -238,33 +237,18 @@ def noon_precision(eta: float) -> float:
     return 1.0 / math.sqrt(f_noon)
 
 
-def _coherent_fisher(tau: float, eta: float, n_photons: float) -> float:
-    # Two-beam coherent-light Fisher information at input splitting ratio tau.
-    return 4.0 * n_photons / (1.0 / (eta * tau) + 1.0 / (1.0 - tau))
-
-
 def sil_precision(eta: float, n_photons: float = 2.0) -> float:
     """Standard interferometric limit for classical light of mean photon number N.
 
     Closed form (1 + sqrt(eta)) / (2 sqrt(eta N)), obtained by optimizing the
-    input splitting ratio; sil_precision_numeric performs that optimization
-    explicitly and must agree.
+    input splitting ratio; the tests' ``sil_precision_numeric`` performs that
+    optimization explicitly and must agree.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     if n_photons <= 0.0:
         raise ValueError("photon number must be positive")
     return (1.0 + math.sqrt(eta)) / (2.0 * math.sqrt(eta * n_photons))
-
-
-def sil_precision_numeric(eta: float, n_photons: float = 2.0, tol: float = 1e-10) -> float:
-    """SIL via golden-section maximization of the splitting-ratio Fisher information."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if n_photons <= 0.0:
-        raise ValueError("photon number must be positive")
-    _, f_best = golden_section_max(lambda tau: _coherent_fisher(tau, eta, n_photons), 1e-9, 1.0 - 1e-9, tol=tol)
-    return 1.0 / math.sqrt(f_best)
 
 
 @dataclass(frozen=True)

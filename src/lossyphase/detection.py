@@ -9,16 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fock import (
-    FockState,
-    ModeTransform,
-    apply_loss,
-    apply_transform,
-    basis,
-    beam_splitter,
-    outcome_probability,
-    phase_shift,
-)
+from .fock import FockState, ModeTransform, apply_loss, apply_transform, basis, beam_splitter
 from .golden import golden_section_max
 
 #: Coincidence labels in canonical order. A and B are the interferometer
@@ -76,51 +67,6 @@ def _check_probe(probe: FockState) -> None:
         raise ValueError("probe must be a normalized state on two modes")
     if any(sum(p) != 2 for p in probe.amplitudes):
         raise ValueError("probe must carry exactly two photons")
-
-
-def outcome_distribution(
-    probe: FockState,
-    eta: float,
-    phi: float,
-    config: DetectionConfig,
-    single_photon_visibility: float = 1.0,
-) -> dict[str, float]:
-    """Probabilities of the six coincidence labels at phase ``phi``.
-
-    Pipeline: loss on the sensing arm routes photons to counter C; the phase
-    plus the setting's conditional phase acts on the sensing arm; the arms
-    interfere on the final splitter; A and B read the outputs.
-    ``single_photon_visibility`` scales the interference term of the
-    one-photon branch (ideal fringe contrast is 1).
-    """
-    _check_probe(probe)
-    v = single_photon_visibility
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    offset = config.phase_offset
-    splitter = beam_splitter(config.theta_d, 0, 1, 2)
-    out = {label: 0.0 for label in LABELS}
-    for branch in apply_loss(probe, 0, eta):
-        shift = phase_shift(phi + offset, 0, 2)
-        if branch.lost_count == 0:
-            final = apply_transform(apply_transform(branch.state, shift), splitter)
-            out["AA"] += branch.probability * outcome_probability(final, (2, 0))
-            out["AB"] += branch.probability * outcome_probability(final, (1, 1))
-            out["BB"] += branch.probability * outcome_probability(final, (0, 2))
-        elif branch.lost_count == 1:
-            final = apply_transform(apply_transform(branch.state, shift), splitter)
-            pa = outcome_probability(final, (1, 0))
-            pb = outcome_probability(final, (0, 1))
-            # incoherent counterpart: drop the cross term entirely
-            a2 = abs(branch.state.amplitude((1, 0))) ** 2
-            b2 = abs(branch.state.amplitude((0, 1))) ** 2
-            pa_inc = config.theta_d * a2 + (1.0 - config.theta_d) * b2
-            pb_inc = (1.0 - config.theta_d) * a2 + config.theta_d * b2
-            out["AC"] += branch.probability * (v * pa + (1.0 - v) * pa_inc)
-            out["BC"] += branch.probability * (v * pb + (1.0 - v) * pb_inc)
-        else:
-            out["CC"] += branch.probability
-    return out
 
 
 def classical_distribution(probe: FockState, eta: float, config: DetectionConfig) -> dict[str, float]:
@@ -192,8 +138,9 @@ class OutcomeModel:
     """Vectorized phase-to-probability map for one detection configuration.
 
     Precomputes the loss branches and the splitter transfer so that
-    ``probabilities`` evaluates on whole phase grids at once. It mixes outcome_distribution
-    (matched exactly) with weight ``1 - lambda_hom`` of classical_distribution.
+    ``probabilities`` evaluates on whole phase grids at once. It mixes the
+    per-phase Fock pipeline (``outcome_distribution`` of the test oracles,
+    matched exactly) with weight ``1 - lambda_hom`` of classical_distribution.
     """
 
     probe: FockState

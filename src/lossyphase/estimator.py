@@ -12,6 +12,7 @@ import numpy as np
 from .bounds import ProbeWeights, qfi_lossy
 from .detection import LABELS, DetectionConfig, Setting
 from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, probe_design, setting_models
+from .workers import fork_map
 
 SEARCH_INTERVAL = (-math.pi / 2.0, math.pi / 2.0)
 GRID_STEP = 1e-3
@@ -186,11 +187,6 @@ def _peaks(phis: np.ndarray, step: float, chunks, exact_min: Callable[[int], flo
     return phi[pick], val[pick], problem
 
 
-def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
-    """``_peaks`` of ``rows`` as one chunk."""
-    return _peaks(phis, step, [rows], lambda i: rows[i].min())
-
-
 def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
     """Maximum-likelihood estimates for series given as count matrices, one
     per setting of the grid: a row per series, a column per kept label.
@@ -265,9 +261,10 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     ``probe_design`` for the dataset's imperfections), builds the block's
     outcome models and its Cramér-Rao bound 1/sqrt(F), F the lossy QFI of the
     design's weights, and shares one likelihood grid per block, whose series
-    are estimated together. Two rows of the same series and setting raise
-    ValueError; a series without phase information raises
-    DegenerateLikelihoodError naming the first such series.
+    are estimated together. The grids and estimates of the blocks run in
+    ``fork_map`` workers once every design is looked up. Two rows of the same
+    series and setting raise ValueError; a series without phase information
+    raises DegenerateLikelihoodError naming the first such series.
     """
     d = dataset
     design = design or (lambda kind, eta: probe_design(kind, eta, d.config.imperfections))
@@ -282,19 +279,22 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
     crb = np.empty(len(rows))
     problems: dict[int, str] = {}  # series -> why it carries no phase information
+    blocks = []  # (series, models, count matrices) of each block
     for b, first in enumerate(rows[block_rows]):
         kind, transmission = PROBES[d.probe[first]], float(d.eta[first])
         weights, quarter = design(kind, transmission)
         models = setting_models(kind, transmission, d.config.imperfections, (weights, quarter))
-        grid = likelihood_grid(models, include_cc=include_cc)
         members = np.flatnonzero(block == b)
         crb[members] = 1.0 / math.sqrt(qfi_lossy(weights, transmission))
+        kept = {setting: [LABELS.index(l) for l in _kept_labels(setting, include_cc)] for setting in models}
         # C order as the products need it: a column-major matrix rounds differently
-        matrices = {
-            setting: np.ascontiguousarray(counts[members, SETTINGS.index(setting)][:, [LABELS.index(l) for l in labels]])
-            for setting, labels in grid.labels.items()
-        }
-        phi_hat[members], lmax[members], n_coinc[members], problem = _estimate_series(grid, matrices)
+        matrices = {s: np.ascontiguousarray(counts[members, SETTINGS.index(s)][:, idx]) for s, idx in kept.items()}
+        blocks.append((members, models, matrices))
+    del counts  # the blocks hold every count now; the workers need not inherit two copies
+    # Each grid is built beside its estimate: building a design sweep's 16 grids first took 8,000 more page faults
+    results = fork_map(lambda block: _estimate_series(likelihood_grid(block[1], include_cc=include_cc), block[2]), blocks)
+    for (members, _, _), result in zip(blocks, results):
+        phi_hat[members], lmax[members], n_coinc[members], problem = result
         problems.update((i, p) for i, p in zip(members.tolist(), problem) if p is not None)
     estimates = Estimates(d, rows, group, phi_hat, lmax, n_coinc, crb)
     if problems:
@@ -358,7 +358,7 @@ def histogram(estimates, bin_width: float, bounds: tuple[float, float] | None = 
             raise ValueError(f"bin width {bin_width!r} puts the bin edges beyond the float range")
     n_bins = max(int(round((hi - lo) / bin_width)), 1)
     edges = lo + bin_width * np.arange(n_bins + 1)
-    idx = np.floor((values - lo) / bin_width).astype(int)
+    idx = np.searchsorted(edges, values, side="right") - 1  # the bins of the edges as printed
     keep = (idx >= 0) & (idx < n_bins)
     counts = np.bincount(idx[keep], minlength=n_bins)
     return edges, counts

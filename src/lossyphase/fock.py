@@ -133,15 +133,6 @@ def beam_splitter(transmission: float, mode_i: int, mode_j: int, mode_count: int
     return ModeTransform(mode_count, mat)
 
 
-def phase_shift(phase: float, mode: int, mode_count: int) -> ModeTransform:
-    """Phase e^{i phase} on one mode, identity elsewhere."""
-    if not 0 <= mode < mode_count:
-        raise ValueError(f"mode index {mode} out of range for {mode_count} modes")
-    mat = np.eye(mode_count, dtype=complex)
-    mat[mode, mode] = np.exp(1j * phase)
-    return ModeTransform(mode_count, mat)
-
-
 def apply_transform(state: FockState, transform: ModeTransform) -> FockState:
     """Propagate a state through a linear-optical transform.
 
@@ -220,11 +211,3 @@ def apply_loss(state: FockState, mode: int, transmission: float) -> list[Conditi
         branch_state = FockState(m, {p: a * scale for p, a in amps.items()})
         branches.append(ConditionalBranch(lost, p_l, branch_state))
     return branches
-
-
-def outcome_probability(state: FockState, pattern) -> float:
-    """Probability of the projective photon-count outcome ``pattern``."""
-    pat = tuple(int(n) for n in pattern)
-    if len(pat) != state.mode_count:
-        raise ValueError(f"pattern length {len(pat)} does not match mode count {state.mode_count}")
-    return float(abs(state.amplitudes.get(pat, 0j)) ** 2)

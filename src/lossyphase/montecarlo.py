@@ -15,6 +15,7 @@ from .detection import LABELS, DetectionConfig, OutcomeModel, Setting, optimize_
 from .fock import FockState
 from .imperfections import ImperfectionParams, apply_coupler_thinning, build_model, fibre_input
 from .prep import prepare, solve_prep
+from .workers import fork_map
 
 #: Settings by their code in a dataset's setting column, which is also the
 #: stream index of their substream.
@@ -293,25 +294,34 @@ def run_campaign(config: ExperimentConfig) -> EventDataset:
     function of the configuration and any subset can be regenerated alone.
     The substreams are those of ``record_rng``, derived for the whole campaign
     at once. Rows run over (eta, phase, series, setting), the last fastest.
+    The cells are drawn in ``fork_map`` workers, their models resolved here.
     """
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
-    keys = np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T
-    states = substream_states(config.master_seed, keys).reshape(*shape[:3], _SERIES_STREAM + 1, 4)
+    states = substream_states(config.master_seed, np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T)
+    states = states.reshape(*shape[:3], _SERIES_STREAM + 1, 4)  # no worker inherits the 1.7 MB of keys
     counts = np.empty((*shape, len(LABELS)), dtype=np.int64)
+    cells = []  # (eta index, phase index, label pvals per setting) of each cell, in row order
     for eta_index, eta in enumerate(config.eta_list):
         models = setting_models(config.probe_kind, eta, config.imperfections)
         for phase_index, phi in enumerate(config.phase_list):
-            pvals = [_label_pvals(models[setting].probabilities(phi)) for setting in SETTINGS]
-            cell = counts[eta_index, phase_index]
-            for series_id, words in enumerate(states[eta_index, phase_index]):
-                if config.poissonize_m:
-                    m_total = int(_substream(words[_SERIES_STREAM]).poisson(config.events_per_series))
-                else:
-                    m_total = config.events_per_series
-                split = (m_total // 2, m_total - m_total // 2)  # quarter, half
-                for stream, (probs, m) in enumerate(zip(pvals, split)):
-                    rng = _substream(words[stream])
-                    cell[series_id, stream] = apply_coupler_thinning(_draw_counts(probs, m, rng), rng)
+            cells.append((eta_index, phase_index, [_label_pvals(models[s].probabilities(phi)) for s in SETTINGS]))
+
+    def draw(cell) -> np.ndarray:
+        eta_index, phase_index, pvals = cell
+        out = counts[eta_index, phase_index]
+        for series_id, words in enumerate(states[eta_index, phase_index]):
+            if config.poissonize_m:
+                m_total = int(_substream(words[_SERIES_STREAM]).poisson(config.events_per_series))
+            else:
+                m_total = config.events_per_series
+            split = (m_total // 2, m_total - m_total // 2)  # quarter, half
+            for stream, (probs, m) in enumerate(zip(pvals, split)):
+                rng = _substream(words[stream])
+                out[series_id, stream] = apply_coupler_thinning(_draw_counts(probs, m, rng), rng)
+        return out
+
+    for (eta_index, phase_index, _), drawn in zip(cells, fork_map(draw, cells)):
+        counts[eta_index, phase_index] = drawn  # a worker's slice; the caller's own are in place already
     index = np.indices(shape).reshape(len(shape), -1)
     return EventDataset(
         config=config,

@@ -25,9 +25,9 @@ from lossyphase.bounds import (
     qfi_lossy,
     qfi_pure,
     sil_precision,
-    sil_precision_numeric,
 )
 from lossyphase.fock import FockState, basis
+from oracles import sil_precision_numeric
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 

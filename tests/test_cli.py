@@ -568,6 +568,17 @@ class TestEstimate:
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    def test_hist_bin_near_float_range_bins_each_sign(self, tmp_path):
+        """At --hist-bin 1e300 the edges are -1e300, 0 and 1e300: each of the
+        two estimates, one of each sign, lands in the bin of its sign."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("eta_list = 0.361\nprobe = noon\nphases = 0.0\nseries = 2\nevents = 40\nseed = 1\n")
+        sim, out_dir = tmp_path / "sim", tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(out_dir), "--hist-bin", "1e300"]) == 0
+        lines = (out_dir / "histograms.csv").read_text().splitlines()
+        assert [line.split(",")[-3:] for line in lines[1:]] == [["-1e+300", "0", "1"], ["0", "1e+300", "1"]]
+
     def test_hist_bin_budget_covers_the_whole_file(self, tmp_path, capsys):
         """Six groups each under MAX_BINS bins at 1e-6 rad, together over it."""
         config_path = tmp_path / "c.cfg"

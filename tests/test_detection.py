@@ -20,12 +20,11 @@ from lossyphase.detection import (
     classical_fisher,
     classical_distribution,
     optimize_theta_d,
-    outcome_distribution,
 )
 from lossyphase.fock import FockState, apply_loss, basis
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
-from oracles import degrade_distribution
+from oracles import degrade_distribution, outcome_distribution
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 #: Imperfections of the benchmark's design sweep.

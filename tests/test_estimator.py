@@ -17,7 +17,6 @@ from lossyphase.estimator import (
     TIE_TOL,
     DegenerateLikelihoodError,
     LikelihoodGrid,
-    _best_phis,
     _estimate_series,
     _loglik_rows,
     _NEG,
@@ -28,6 +27,7 @@ from lossyphase.estimator import (
 )
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import PROBES, SETTINGS, ExperimentConfig, ProbeKind, run_campaign, setting_models
+from oracles import _best_phis
 
 IDEAL = ImperfectionParams()
 
@@ -557,6 +557,13 @@ class TestHistogram:
         assert np.array_equal(a[1], b[1])
         # edges anchored at multiples of the width
         assert np.allclose(a[0] / 0.01, np.round(a[0] / 0.01), atol=1e-9)
+
+    def test_bins_agree_with_the_edges(self):
+        """A value just below 0 belongs to [-1, 0), though (v - lo) / w rounds
+        to exactly 1 there."""
+        edges, counts = histogram([-1e-17, 0.3], 1.0)
+        assert edges.tolist() == [-1.0, 0.0, 1.0]
+        assert counts.tolist() == [1, 1]
 
     def test_range_argument(self):
         edges, counts = histogram([0.5, 1.5], 0.5, bounds=(0.0, 1.0))

@@ -15,9 +15,8 @@ from lossyphase.fock import (
     apply_transform,
     basis,
     beam_splitter,
-    outcome_probability,
-    phase_shift,
 )
+from oracles import outcome_probability, phase_shift
 
 # ---------------------------------------------------------------- oracles
 

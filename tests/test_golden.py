@@ -152,11 +152,11 @@ class TestArguments:
     def test_bad_tol_rejected(self):
         """A tol that is not a positive finite number once made the search
         loop forever, so the calls run in a child process under a timeout."""
-        src = str(Path(lossyphase.__file__).resolve().parents[1])
+        paths = [str(Path(lossyphase.__file__).resolve().parents[1]), str(Path(__file__).parent)]  # src, oracles
         code = (
-            "import math, sys; sys.path.insert(0, sys.argv[1])\n"
+            "import math, sys; sys.path[:0] = sys.argv[1:]\n"
             "from lossyphase.golden import golden_section_max\n"
-            "from lossyphase.bounds import sil_precision_numeric\n"
+            "from oracles import sil_precision_numeric\n"
             "calls = [lambda tol: golden_section_max(lambda t: -t * t, -1.0, 1.0, tol=tol),\n"
             "         lambda tol: sil_precision_numeric(0.5, tol=tol)]\n"
             "for tol in (0.0, -1.0, -0.0, math.nan, math.inf):\n"
@@ -167,7 +167,7 @@ class TestArguments:
             "            print(exc)\n"
         )
         try:
-            run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=20)
+            run = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, timeout=20)
         except subprocess.TimeoutExpired:
             pytest.fail("golden_section_max did not return for a tol that is not positive")
         assert run.returncode == 0, run.stderr

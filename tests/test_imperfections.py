@@ -13,7 +13,6 @@ from lossyphase.detection import (
     OutcomeModel,
     Setting,
     classical_distribution,
-    outcome_distribution,
 )
 from lossyphase.fock import basis
 from lossyphase.imperfections import (
@@ -23,7 +22,7 @@ from lossyphase.imperfections import (
     build_model,
     fibre_input,
 )
-from oracles import degrade_distribution
+from oracles import degrade_distribution, outcome_distribution
 
 QUARTER_BALANCED = DetectionConfig(Setting.QUARTER, 0.5)
 HOM_CONFIG = DetectionConfig(Setting.QUARTER, 0.5, conditional_phase=0.0)

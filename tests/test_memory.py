@@ -1,17 +1,24 @@
 """Memory guards, measured with tracemalloc: dataset I/O works a block of
 rows at a time and the likelihood scan reuses two row buffers, so their
-working memory does not grow with the dataset."""
+working memory does not grow with the dataset. tracemalloc sees only its own
+process, so the guards run on one worker."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lossyphase import workers
 from lossyphase.cli import read_dataset_csv, write_dataset_csv
 from lossyphase.estimator import CHUNK_SERIES, estimate_dataset
 from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign
 
 MiB = 2**20
+
+
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    monkeypatch.setattr(workers, "cpu_count", lambda: 1)
 
 
 def traced(fn, *args):
