@@ -53,6 +53,16 @@ ESTIMATES_COLUMNS = ("eta", "probe", "phi_true", "series_id", "phi_hat", "loglik
 REPORT_COLUMNS = ("eta", "probe", "phi_true", "mean", "sigma", "m_bar", "sigma_scaled", "crb")
 
 
+#: Largest count a dataset row may hold: the 12 counts of a series then sum
+#: below 2**53, so the float64 sum of ``estimator._estimate_series`` is exact.
+#: A config's events are held to it too: a setting draws about half of a
+#: series' events, so every dataset simulate writes reads back.
+MAX_COUNT = 2**49
+
+#: Most series a config may ask for: a substream key holds 32-bit indices.
+MAX_SERIES = 2**32
+
+
 class ConfigError(Exception):
     """Bad input (config text, manifest, dataset or environment); carries a one-line diagnostic."""
 
@@ -230,6 +240,10 @@ def _assemble(values: dict) -> tuple[dict, bool]:
     kwargs = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
     kwargs.update({_FIELDS[key][0]: value for key, value in values.items()})
     kwargs["imperfections"] = replace(defaults.imperfections, **imperfections)
+    if kwargs["series_count"] > MAX_SERIES:
+        raise ValueError(f"series must be at most 2**32, got {kwargs['series_count']}")
+    if kwargs["events_per_series"] > MAX_COUNT:
+        raise ValueError(f"events must be at most 2**49, got {kwargs['events_per_series']}")
     return kwargs, include_cc
 
 
@@ -302,14 +316,23 @@ def _write_table(out: str, header, rows, command: str, config: dict, seed: int) 
     _write_manifest(path.with_suffix(path.suffix + ".manifest.json"), command, config, seed, [path])
 
 
+def _linspace(flag: str, start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace(start, stop, num)`` for a positive ``num`` that ``flag``
+    sets; a size numpy refuses raises ValueError naming the flag."""
+    try:
+        return np.linspace(start, stop, num)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an array can index
+        raise ValueError(f"{flag} {num}: {exc}") from None
+
+
 def cmd_bounds(args) -> None:
     if not 0.0 < args.eta_min <= args.eta_max <= 1.0:
         raise ValueError("need 0 < eta-min <= eta-max <= 1")
     if args.steps < 1:
-        raise ValueError("steps must be positive")
+        raise ValueError(f"--steps must be positive, got {args.steps}")
     if round(args.eta_min, 12) == 0.0:
         raise ValueError(f"--eta-min {args.eta_min!r} rounds to 0 on the 12-decimal eta grid")
-    grid = list(np.linspace(args.eta_min, args.eta_max, args.steps))  # [eta_min] for one step
+    grid = list(_linspace("--steps", args.eta_min, args.eta_max, args.steps))  # [eta_min] for one step
     grid += [eta for eta in ExperimentConfig().eta_list if args.eta_min <= eta <= args.eta_max]
     grid = sorted(set(round(e, 12) for e in grid))
     rows = [
@@ -330,8 +353,8 @@ def cmd_fringes(args) -> None:
     params = ImperfectionParams(**{attr: getattr(args, key) for key, attr in _IMPERFECTIONS.items()})
     seed = args.seed if args.seed is not None else _default_seed()
     kind = ProbeKind(args.probe)
+    phis = _linspace("--phi-steps", -np.pi, np.pi, args.phi_steps)
     models = setting_models(kind, args.eta, params)
-    phis = np.linspace(-np.pi, np.pi, args.phi_steps)
     rows = []
     rng = np.random.default_rng(seed)
     for setting in (Setting.QUARTER, Setting.HALF):
@@ -393,11 +416,6 @@ def _parse_prefix(fields_: list[str]) -> tuple:
 
 def _is_blank(line: str) -> bool:
     return not line or line.isspace()
-
-
-#: Largest count a dataset row may hold: the 12 counts of a series then sum
-#: below 2**53, so the float64 sum of ``estimator._estimate_series`` is exact.
-MAX_COUNT = 2**49
 
 
 def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tuple:
@@ -552,7 +570,10 @@ def cmd_simulate(args) -> None:
     for name, values in (("eta_list", config.eta_list), ("phase_list", config.phase_list)):
         if len({float(_fmt(value)) for value in values}) < len(values):  # rows compare by printed value
             raise ValueError(f"{name} {values} repeats a value as the dataset prints it, at 12 significant digits")
-    dataset = run_campaign(config)
+    try:
+        dataset = run_campaign(config)
+    except MemoryError as exc:  # numpy refuses the campaign's arrays
+        raise ValueError(f"series {config.series_count}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.csv"

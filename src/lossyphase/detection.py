@@ -1,5 +1,5 @@
 """Measurement stage: conditional phase, final splitter, coincidence labels,
-classical Fisher information."""
+and the detection setting that maximizes the no-loss Fisher information."""
 
 from __future__ import annotations
 
@@ -191,33 +191,12 @@ class OutcomeModel:
         return self.lambda_hom * q + (1.0 - self.lambda_hom) * self._classical
 
 
-#: Offsets u_k = 2 pi k / 5 and weights of the exact slope: a degree-2 trigonometric
-#: polynomial f has f'(0) = 0.4 sum_k f(u_k) (sin u_k + 2 sin 2u_k).
-_NODES = 2.0 * math.pi * np.arange(5) / 5.0
-_SLOPE_WEIGHTS = 0.4 * (np.sin(_NODES) + 2.0 * np.sin(2.0 * _NODES))
-
-
-def classical_fisher(models, phi: float) -> float:
-    """Fisher information at ``phi`` of ``models``, one OutcomeModel per Setting,
-    each scored on its kept labels; labels with probability below 1e-12 are skipped.
-
-    Every label probability is a trigonometric polynomial of degree 2 in phi,
-    so the five samples at ``phi + _NODES`` give its slope exactly."""
-    info = 0.0
-    for setting, model in models.items():
-        p = model.probabilities(phi + _NODES)[:, [LABELS.index(label) for label in setting.kept_labels]]
-        slope = _SLOPE_WEIGHTS @ p
-        live = p[0] >= 1e-12
-        info += float(np.sum(slope[live] ** 2 / p[0, live]))
-    return info
-
-
 def _no_loss_fisher(coeff: np.ndarray, theta, offset):
     """Fisher information of the no-loss labels at phi = 0, analytic derivative,
     elementwise over the broadcast ``theta`` and ``offset``: the objective of
-    optimize_theta_d, kept apart from classical_fisher because its golden
-    searches break last-bit ties, so another rounding moves theta_d. Each
-    element is rounded as a lone scalar evaluation would be."""
+    optimize_theta_d, which owns its rounding because its golden searches
+    break last-bit ties, so another rounding moves theta_d. Each element is
+    rounded as a lone scalar evaluation would be."""
     transfer = _transfer_two_closed(theta)
     harmonics = np.array([2.0, 1.0, 0.0])
     rotated = coeff * np.exp(1j * harmonics * np.asarray(offset, dtype=float)[..., None])

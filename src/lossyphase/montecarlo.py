@@ -239,11 +239,8 @@ def _label_pvals(probs) -> np.ndarray:
 
 
 def _draw_counts(pvals: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
-    """Multinomial label counts in LABELS order."""
-    if m < 0:
-        raise ValueError("event count must be non-negative")
-    if m == 0:
-        return [0] * len(LABELS)
+    """Multinomial label counts in LABELS order. For m = 0 numpy returns zeros
+    without advancing ``rng``; it rejects a negative m."""
     return rng.multinomial(m, pvals).tolist()
 
 

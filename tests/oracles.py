@@ -1,8 +1,10 @@
 """Helpers that no command runs, kept as test oracles: the config parser
 without a file, the distinguishability mixture written out per label, the
 per-phase Fock pipeline of the coincidence labels with its phase shift and
-outcome probability, the numerically optimized standard interferometric
-limit and the peak search of one chunk of likelihood rows."""
+outcome probability, the classical Fisher information of the two-setting
+measurement (the phase-local bound of the acceptance gate), the numerically
+optimized standard interferometric limit and the peak search of one chunk of
+likelihood rows."""
 
 import math
 
@@ -78,6 +80,27 @@ def outcome_distribution(
         else:
             out["CC"] += branch.probability
     return out
+
+
+#: Offsets u_k = 2 pi k / 5 and weights of the exact slope: a degree-2 trigonometric
+#: polynomial f has f'(0) = 0.4 sum_k f(u_k) (sin u_k + 2 sin 2u_k).
+_NODES = 2.0 * math.pi * np.arange(5) / 5.0
+_SLOPE_WEIGHTS = 0.4 * (np.sin(_NODES) + 2.0 * np.sin(2.0 * _NODES))
+
+
+def classical_fisher(models, phi: float) -> float:
+    """Fisher information at ``phi`` of ``models``, one OutcomeModel per Setting,
+    each scored on its kept labels; labels with probability below 1e-12 are skipped.
+
+    Every label probability is a trigonometric polynomial of degree 2 in phi,
+    so the five samples at ``phi + _NODES`` give its slope exactly."""
+    info = 0.0
+    for setting, model in models.items():
+        p = model.probabilities(phi + _NODES)[:, [LABELS.index(label) for label in setting.kept_labels]]
+        slope = _SLOPE_WEIGHTS @ p
+        live = p[0] >= 1e-12
+        info += float(np.sum(slope[live] ** 2 / p[0, live]))
+    return info
 
 
 def _coherent_fisher(tau: float, eta: float, n_photons: float) -> float:

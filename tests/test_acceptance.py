@@ -26,14 +26,13 @@ from lossyphase.detection import (
     DetectionConfig,
     OutcomeModel,
     Setting,
-    classical_fisher,
     optimize_theta_d,
 )
 from lossyphase.estimator import analyze, estimate_dataset, histogram
 from lossyphase.fock import FockState, apply_loss, apply_transform, beam_splitter
 from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
 from lossyphase.prep import prepare, solve_prep
-from oracles import phase_shift, sil_precision_numeric
+from oracles import classical_fisher, phase_shift, sil_precision_numeric
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 HALF_BALANCED = DetectionConfig(Setting.HALF, 0.5)

@@ -401,6 +401,20 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("poissonize", ["true", "false"])
+    def test_events_at_the_count_bound_estimate(self, tmp_path, poissonize):
+        """At events = MAX_COUNT every count stays within the bound the dataset
+        reader holds, Poissonized or not, so estimate reads what simulate wrote."""
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text(
+            f"eta_list = 0.361\nphases = 0.0\nseries = 2\nevents = {MAX_COUNT}\npoissonize_m = {poissonize}\n"
+        )
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(sim)]) == 0
+        assert main(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(tmp_path / "est")]) == 0
+        counts = [list(map(int, line.split(",")[5:11])) for line in (sim / "dataset.csv").read_text().splitlines()[1:]]
+        assert max(map(max, counts)) <= MAX_COUNT and sum(map(sum, counts)) > MAX_COUNT // 2
+
     def test_bad_env_seed_exits_1_without_other_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
         config_path = tmp_path / "c.cfg"
@@ -1112,6 +1126,81 @@ class TestNumberSpelling:
     @pytest.mark.parametrize("text", ["-0", "007"])
     def test_ascii_digit_counts_still_read(self, fuzz_sim, tmp_path, text):
         assert self.estimate_with(fuzz_sim, tmp_path, "n_AA", text) == 0
+
+
+#: A campaign of 100 eta x 200 phases x 2**32 series: its substream keys are
+#: 1.03e15 int64 words, more than numpy can allocate.
+_UNALLOCATABLE_CONFIG = (
+    f"eta_list = {', '.join(str(k / 1000) for k in range(1, 101))}\n"
+    f"phases = {', '.join(str(k / 1000) for k in range(200))}\n"
+    f"series = {2**32}\n"
+)
+
+
+class TestDiagnostics:
+    """Bad inputs end with their designed exit code and one stderr line, before
+    any output is written. Sizes are 10**15 elements or more, which numpy
+    refuses before it allocates anything."""
+
+    @staticmethod
+    def run(kind, value, fuzz_sim, tmp_path) -> int:
+        """The command ``kind`` with ``value``, its outputs under tmp_path / "o"."""
+        out = tmp_path / "o"
+        dataset, manifest = fuzz_sim / "dataset.csv", fuzz_sim / "manifest.json"
+        if kind == "config":
+            (tmp_path / "c.cfg").write_text(value)
+            return main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(out)])
+        if kind in ("bounds", "fringes"):
+            return main([kind, *value, "--out", str(out / "t.csv")])
+        if kind == "dataset":
+            dataset = tmp_path / "dataset.csv"
+            dataset.write_text(value)
+        elif kind == "manifest":
+            data = json.loads(manifest.read_text())
+            data["config"].update(value)
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(data))
+        else:
+            return TestNumberSpelling.estimate_with(fuzz_sim, tmp_path, *value)
+        return main(["estimate", "--dataset", str(dataset), "--manifest", str(manifest), "--out-dir", str(out)])
+
+    @pytest.mark.parametrize("kind, value, code, message", [
+        pytest.param("config", "poissonize_m = maybe\n", 1, "line 1: expected a boolean for poissonize_m, got 'maybe'",
+                     id="bool-spelling"),
+        pytest.param("config", "series = 2\nseries = 3\n", 1, "line 2: duplicate key 'series'", id="repeated-key"),
+        pytest.param("bounds", ["--steps", "0"], 2, "--steps must be positive, got 0", id="zero-steps"),
+        pytest.param("dataset", "", 1, "empty dataset file", id="empty-dataset"),
+        pytest.param("dataset", ",".join(DATASET_COLUMNS) + ",extra\n", 1, "expected 12 columns, found 13",
+                     id="13-columns"),
+        pytest.param("manifest", {"series": 0}, 1, "invalid config: series_count must be at least 1",
+                     id="manifest-zero-series"),
+        pytest.param("manifest", {"eta_list": [1.5]}, 1, "invalid config: eta_list must be non-empty", id="manifest-eta"),
+        pytest.param("row", ("series_id", str(2**63)), 1, "line 9: series_id, a count or seed_used is out of range",
+                     id="series-id-2**63"),
+        pytest.param("row", ("seed_used", str(2**64)), 1, "line 9: series_id, a count or seed_used is out of range",
+                     id="seed-used-2**64"),
+        pytest.param("row", ("seed_used", "-1"), 1, "line 9: series_id, a count or seed_used is out of range",
+                     id="seed-used-negative"),
+        pytest.param("bounds", ["--steps", str(10**15)], 2, f"--steps {10**15}: ", id="steps-1e15"),
+        pytest.param("bounds", ["--steps", str(10**20)], 2, f"--steps {10**20}: ", id="steps-1e20"),
+        pytest.param("fringes", ["--eta", "0.5", "--phi-steps", str(10**15)], 2, f"--phi-steps {10**15}: ",
+                     id="phi-steps-1e15"),
+        pytest.param("fringes", ["--eta", "0.5", "--phi-steps", str(10**20)], 2, f"--phi-steps {10**20}: ",
+                     id="phi-steps-1e20"),
+        pytest.param("config", f"eta_list = 0.361\nphases = 0\nseries = {10**15}\n", 2,
+                     f"series must be at most 2**32, got {10**15}", id="series-1e15"),
+        pytest.param("config", _UNALLOCATABLE_CONFIG, 2, f"series {2**32}: ", id="unallocatable-campaign"),
+        pytest.param("config", f"events = {MAX_COUNT + 1}\n", 2, f"events must be at most 2**49, got {MAX_COUNT + 1}",
+                     id="events-above-2**49"),
+        pytest.param("manifest", {"events": MAX_COUNT + 1}, 1, "invalid config: events must be at most 2**49",
+                     id="manifest-events"),
+    ])
+    def test_bad_input_exits_with_one_line(self, fuzz_sim, tmp_path, capsys, kind, value, code, message):
+        assert self.run(kind, value, fuzz_sim, tmp_path) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 #: The benchmark's workload definitions; they write the configs it runs.

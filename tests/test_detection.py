@@ -17,14 +17,13 @@ from lossyphase.detection import (
     Setting,
     _branch_amplitudes,
     _no_loss_fisher,
-    classical_fisher,
     classical_distribution,
     optimize_theta_d,
 )
 from lossyphase.fock import FockState, apply_loss, basis
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
-from oracles import degrade_distribution, outcome_distribution
+from oracles import classical_fisher, degrade_distribution, outcome_distribution
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 #: Imperfections of the benchmark's design sweep.
