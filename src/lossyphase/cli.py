@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -22,7 +23,7 @@ from .detection import LABELS, DetectionConfig, Setting
 from .estimator import MAX_BINS, _first_seen, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
 from .montecarlo import (
-    PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design, run_campaign, setting_models,
+    PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_designs, run_campaign, setting_models,
 )
 from .prep import solve_prep
 
@@ -102,11 +103,28 @@ def _fmt(value) -> str:
 _WRITE_BLOCK = 2048
 
 
+@contextmanager
+def _output(path: Path) -> Iterator[None]:
+    """Turns an OSError of making or writing the output ``path`` into a
+    ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _make_dir(path: Path) -> Path:
+    """The output directory ``path``, made with its parents if missing."""
+    with _output(path):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_lines(path: Path, header, lines) -> None:
     """The header and then ``lines``, each ended by "\\n", written
     ``_WRITE_BLOCK`` lines at a time."""
     lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _output(path), open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         while block := list(islice(lines, _WRITE_BLOCK)):
             handle.write("\n".join(block) + "\n")
@@ -288,9 +306,9 @@ _FINITE = _Kind("a finite number", decimal, lambda value: _is_number(value) and 
 _DESIGN_FIELDS = {"probe": _PROBE, **dict.fromkeys(("eta", "x0", "x1", "x2", "theta_d", "conditional_phase"), _FINITE)}
 
 
-def _design_entry(kind: ProbeKind, eta: float, params: ImperfectionParams) -> dict:
-    """The manifest's record of the design ``simulate`` uses for one (probe, eta)."""
-    weights, quarter = probe_design(kind, eta, params)
+def _design_entry(kind: ProbeKind, eta: float, design: tuple[ProbeWeights, DetectionConfig]) -> dict:
+    """The manifest's record of the ``design`` ``simulate`` uses for one (probe, eta)."""
+    weights, quarter = design
     values = (kind.value, eta, *weights.as_tuple(), quarter.theta_d, quarter.phase_offset)
     return dict(zip(_DESIGN_FIELDS, values))
 
@@ -305,13 +323,14 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int, outputs, 
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         **extra,
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    with _output(path):
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_table(out: str, header, rows, command: str, config: dict, seed: int) -> None:
     """A CSV table at ``out`` and its manifest beside it."""
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     _write_csv(path, header, rows)
     _write_manifest(path.with_suffix(path.suffix + ".manifest.json"), command, config, seed, [path])
 
@@ -570,12 +589,12 @@ def cmd_simulate(args) -> None:
     for name, values in (("eta_list", config.eta_list), ("phase_list", config.phase_list)):
         if len({float(_fmt(value)) for value in values}) < len(values):  # rows compare by printed value
             raise ValueError(f"{name} {values} repeats a value as the dataset prints it, at 12 significant digits")
+    designs = probe_designs(config.probe_kind, config.eta_list, config.imperfections)
     try:
-        dataset = run_campaign(config)
+        dataset = run_campaign(config, designs)
     except MemoryError as exc:  # numpy refuses the campaign's arrays
         raise ValueError(f"series {config.series_count}: {exc}") from None
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out_dir))
     dataset_path = out_dir / "dataset.csv"
     write_dataset_csv(dataset_path, dataset)
     _write_manifest(
@@ -584,7 +603,7 @@ def cmd_simulate(args) -> None:
         _config_dict(config, include_cc),
         config.master_seed,
         [dataset_path],
-        design=[_design_entry(config.probe_kind, eta, config.imperfections) for eta in config.eta_list],
+        design=[_design_entry(config.probe_kind, eta, design) for eta, design in zip(config.eta_list, designs)],
     )
 
 
@@ -664,8 +683,7 @@ def cmd_estimate(args) -> None:
     for members, edges, counts in histograms:
         bins = (edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
         hist_lines += map("{}{:.12g},{:.12g},{}".format, repeat(prefixes[members[0]]), *bins)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out_dir))
     estimates_path = out_dir / "estimates.csv"
     columns = (dataset.series_id[estimates.row], estimates.phi_hat, estimates.loglik, estimates.n_coinc)
     _write_lines(estimates_path, ESTIMATES_COLUMNS, _format_rows("{}{},{:.12g},{:.12g},{}", prefixes, columns))

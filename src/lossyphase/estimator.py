@@ -261,10 +261,11 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     ``probe_design`` for the dataset's imperfections), builds the block's
     outcome models and its Cramér-Rao bound 1/sqrt(F), F the lossy QFI of the
     design's weights, and shares one likelihood grid per block, whose series
-    are estimated together. The grids and estimates of the blocks run in
-    ``fork_map`` workers once every design is looked up. Two rows of the same
-    series and setting raise ValueError; a series without phase information
-    raises DegenerateLikelihoodError naming the first such series.
+    are estimated together. The models, bounds, grids and estimates of the
+    blocks run in ``fork_map`` workers once every design is looked up. Two
+    rows of the same series and setting raise ValueError; a series without
+    phase information raises DegenerateLikelihoodError naming the first such
+    series.
     """
     d = dataset
     design = design or (lambda kind, eta: probe_design(kind, eta, d.config.imperfections))
@@ -279,21 +280,25 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
     crb = np.empty(len(rows))
     problems: dict[int, str] = {}  # series -> why it carries no phase information
-    blocks = []  # (series, models, count matrices) of each block
+    kept = {setting: [LABELS.index(l) for l in _kept_labels(setting, include_cc)] for setting in SETTINGS}
+    blocks = []  # (series, kind, eta, design, count matrices) of each block
     for b, first in enumerate(rows[block_rows]):
         kind, transmission = PROBES[d.probe[first]], float(d.eta[first])
-        weights, quarter = design(kind, transmission)
-        models = setting_models(kind, transmission, d.config.imperfections, (weights, quarter))
         members = np.flatnonzero(block == b)
-        crb[members] = 1.0 / math.sqrt(qfi_lossy(weights, transmission))
-        kept = {setting: [LABELS.index(l) for l in _kept_labels(setting, include_cc)] for setting in models}
         # C order as the products need it: a column-major matrix rounds differently
         matrices = {s: np.ascontiguousarray(counts[members, SETTINGS.index(s)][:, idx]) for s, idx in kept.items()}
-        blocks.append((members, models, matrices))
+        blocks.append((members, kind, transmission, design(kind, transmission), matrices))
     del counts  # the blocks hold every count now; the workers need not inherit two copies
-    # Each grid is built beside its estimate: building a design sweep's 16 grids first took 8,000 more page faults
-    results = fork_map(lambda block: _estimate_series(likelihood_grid(block[1], include_cc=include_cc), block[2]), blocks)
-    for (members, _, _), result in zip(blocks, results):
+
+    def estimate_block(block):
+        # Each grid is built beside its estimate: building a design sweep's 16 grids first took 8,000 more page faults
+        _, kind, transmission, (weights, quarter), matrices = block
+        models = setting_models(kind, transmission, d.config.imperfections, (weights, quarter))
+        bound = 1.0 / math.sqrt(qfi_lossy(weights, transmission))
+        return bound, _estimate_series(likelihood_grid(models, include_cc=include_cc), matrices)
+
+    for (members, *_), (bound, result) in zip(blocks, fork_map(estimate_block, blocks)):
+        crb[members] = bound
         phi_hat[members], lmax[members], n_coinc[members], problem = result
         problems.update((i, p) for i, p in zip(members.tolist(), problem) if p is not None)
     estimates = Estimates(d, rows, group, phi_hat, lmax, n_coinc, crb)

@@ -15,7 +15,7 @@ from .detection import LABELS, DetectionConfig, OutcomeModel, Setting, optimize_
 from .fock import FockState
 from .imperfections import ImperfectionParams, apply_coupler_thinning, build_model, fibre_input
 from .prep import prepare, solve_prep
-from .workers import fork_map
+from .workers import deal_map, fork_map
 
 #: Settings by their code in a dataset's setting column, which is also the
 #: stream index of their substream.
@@ -263,11 +263,24 @@ def build_probe(weights: ProbeWeights, params: ImperfectionParams) -> FockState:
 @lru_cache(maxsize=None)
 def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[ProbeWeights, DetectionConfig]:
     """Target weights and quarter-setting detection of one (probe,
-    transmission) choice, resolved once per process: the weights maximize the
-    lossy QFI, then the final splitter and conditional phase suit the
-    delivered probe."""
+    transmission) choice, cached per process: the weights maximize the lossy
+    QFI, then the final splitter and conditional phase suit the delivered
+    probe. Weights the preparation network cannot make raise ValueError
+    naming eta."""
     weights = NOON_WEIGHTS if kind is ProbeKind.NOON else optimize_weights(eta)[0]
-    return weights, optimize_theta_d(build_probe(weights, params), eta)
+    try:
+        probe = build_probe(weights, params)
+    except ValueError as exc:  # below eta ~ 3e-22 the optimum has x1 > 0 but x0 = 0
+        raise ValueError(
+            f"{kind.value} probe at eta={eta:.12g}: weights {weights.as_tuple()} cannot be prepared: {exc}"
+        ) from None
+    return weights, optimize_theta_d(probe, eta)
+
+
+def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tuple[ProbeWeights, DetectionConfig]]:
+    """``probe_design`` of each eta, resolved in ``deal_map`` workers: the
+    costly designs, those with a |11> component, lie together at low eta."""
+    return deal_map(lambda eta: probe_design(kind, eta, params), etas)
 
 
 def setting_models(
@@ -284,24 +297,31 @@ def setting_models(
     }
 
 
-def run_campaign(config: ExperimentConfig) -> EventDataset:
+def run_campaign(config: ExperimentConfig, designs: list | None = None) -> EventDataset:
     """Simulate the full measurement campaign described by ``config``.
 
     Every record is generated from its own substream, so the dataset is a pure
     function of the configuration and any subset can be regenerated alone.
     The substreams are those of ``record_rng``, derived for the whole campaign
     at once. Rows run over (eta, phase, series, setting), the last fastest.
-    The cells are drawn in ``fork_map`` workers, their models resolved here.
+    ``designs`` holds the design of each eta (by default ``probe_designs``
+    resolves them); each eta's models and label probabilities are built in
+    ``deal_map`` workers, and the cells are drawn in ``fork_map`` workers.
     """
+    kind, params = config.probe_kind, config.imperfections
+    designs = probe_designs(kind, config.eta_list, params) if designs is None else designs
+
+    def cell_pvals(eta_index: int) -> list:
+        models = setting_models(kind, config.eta_list[eta_index], params, designs[eta_index])
+        return [[_label_pvals(models[s].probabilities(phi)) for s in SETTINGS] for phi in config.phase_list]
+
+    eta_pvals = deal_map(cell_pvals, range(len(config.eta_list)))
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
     states = substream_states(config.master_seed, np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T)
     states = states.reshape(*shape[:3], _SERIES_STREAM + 1, 4)  # no worker inherits the 1.7 MB of keys
     counts = np.empty((*shape, len(LABELS)), dtype=np.int64)
-    cells = []  # (eta index, phase index, label pvals per setting) of each cell, in row order
-    for eta_index, eta in enumerate(config.eta_list):
-        models = setting_models(config.probe_kind, eta, config.imperfections)
-        for phase_index, phi in enumerate(config.phase_list):
-            cells.append((eta_index, phase_index, [_label_pvals(models[s].probabilities(phi)) for s in SETTINGS]))
+    # (eta index, phase index, label pvals per setting) of each cell, in row order
+    cells = [(i, j, cell) for i, row in enumerate(eta_pvals) for j, cell in enumerate(row)]
 
     def draw(cell) -> np.ndarray:
         eta_index, phase_index, pvals = cell

@@ -73,3 +73,30 @@ def fork_map(fn, parts) -> list:
             raise value
         results += value
     return results
+
+
+def deal_map(fn, parts) -> list:
+    """``[fn(part) for part in parts]`` through ``fork_map``, the parts dealt
+    round-robin, one hand per worker, so costly parts that lie together in
+    the list spread evenly. Each hand stops at its first failing part, and
+    the lowest failing part's exception is raised, as in the serial loop."""
+    parts = list(parts)
+    hands = max(min(cpu_count(), len(parts)), 1)
+
+    def play(hand: int):
+        results = []
+        for part in parts[hand::hands]:
+            try:
+                results.append(fn(part))
+            except Exception as exc:
+                return results, exc
+        return results, None
+
+    played = fork_map(play, range(hands))
+    failures = {hand + hands * len(results): exc for hand, (results, exc) in enumerate(played) if exc is not None}
+    if failures:  # keyed by the failing part's index
+        raise failures[min(failures)]
+    results = [None] * len(parts)
+    for hand, (dealt, _) in enumerate(played):
+        results[hand::hands] = dealt
+    return results

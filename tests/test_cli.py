@@ -203,6 +203,17 @@ class TestFringes:
     def test_bad_eta_exits_2(self, tmp_path):
         assert main(["fringes", "--eta", "1.5", "--out", str(tmp_path / "f.csv")]) == 2
 
+    def test_unpreparable_optimal_weights_name_eta(self, tmp_path, capsys):
+        """Below eta ~ 3e-22 the optimal weights have x1 > 0 but x0 = 0; 1e-21 still prepares."""
+        out = tmp_path / "f.csv"
+        assert main(["fringes", "--eta", "1e-22", "--probe", "optimal", "--phi-steps", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimal probe at eta=1e-22: weights (0.0, ")
+        assert err.endswith(": targets with x1 > 0 need weight on both |20> and |02>\n")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        assert main(["fringes", "--eta", "1e-21", "--probe", "optimal", "--phi-steps", "3", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_phi_steps_exits_2(self, tmp_path, capsys, steps):
         out = tmp_path / "f.csv"
@@ -1201,6 +1212,36 @@ class TestDiagnostics:
         assert message in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+
+class TestOutputPaths:
+    """An output that cannot be made or written exits 1 with one line naming
+    its path. In each case ``obstacle`` (a file, or a directory for a name
+    ending in "/") stands where the command writes. ``{t}`` is tmp_path,
+    ``{sim}`` a simulate output directory."""
+
+    @pytest.mark.parametrize("argv, obstacle, named", [
+        pytest.param("bounds --steps 3 --out {t}/o", "o/", "o", id="bounds-out-is-a-directory"),
+        pytest.param("bounds --steps 3 --out {t}/o.csv", "o.csv.manifest.json/", "o.csv.manifest.json",
+                     id="bounds-manifest-is-a-directory"),
+        pytest.param("fringes --eta 0.5 --probe noon --out {t}/f/x.csv", "f", "f", id="fringes-out-under-a-file"),
+        pytest.param("simulate --config {t}/c.cfg --out-dir {t}/f", "f", "f", id="simulate-out-dir-is-a-file"),
+        pytest.param("simulate --config {t}/c.cfg --out-dir {t}/o", "o/manifest.json/", "o/manifest.json",
+                     id="simulate-manifest-is-a-directory"),
+        pytest.param("estimate --dataset {sim}/dataset.csv --out-dir {t}/f", "f", "f", id="estimate-out-dir-is-a-file"),
+        pytest.param("estimate --dataset {sim}/dataset.csv --out-dir {t}/o", "o/report.csv/", "o/report.csv",
+                     id="estimate-report-is-a-directory"),
+    ])
+    def test_unwritable_output_exits_1(self, fuzz_sim, tmp_path, capsys, argv, obstacle, named):
+        (tmp_path / "c.cfg").write_text(FUZZ_CONFIG)
+        if obstacle.endswith("/"):
+            (tmp_path / obstacle).mkdir(parents=True)
+        else:
+            (tmp_path / obstacle).write_text("")
+        assert main(argv.format(t=tmp_path, sim=fuzz_sim).split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / named}: ")
+        assert len(err.splitlines()) == 1
 
 
 #: The benchmark's workload definitions; they write the configs it runs.

@@ -1,5 +1,6 @@
-"""Forked workers: ``fork_map`` gives the serial loop's results and failures
-whatever the CPU count, and so do the campaign and the estimator that use it."""
+"""Forked workers: ``fork_map`` and ``deal_map`` give the serial loop's results
+and failures whatever the CPU count, and so do the bounds, the designs, the
+campaign and the estimator that use them."""
 
 import json
 import os
@@ -8,12 +9,14 @@ import threading
 import numpy as np
 import pytest
 
-from lossyphase import estimator, workers
+from lossyphase import estimator, montecarlo, workers
+from lossyphase.bounds import precision_curve
 from lossyphase.cli import main
+from lossyphase.detection import Setting
 from lossyphase.estimator import estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign
-from lossyphase.workers import fork_map
+from lossyphase.montecarlo import ExperimentConfig, ProbeKind, probe_design, probe_designs, run_campaign
+from lossyphase.workers import deal_map, fork_map
 
 #: CPU counts: serial, two and three workers, and more workers than any part count here.
 CPUS = (1, 2, 3, 64)
@@ -95,6 +98,98 @@ class TestForkMap:
         assert {pid for _, pid in results} == {os.getpid()}
 
 
+class TestDealMap:
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("n_parts", range(8))
+    def test_part_order_and_even_shares(self, monkeypatch, cpus, n_parts):
+        set_cpus(monkeypatch, cpus)
+        results = deal_map(pid_of_part, range(n_parts))
+        assert [part for part, _ in results] == list(range(n_parts))
+        shares = {}
+        for part, pid in results:
+            shares.setdefault(pid, []).append(part)
+        assert len(shares) == min(cpus, n_parts)
+        if n_parts:
+            assert shares[os.getpid()][0] == 0  # the caller plays the first hand
+            assert max(map(len, shares.values())) - min(map(len, shares.values())) <= 1
+        hands = len(shares)
+        assert all(parts == list(range(parts[0], n_parts, hands)) for parts in shares.values())  # round-robin
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("failing, raised", [({3, 4, 5, 6}, 3), ({1, 4}, 1), ({6}, 6), ({0, 1}, 0)])
+    def test_lowest_failing_part_raises(self, monkeypatch, cpus, failing, raised):
+        """{1, 4} on two workers: the caller's hand fails at 4, after the other hand failed at 1."""
+        set_cpus(monkeypatch, cpus)
+
+        def fn(part):
+            if part in failing:
+                raise ValueError(f"part {part}")
+            return part
+
+        with pytest.raises(ValueError, match=f"^part {raised}$"):
+            deal_map(fn, range(7))
+
+
+#: Twelve transmissions from 0.05 to 1: those below about 0.5 have a |11> component and cost more.
+CURVE_ETAS = tuple(np.linspace(0.05, 1.0, 12))
+
+#: An imperfect optimal campaign over six transmissions from 0.1 to 0.95.
+DESIGN_CONFIG = (
+    "eta_list = 0.1, 0.27, 0.44, 0.61, 0.78, 0.95\nprobe = optimal\nphases = 0.0\nseries = 2\nevents = 200\nseed = 3\n"
+    "epsilon = 0.02\ndelta = 0.1\nlambda_hom = 0.95\nv_classical = 0.97\n"
+)
+DESIGN_ETAS = (0.1, 0.27, 0.44, 0.61, 0.78, 0.95)
+DESIGN_PARAMS = ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97)
+
+
+def test_precision_curve_does_not_depend_on_the_cpu_count(monkeypatch):
+    curves = []
+    for cpus in CPUS:
+        set_cpus(monkeypatch, cpus)
+        curves.append([repr(point) for point in precision_curve(CURVE_ETAS)])
+    assert len(curves[0]) == len(CURVE_ETAS)
+    assert all(curve == curves[0] for curve in curves[1:])
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_simulate_optimizes_each_eta_once(monkeypatch, tmp_path, cpus):
+    """The manifest takes the designs the campaign used; optimizing again in
+    the caller would undo the parallel design step. Each call, in any
+    process, appends a line to one log file."""
+    log = tmp_path / "calls.log"
+
+    def logged(name, fn):
+        def call(*args):
+            with open(log, "a") as handle:
+                handle.write(f"{name} {args[-1]!r}\n")
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(montecarlo, "optimize_weights", logged("weights", montecarlo.optimize_weights))
+    monkeypatch.setattr(montecarlo, "optimize_theta_d", logged("theta_d", montecarlo.optimize_theta_d))
+    set_cpus(monkeypatch, cpus)
+    probe_design.cache_clear()
+    (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
+    assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 0
+    expected = [f"{name} {eta!r}" for name in ("theta_d", "weights") for eta in DESIGN_ETAS]
+    assert sorted(log.read_text().splitlines()) == sorted(expected)
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_lowest_unpreparable_eta_is_named(monkeypatch, tmp_path, capsys, cpus):
+    """Below eta ~ 3e-22 the optimal weights have x1 > 0 and x0 = 0; on two
+    workers the caller's hand fails at 1e-23 after the other hand failed at 1e-22."""
+    set_cpus(monkeypatch, cpus)
+    (tmp_path / "c.cfg").write_text("eta_list = 0.4, 1e-22, 1e-23\nphases = 0\nseries = 2\nevents = 100\n")
+    assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: optimal probe at eta=1e-22: weights (0.0, 1.4901161193847657e-11, ")
+    assert err.endswith("cannot be prepared: targets with x1 > 0 need weight on both |20> and |02>\n")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "sim").exists()
+
+
 def campaign_config(**overrides):
     values = dict(
         eta_list=(0.361, 0.547, 0.2), probe_kind=ProbeKind.NOON, phase_list=(-0.04, 0.0, 0.04, 0.02, -0.02),
@@ -163,25 +258,30 @@ def test_estimate_outputs_and_manifest_design_do_not_depend_on_the_cpu_count(mon
 
 
 def test_simulate_manifest_design_does_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
-    (tmp_path / "c.cfg").write_text(CONFIG_TEXT.replace("noon", "optimal"))
-    outputs = []
-    for cpus in (1, 2):
+    """The cache is cleared before each run, so every worker optimizes its own share."""
+    (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
+    runs = []
+    for cpus in CPUS:
         set_cpus(monkeypatch, cpus)
+        probe_design.cache_clear()
+        designs = probe_designs(ProbeKind.OPTIMAL, DESIGN_ETAS, DESIGN_PARAMS)
+        probe_design.cache_clear()
         out_dir = tmp_path / f"sim{cpus}"
         assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        outputs.append((manifest["design"], (out_dir / "dataset.csv").read_bytes()))
-    assert outputs[0] == outputs[1]
+        runs.append((repr(designs), manifest["design"], (out_dir / "dataset.csv").read_bytes()))
+    assert [entry["eta"] for entry in runs[0][1]] == list(DESIGN_ETAS)
+    assert sum(entry["x1"] > 0 for entry in runs[0][1]) == 3  # cheap and costly designs mixed
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_worker_failure_exits_like_the_serial_run(monkeypatch, sim_dir, tmp_path, capsys):
     """A ValueError in the last block, which a child estimates, keeps its
     message and exit code."""
-    built, serial_models, serial_grid = [], estimator.setting_models, estimator.likelihood_grid
-    monkeypatch.setattr(estimator, "setting_models", lambda *args: built.append(serial_models(*args)) or built[-1])
+    serial_grid = estimator.likelihood_grid
 
     def failing(models, include_cc):
-        if models is built[-1]:  # every block's models are built before the first block is estimated
+        if models[Setting.QUARTER].eta == 0.2:  # the last eta of CONFIG_TEXT
             raise ValueError("the last block fails")
         return serial_grid(models, include_cc=include_cc)
 
