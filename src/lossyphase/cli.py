@@ -23,7 +23,8 @@ from .detection import LABELS, DetectionConfig, Setting
 from .estimator import MAX_BINS, _first_seen, analyze, estimate_dataset, histogram
 from .imperfections import ImperfectionParams
 from .montecarlo import (
-    PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_designs, run_campaign, setting_models,
+    PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, campaign_counts, probe_designs, run_campaign,
+    setting_models,
 )
 from .prep import solve_prep
 
@@ -478,27 +479,103 @@ def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tup
         raise ValueError("series_id, a count or seed_used is out of range") from None
 
 
-#: Lines a block of the parser holds: a block is split into lines, and its
-#: rows into text fields and then arrays, before the next block is cut from
-#: the file's text, so the parser's Python objects stay within one block.
+#: Lines a block of the parser holds: a block's rows become arrays before the
+#: next block is read, so the parser's temporaries stay within one block.
 _PARSE_CHUNK = 2048
 
+#: The bytes of an ASCII file outside the writer's form: those on which
+#: ``str.splitlines`` also ends a line, and NUL, which the zero padding of a
+#: prefix would hide.
+_OTHER_FORM = (b"\0", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """The lines ``text.splitlines()`` gives, in blocks of at least
-    ``_PARSE_CHUNK`` lines (fewer in the last block). Each block ends just
-    after a "\\n", which ends a line whatever precedes it, so no block cuts
-    a line or its "\\r\\n"."""
-    start = 0
-    while start < len(text):
-        stop = start
-        for _ in range(_PARSE_CHUNK):
-            stop = text.find("\n", stop) + 1
-            if not stop:
-                stop = len(text)
-                break
-        yield text[start:stop].splitlines()
-        start = stop
+#: The weight of each digit of a piece of at most 15 digits, last digit
+#: first: float64 sums of such pieces are exact integers below 2**53.
+_POW10 = 10.0 ** np.arange(15)
+
+#: The largest seed_used, 2**64 - 1, as its digits before the last 15 and its last 15.
+_SEED_HIGH, _SEED_LOW = divmod(2**64 - 1, 10**15)
+
+
+def _blocks(data: bytes) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks of ``_PARSE_CHUNK`` lines of ``data`` (fewer in the last): the
+    offset of each block's first byte and of each of its lines' "\\n", or
+    ``len(data)`` for a last line without one. Each block ends just after a
+    "\\n", which ends a line whatever precedes it, so no block cuts a line
+    or its "\\r\\n", and ``data[start:stops[-1] + 1]`` splits into the
+    block's share of ``data.splitlines()``."""
+    stops = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    if not data.endswith(b"\n"):
+        stops = np.append(stops, len(data))
+    for at in range(0, len(stops), _PARSE_CHUNK):
+        yield int(stops[at - 1]) + 1 if at else 0, stops[at : at + _PARSE_CHUNK]
+
+
+def _digit_pieces(u: np.ndarray, first: np.ndarray, end: np.ndarray) -> tuple | None:
+    """The fields ``u[first:end]`` of 1 to 20 bytes as (high, low): the value
+    of the digits before the last 15 and of the last 15, float64 arrays of
+    the shape of ``first``; None if a byte is not an ASCII digit."""
+    shape, first, end = first.shape, first.ravel(), end.ravel()
+    width = int((end - first).max())
+    at = end - np.arange(width, 0, -1)[:, None]  # row j: the byte ``width - j`` before each field's end
+    digits = np.take(u, at, mode="clip") - np.uint8(ord("0"))
+    digits *= at >= first  # zero the bytes before the field
+    if digits.max() > 9:
+        return None
+    digits = digits.astype(np.float64)
+    low = np.dot(_POW10[min(width, 15) - 1 :: -1], digits[-15:])
+    high = np.dot(_POW10[width - 16 :: -1], digits[:-15]) if width > 15 else np.zeros_like(low)
+    return high.reshape(shape), low.reshape(shape)
+
+
+def _writer_rows(u: np.ndarray, stops: np.ndarray, prefixes: dict[str, int], parsed: list) -> tuple | None:
+    """The rows ``_parse_rows`` reads from a block in the writer's form, in
+    numpy array operations; None for a block in any other form. ``u`` holds
+    the block's bytes, ASCII without NUL or a line break but "\\n", and
+    ``stops`` the offset of each row's end. In the writer's form every row
+    has 11 commas; each integer field is 1 to 18 ASCII digits, seed_used 1 to
+    20 and at most 2**64 - 1; every count is at most MAX_COUNT; and
+    ``_parse_prefix`` reads each distinct prefix, the text before the fourth
+    comma."""
+    n = len(stops)
+    commas = np.flatnonzero(u == ord(","))
+    if len(commas) != 11 * n:
+        return None
+    # Row i takes commas 11 i to 11 i + 10. Should the first row with another
+    # count have fewer, its seed_used ends before it starts; more, and its
+    # seed_used holds a comma: the checks below refuse both.
+    commas = commas.reshape(n, 11)
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    bounds = np.vstack((commas[:, 3:].T, stops))  # the comma before each integer field, then the row's end
+    first, end = bounds[:-1] + 1, bounds[1:]
+    widths = end - first
+    if widths.min() < 1 or widths[:7].max() > 18 or widths[7].max() > 20:
+        return None
+    pieces = [_digit_pieces(u, first[:7], end[:7]), _digit_pieces(u, first[7], end[7])]
+    if None in pieces:
+        return None
+    (high, low), (seed_high, seed_low) = pieces
+    integers = high.astype(np.int64) * 10**15 + low.astype(np.int64)  # below 10**18
+    too_large = (seed_high > _SEED_HIGH) | ((seed_high == _SEED_HIGH) & (seed_low > _SEED_LOW))
+    if integers[1:].max() > MAX_COUNT or too_large.any():
+        return None
+    seed_used = seed_high.astype(np.uint64) * np.uint64(10**15) + seed_low.astype(np.uint64)
+    width = -(-int((commas[:, 3] - starts).max()) // 8) * 8  # the longest prefix, in whole 8-byte words
+    at = starts + np.arange(width)[:, None]  # row j: the byte j after each row's start
+    keys = np.take(u, at, mode="clip")
+    keys *= at < commas[:, 3]  # zero padding, which tells no two prefixes apart: none holds NUL
+    keys = np.ascontiguousarray(keys.T)  # a row's prefix in its own bytes
+    number, distinct = _first_seen(*keys.view(np.uint64).T)
+    index = np.empty(len(distinct), dtype=np.intp)
+    for i, text in enumerate(keys[distinct].view(f"S{width}").ravel().tolist()):
+        text = text.decode("ascii")
+        if text not in prefixes:
+            try:
+                parsed.append(_parse_prefix(text.split(",")))
+            except ValueError:
+                return None
+            prefixes[text] = len(parsed) - 1
+        index[i] = prefixes[text]
+    return index[number], integers, seed_used
 
 
 def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
@@ -509,41 +586,66 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     count, a number the writer would not spell (whitespace, ``_`` or a
     non-ASCII character; in an integer field anything but ASCII digits after
     an optional ``-``) and a row whose (eta, probe, phi_true, series_id,
-    setting) repeats by value. The lines are split a block at a time
-    (``_line_blocks``); ``_parse_rows`` checks each block at once, and a
-    failed block one line at a time to name its first bad line. Repeated
-    rows are sought once every line parses.
+    setting) repeats by value.
+
+    The file's bytes are cut into blocks of lines at "\\n" (``_blocks``).
+    ``_writer_rows`` converts a block in the form ``write_dataset_csv``
+    writes with array operations on its bytes; any other block, and every
+    block of a file that is not ASCII or holds a byte of ``_OTHER_FORM``, is
+    decoded, split with ``str.splitlines`` and read by ``_parse_rows``, which
+    checks the block at once and a failed block one line at a time to name
+    its first bad line. Both give the same rows. Repeated rows are sought
+    once every line parses.
     """
-    blocks = _line_blocks(_read_text(path, "dataset"))
-    lines = next(blocks, None)
-    if lines is None:
+    try:
+        data = Path(path).read_bytes()
+        if not data.isascii():
+            data.decode("utf-8")  # an undecodable byte is named before any line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    if not data:
         raise ConfigError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    writer = data.isascii() and not any(byte in data for byte in _OTHER_FORM)
+    blocks = _blocks(data)
+    start, stops = next(blocks)
+    header = data[: stops[0] + 1].decode("utf-8").splitlines()[0].split(",")
     for got, expected in zip(header, DATASET_COLUMNS):
         if got != expected:
             raise ConfigError(f"{path}: expected column {expected!r}, found {got!r}")
     if len(header) != len(DATASET_COLUMNS):
         raise ConfigError(f"{path}: expected {len(DATASET_COLUMNS)} columns, found {len(header)}")
+    raw = np.frombuffer(data, dtype=np.uint8)
     prefixes: dict[str, int] = {}  # text of a row's first four fields -> index into parsed
     parsed = []  # (eta, probe, phi_true, setting) of each prefix text
     chunks = []  # per block: prefix of each row, then series_id and counts, then seed_used
     blanks = []  # line numbers of the blank lines, ascending
-    start = 2  # line number of the block's first line
-    for block in chain([lines[1:]], blocks):  # at least one block
+    first_line = 2  # line number of the block's first row
+    for start, stops in chain([(start, stops)], blocks):
+        skip = int(start == 0)  # the header line
+        rows = None
+        if writer and len(stops) > skip:
+            offset = int(stops[0]) + 1 if skip else start  # of the block's first row
+            rows = _writer_rows(raw[offset : stops[-1]], stops[skip:] - offset, prefixes, parsed)
+        if rows is not None:
+            chunks.append(rows)
+            first_line += len(stops) - skip
+            continue
+        block = data[start : stops[-1] + 1].decode("utf-8").splitlines()[skip:]
         try:
             chunks.append(_parse_rows(block, prefixes, parsed))
         except ValueError:
-            for line_no, line in enumerate(block, start=start):
+            for line_no, line in enumerate(block, start=first_line):
                 try:
                     _parse_rows([line], prefixes, parsed)
                 except ValueError as exc:
                     raise ConfigError(f"{path}: line {line_no}: {exc}") from None
             raise  # not reached: every rule applies to one row, so some line fails alone
         if len(chunks[-1][0]) < len(block):
-            blanks += [line_no for line_no, line in enumerate(block, start=start) if _is_blank(line)]
-        start += len(block)
+            blanks += [line_no for line_no, line in enumerate(block, start=first_line) if _is_blank(line)]
+        first_line += len(block)
+    del data, raw, stops  # before the columns are built, which bounds the peak
     prefix, integers, seed_used = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
-    del chunks  # before the columns are built, which bounds the peak
+    del chunks
     prefix = prefix.astype(np.intp)
     codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
     probe, setting = codes[prefix].T
@@ -589,10 +691,11 @@ def cmd_simulate(args) -> None:
     for name, values in (("eta_list", config.eta_list), ("phase_list", config.phase_list)):
         if len({float(_fmt(value)) for value in values}) < len(values):  # rows compare by printed value
             raise ValueError(f"{name} {values} repeats a value as the dataset prints it, at 12 significant digits")
-    designs = probe_designs(config.probe_kind, config.eta_list, config.imperfections)
-    try:
-        dataset = run_campaign(config, designs)
-    except MemoryError as exc:  # numpy refuses the campaign's arrays
+    try:  # numpy refuses the campaign's arrays; the counts come before any design is resolved
+        counts = campaign_counts(config)
+        designs = probe_designs(config.probe_kind, config.eta_list, config.imperfections)
+        dataset = run_campaign(config, designs, counts)
+    except MemoryError as exc:
         raise ValueError(f"series {config.series_count}: {exc}") from None
     out_dir = _make_dir(Path(args.out_dir))
     dataset_path = out_dir / "dataset.csv"

@@ -294,7 +294,13 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
         # Each grid is built beside its estimate: building a design sweep's 16 grids first took 8,000 more page faults
         _, kind, transmission, (weights, quarter), matrices = block
         models = setting_models(kind, transmission, d.config.imperfections, (weights, quarter))
-        bound = 1.0 / math.sqrt(qfi_lossy(weights, transmission))
+        information = qfi_lossy(weights, transmission)
+        if not 0.0 < information < math.inf:  # the bound would be infinite, 0 or nan
+            raise ValueError(
+                f"eta={transmission:.12g} probe={kind.value}: quantum Fisher information {information!r}"
+                " gives no finite, positive Cramér-Rao bound"
+            )
+        bound = 1.0 / math.sqrt(information)
         return bound, _estimate_series(likelihood_grid(models, include_cc=include_cc), matrices)
 
     for (members, *_), (bound, result) in zip(blocks, fork_map(estimate_block, blocks)):

@@ -297,7 +297,14 @@ def setting_models(
     }
 
 
-def run_campaign(config: ExperimentConfig, designs: list | None = None) -> EventDataset:
+def campaign_counts(config: ExperimentConfig) -> np.ndarray:
+    """The empty count array of the campaign ``config`` describes, by eta,
+    phase, series, setting and label."""
+    shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS), len(LABELS))
+    return np.empty(shape, dtype=np.int64)
+
+
+def run_campaign(config: ExperimentConfig, designs: list | None = None, counts: np.ndarray | None = None) -> EventDataset:
     """Simulate the full measurement campaign described by ``config``.
 
     Every record is generated from its own substream, so the dataset is a pure
@@ -306,7 +313,8 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None) -> Event
     at once. Rows run over (eta, phase, series, setting), the last fastest.
     ``designs`` holds the design of each eta (by default ``probe_designs``
     resolves them); each eta's models and label probabilities are built in
-    ``deal_map`` workers, and the cells are drawn in ``fork_map`` workers.
+    ``deal_map`` workers, and the cells are drawn in ``fork_map`` workers
+    into ``counts`` (by default ``campaign_counts`` allocates it).
     """
     kind, params = config.probe_kind, config.imperfections
     designs = probe_designs(kind, config.eta_list, params) if designs is None else designs
@@ -319,7 +327,7 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None) -> Event
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
     states = substream_states(config.master_seed, np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T)
     states = states.reshape(*shape[:3], _SERIES_STREAM + 1, 4)  # no worker inherits the 1.7 MB of keys
-    counts = np.empty((*shape, len(LABELS)), dtype=np.int64)
+    counts = campaign_counts(config) if counts is None else counts
     # (eta index, phase index, label pvals per setting) of each cell, in row order
     cells = [(i, j, cell) for i, row in enumerate(eta_pvals) for j, cell in enumerate(row)]
 

@@ -30,8 +30,9 @@ from lossyphase.cli import (
     _FIELDS,
     _PARSE_CHUNK,
     _WRITE_BLOCK,
+    _blocks,
     _config_dict,
-    _line_blocks,
+    _parse_prefix,
     _write_lines,
     build_parser,
     config_from_dict,
@@ -40,7 +41,7 @@ from lossyphase.cli import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from lossyphase import bounds, montecarlo
+from lossyphase import bounds, cli, montecarlo
 from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
@@ -1171,6 +1172,10 @@ class TestDiagnostics:
             data["config"].update(value)
             manifest = tmp_path / "manifest.json"
             manifest.write_text(json.dumps(data))
+        elif kind == "campaign":  # the config simulated, then its dataset estimated
+            (tmp_path / "c.cfg").write_text(value)
+            assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 0
+            dataset, manifest = tmp_path / "sim" / "dataset.csv", tmp_path / "sim" / "manifest.json"
         else:
             return TestNumberSpelling.estimate_with(fuzz_sim, tmp_path, *value)
         return main(["estimate", "--dataset", str(dataset), "--manifest", str(manifest), "--out-dir", str(out)])
@@ -1205,13 +1210,22 @@ class TestDiagnostics:
                      id="events-above-2**49"),
         pytest.param("manifest", {"events": MAX_COUNT + 1}, 1, "invalid config: events must be at most 2**49",
                      id="manifest-events"),
+        pytest.param("campaign", "eta_list = 1e-14\nprobe = noon\nphases = 0\nseries = 2\nevents = 100\n", 2,
+                     "eta=1e-14 probe=noon: quantum Fisher information 0.0 gives no finite, positive Cramér-Rao bound",
+                     id="zero-fisher-information"),
     ])
-    def test_bad_input_exits_with_one_line(self, fuzz_sim, tmp_path, capsys, kind, value, code, message):
+    def test_bad_input_exits_with_one_line(self, fuzz_sim, tmp_path, capsys, monkeypatch, kind, value, code, message):
+        resolved = []  # the etas of each probe_designs call
+        monkeypatch.setattr("lossyphase.cli.probe_designs", lambda kind, etas, params: resolved.append(etas) or [
+            probe_design(kind, eta, params) for eta in etas
+        ])
         assert self.run(kind, value, fuzz_sim, tmp_path) == code
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
+        if kind == "config":  # a refused config resolves no design first: a 2**32-series campaign took 3 s of them
+            assert resolved == []
 
 
 class TestOutputPaths:
@@ -1392,11 +1406,15 @@ class TestDatasetBlocks:
 
     @given(st.lists(st.sampled_from(["a", ",", "", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " "])), st.integers(1, 3))
     def test_line_blocks_are_splitlines(self, pieces, size):
-        text = "".join(pieces)
+        data = "".join(pieces).encode()
         with mock.patch("lossyphase.cli._PARSE_CHUNK", size):
-            blocks = list(_line_blocks(text))
-        assert [line for block in blocks for line in block] == text.splitlines()
-        assert all(len(block) >= size for block in blocks[:-1])
+            blocks = list(_blocks(data))
+        lines = [data[start : stops[-1] + 1].decode().splitlines() for start, stops in blocks]
+        assert [line for block in lines for line in block] == data.decode().splitlines()
+        assert all(len(block) >= size for block in lines[:-1])
+        assert all(len(stops) == size for _, stops in blocks[:-1])
+        starts = [start for start, _ in blocks]
+        assert starts == sorted(starts) and all(data[start - 1 : start] == b"\n" for start in starts[1:])
 
     @staticmethod
     def lines_of(n: int) -> list[str]:
@@ -1410,8 +1428,9 @@ class TestDatasetBlocks:
         return read_dataset_csv(path, ExperimentConfig())
 
     def test_blocks_end_where_the_tests_expect(self):
-        text = "\n".join(self.lines_of(2 * _PARSE_CHUNK + 100)) + "\n"
-        assert [len(block) for block in _line_blocks(text)] == [_PARSE_CHUNK, _PARSE_CHUNK, 101]
+        data = ("\n".join(self.lines_of(2 * _PARSE_CHUNK + 100)) + "\n").encode()
+        blocks = [data[start : stops[-1] + 1].splitlines() for start, stops in _blocks(data)]
+        assert [len(block) for block in blocks] == [_PARSE_CHUNK, _PARSE_CHUNK, 101]
 
     @staticmethod
     def set_field(lines, line_no, column, text):
@@ -1475,6 +1494,150 @@ class TestDatasetBlocks:
         err = capsys.readouterr().err
         assert f"cannot read dataset {dataset}" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+
+#: Integer-field texts at the edges of the writer's form: leading zeros (a
+#: 20-digit seed among them), 18, 19 and 20 digits, counts at and past
+#: MAX_COUNT, seeds at and past 2**64 - 1, and -0.
+_EDGE_TEXTS = (
+    "007", "0" * 18 + "42", "0" * 20, "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18, "9" * 20, "1" + "0" * 19,
+    str(MAX_COUNT), str(MAX_COUNT + 1), str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), "-0",
+)
+
+#: Characters spliced into a row: NUL, the ASCII ones str.splitlines also
+#: ends a line at, a tab and a non-ASCII one.
+_SPLICED = ("\0", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\t", "\x85")
+
+
+def in_writer_form(row: str) -> bool:
+    """Whether ``row`` is in the form ``write_dataset_csv`` writes, as the
+    parser's byte check reads it."""
+    fields_ = row.split(",")
+    if not row.isascii() or any(c in row for c in "\0\r\x0b\x0c\x1c\x1d\x1e\n") or len(fields_) != 12:
+        return False
+    integers, seed = fields_[4:11], fields_[11]
+    if not all(text.isdigit() and len(text) <= 18 for text in integers) or not (seed.isdigit() and len(seed) <= 20):
+        return False
+    try:
+        _parse_prefix(fields_[:4])
+    except ValueError:
+        return False
+    return max(map(int, integers[1:])) <= MAX_COUNT and int(seed) < 2**64
+
+
+def splice(row: str, text: str) -> str:
+    """``row`` with ``text`` at the end of its prefix, before the fourth comma."""
+    at = [i for i, c in enumerate(row) if c == ","][3]
+    return row[:at] + text + row[at:]
+
+
+@st.composite
+def edited_csv(draw, header: str, rows: list[str]) -> tuple[bytes, list[str]]:
+    """The bytes of a dataset CSV of ``header`` and ``rows`` after random
+    edits, and its rows: the edits of ``mutated_rows``, an integer field set
+    to an edge text, a character spliced into a row and a blank line; every
+    row may go, and the last line may lack its "\\n"."""
+    rows = draw(mutated_rows(rows)) if draw(st.booleans()) else list(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["edge", "splice", "blank"]))
+        if edit == "edge":
+            fields_ = rows[i].split(",")
+            k = draw(st.integers(min(4, len(fields_) - 1), len(fields_) - 1))
+            fields_[k] = draw(st.sampled_from(_EDGE_TEXTS))
+            rows[i] = ",".join(fields_)
+        elif edit == "splice":
+            at = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:at] + draw(st.sampled_from(_SPLICED)) + rows[i][at:]
+        else:
+            rows.insert(i, draw(st.sampled_from(["", " "])))
+    if draw(st.integers(0, 7)) == 0:
+        rows = []
+    return ("\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))).encode(), rows
+
+
+def read_outcome(path) -> tuple[list | str, int]:
+    """What read_dataset_csv gives for ``path``: each column's dtype, shape
+    and bytes, or its ConfigError's text; and how many times it ran the row
+    routine."""
+    with mock.patch("lossyphase.cli._parse_rows", wraps=cli._parse_rows) as row_routine:
+        try:
+            d = read_dataset_csv(path, ExperimentConfig())
+        except ConfigError as exc:
+            return str(exc), row_routine.call_count
+    columns = (d.eta, d.probe, d.phi_true, d.setting, d.series_id, d.counts, d.seed_used)
+    return [(column.dtype.str, column.shape, column.tobytes()) for column in columns], row_routine.call_count
+
+
+class TestWriterForm:
+    """A dataset block in the writer's form is converted with array operations
+    on its bytes; any other block goes through the row routine, which the
+    tests make the oracle by refusing every block. Both read the same
+    dataset, or fail with the same diagnostic."""
+
+    @staticmethod
+    def both(path) -> tuple:
+        """``read_outcome`` of ``path``, and the oracle's."""
+        with mock.patch("lossyphase.cli._writer_rows", return_value=None):
+            oracle, _ = read_outcome(path)
+        return read_outcome(path), oracle
+
+    @given(st.data(), st.sampled_from([1, 2, 3, _PARSE_CHUNK]))
+    def test_edited_rows_read_as_the_row_routine_reads_them(self, fuzz_sim, tmp_path_factory, data, chunk):
+        header, *rows = (fuzz_sim / "dataset.csv").read_text().splitlines()
+        content, rows = data.draw(edited_csv(header, rows))
+        path = tmp_path_factory.mktemp("edited") / "dataset.csv"
+        path.write_bytes(content)
+        with mock.patch("lossyphase.cli._PARSE_CHUNK", chunk):
+            (outcome, row_routine), oracle = self.both(path)
+        assert outcome == oracle
+        if chunk == _PARSE_CHUNK:  # one block: the row routine reads it unless every row is in the writer's form
+            assert (row_routine == 0) == (bool(rows) and all(map(in_writer_form, rows)))
+
+    @staticmethod
+    def edited(fuzz_sim, tmp_path, edit) -> Path:
+        """The fuzz dataset with its lines after ``edit``, written to ``tmp_path``."""
+        lines = (fuzz_sim / "dataset.csv").read_text().splitlines()
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(edit(lines).encode())
+        return path
+
+    @pytest.mark.parametrize("column", ["series_id", "n_AA", "n_CC", "seed_used"])
+    @pytest.mark.parametrize("text", _EDGE_TEXTS)
+    def test_edge_integers_read_as_the_row_routine_reads_them(self, fuzz_sim, tmp_path, column, text):
+        lines = (fuzz_sim / "dataset.csv").read_text().splitlines()
+        parts = lines[8].split(",")
+        parts[DATASET_COLUMNS.index(column)] = text
+        lines[8] = ",".join(parts)
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join(lines) + "\n")
+        (outcome, row_routine), oracle = self.both(path)
+        assert outcome == oracle
+        assert (row_routine == 0) == in_writer_form(lines[8])
+
+    @pytest.mark.parametrize("edit", [
+        *(pytest.param(lambda lines, c=c: "\n".join([*lines[:5], splice(lines[5], c), *lines[6:]]) + "\n",
+                       id=f"splice-{ord(c):#04x}") for c in _SPLICED),
+        pytest.param(lambda lines: "\n".join(lines[:4] + [""] + lines[4:]) + "\n", id="blank-line"),
+        pytest.param(lambda lines: "\r\n".join(lines) + "\r\n", id="crlf"),
+        pytest.param(lambda lines: lines[0] + "\n", id="header-only"),
+        pytest.param(lambda lines: lines[0], id="header-only-no-final-newline"),
+        pytest.param(lambda lines: "\n".join(lines), id="no-final-newline"),
+    ])
+    def test_line_edits_read_as_the_row_routine_reads_them(self, fuzz_sim, tmp_path, edit):
+        (outcome, _), oracle = self.both(self.edited(fuzz_sim, tmp_path, edit))
+        assert outcome == oracle
+
+    def test_writer_files_take_the_byte_path(self, tmp_path):
+        """The default N00N campaign's dataset runs no row routine, and parses
+        each prefix once: a block falling back unseen would undo the gain."""
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(path, montecarlo.run_campaign(ExperimentConfig(probe_kind=ProbeKind.NOON, master_seed=0)))
+        with mock.patch("lossyphase.cli._parse_prefix", wraps=cli._parse_prefix) as parse_prefix:
+            (outcome, row_routine), oracle = self.both(path)
+        assert row_routine == 0
+        assert parse_prefix.call_count == 2 * 4 * 15 * 2  # each (eta, phi_true, setting) text once a read
+        assert outcome == oracle
 
 
 class TestDeterminism:

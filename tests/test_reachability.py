@@ -29,6 +29,7 @@ from lossyphase.cli import SEED_ENV_VAR
 SRC = Path(lossyphase.__file__).resolve().parent
 
 _TRACER = "named by perfbench/tracer.py and tests/test_benchmark_contract.py until the tracer wraps what runs now"
+_OTHER_FORM = "runs only for a dataset block not in the writer's form; tests/test_cli.py covers it"
 
 #: Defs no recipe runs, by dotted name (module, enclosing classes and defs, name), with the reason each stays.
 ALLOWED = {
@@ -43,6 +44,8 @@ ALLOWED = {
     "workers._serve": "runs in a forked child, which a one-worker run never starts; tests/test_workers.py covers it",
     "workers.cpu_count": "pinned to 1 by the traced run; tests/test_workers.py covers it",
     "cli.read_dataset_csv.line_of": "error path: runs only for a repeated dataset row; tests/test_cli.py covers it",
+    "cli._parse_rows": _OTHER_FORM,
+    "cli._is_blank": _OTHER_FORM,
 }
 
 #: The child: the shrunk README recipes (bounds; fringes with and without
