@@ -4,6 +4,7 @@ and the detection setting that maximizes the no-loss Fisher information."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -107,17 +108,18 @@ def _transfer(patterns, splitter: ModeTransform) -> np.ndarray:
 
 def _transfer_two_closed(theta) -> np.ndarray:
     """Two-photon transfer of the final splitter in the (|20>, |11>, |02>) basis,
-    one 3 x 3 matrix per element of ``theta``, on the last two axes.
+    one 3 x 3 matrix per element of ``theta``, on the last two axes, C-contiguous:
+    the stacked products of _no_loss_fisher pick their BLAS path by layout.
 
     Closed form of _transfer(_TWO_PHOTON, beam_splitter(theta, 0, 1, 2)); kept
     for the optimizer's objective, whose optimum depends on this rounding.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta, dtype=float)[..., None]  # each entry on a last axis of length 1
     t = np.sqrt(theta)
     r = np.sqrt(1.0 - theta)
     tt, rr, tr = t * t, r * r, math.sqrt(2.0) * t * r
     entries = (tt, tr, rr, -tr, tt - rr, tr, rr, -tr, tt)
-    return np.stack(entries, axis=-1).reshape(theta.shape + (3, 3)).astype(complex)
+    return np.concatenate(entries, axis=-1, dtype=complex).reshape(theta.shape[:-1] + (3, 3))
 
 
 def _branch_amplitudes(probe: FockState, eta: float) -> list:
@@ -191,17 +193,29 @@ class OutcomeModel:
         return self.lambda_hom * q + (1.0 - self.lambda_hom) * self._classical
 
 
-def _no_loss_fisher(coeff: np.ndarray, theta, offset):
+#: The phase harmonics of _TWO_PHOTON times i: the offset turns each no-loss
+#: amplitude by exp(i * harmonic * offset).
+_I_HARMONICS = 1j * np.array([2.0, 1.0, 0.0])
+
+
+def _rotated(coeff: np.ndarray, offset) -> tuple[np.ndarray, np.ndarray]:
+    """The no-loss amplitudes ``coeff`` (last axis on _TWO_PHOTON) turned by
+    the conditional phase ``offset``, broadcast, and their offset derivative."""
+    rotated = coeff * np.exp(_I_HARMONICS * np.asarray(offset, dtype=float)[..., None])
+    return rotated, _I_HARMONICS * rotated
+
+
+def _no_loss_fisher(rotated: np.ndarray, drotated: np.ndarray, theta):
     """Fisher information of the no-loss labels at phi = 0, analytic derivative,
-    elementwise over the broadcast ``theta`` and ``offset``: the objective of
-    optimize_theta_d, which owns its rounding because its golden searches
+    elementwise over the broadcast ``theta`` and lanes of ``rotated`` and
+    ``drotated`` (from _rotated, amplitudes on the last axis): the objective
+    of optimize_theta_d, which owns its rounding because its golden searches
     break last-bit ties, so another rounding moves theta_d. Each element is
-    rounded as a lone scalar evaluation would be."""
+    rounded as a lone scalar evaluation would be. A theta search computes its
+    rotations once and calls this at each golden step."""
     transfer = _transfer_two_closed(theta)
-    harmonics = np.array([2.0, 1.0, 0.0])
-    rotated = coeff * np.exp(1j * harmonics * np.asarray(offset, dtype=float)[..., None])
     amp = (transfer @ rotated[..., None])[..., 0]
-    damp = (transfer @ (1j * harmonics * rotated)[..., None])[..., 0]
+    damp = (transfer @ drotated[..., None])[..., 0]
     p = np.abs(amp) ** 2
     dp = 2.0 * np.real(np.conj(amp) * damp)
     terms = np.divide(dp**2, p, out=np.zeros(p.shape), where=p > 1e-14)
@@ -211,45 +225,72 @@ def _no_loss_fisher(coeff: np.ndarray, theta, offset):
 #: Final-splitter transmissions scanned to bracket each theta_d search.
 _THETA_GRID = np.linspace(0.01, 0.99, 50)
 
+#: Conditional phases scanned to bracket each offset search. (theta, offset)
+#: and (1 - theta, pi - offset) are mirror-equivalent optima; searching offsets
+#: up to pi/2 keeps the representative nearest pi/4.
+_OFFSET_GRID = np.linspace(0.0, math.pi / 2.0, 61)
 
-def optimize_theta_d(probe: FockState, eta: float) -> DetectionConfig:
-    """Detection setting maximizing the no-loss-branch Fisher information at phi = 0.
+#: Steps the offset search looks ahead per call of its objective: one call runs
+#: the theta searches of the 31 offsets that its next five steps can visit.
+_OFFSET_DEPTH = 5
+
+
+def _best_theta(coeff: np.ndarray, offset: np.ndarray):
+    """theta_d and its Fisher information at each offset, one lane per element
+    of the broadcast ``coeff`` rows and ``offset``, each searched from the best
+    _THETA_GRID point's neighbours, one point per lane per call."""
+    rotated, drotated = (v[..., None, :] for v in _rotated(coeff, offset))
+    # the grid one coefficient row at a time, so that its temporaries stay those of one probe
+    i = np.array([np.argmax(_no_loss_fisher(r, dr, _THETA_GRID), axis=-1) for r, dr in zip(rotated, drotated)])
+    return golden_section_max(
+        lambda t: _no_loss_fisher(rotated, drotated, t),
+        _THETA_GRID[np.maximum(i - 1, 0)],
+        _THETA_GRID[np.minimum(i + 1, len(_THETA_GRID) - 1)],
+        tol=1e-9,
+        depth=1,
+    )
+
+
+def optimize_theta_d(probes: Sequence[FockState], etas: Sequence[float]) -> list[DetectionConfig]:
+    """Detection setting maximizing the no-loss-branch Fisher information at
+    phi = 0, for each probe and its transmission.
 
     Probes without a |11> component keep the balanced splitter and the pi/4
     conditional phase, which saturate exactly. With a |11> component present, a
     single conditional phase cannot align the slopes of the one- and two-photon
     fringes simultaneously, so the transmission and the conditional phase are
     optimized jointly (nested bracketed golden-section searches); the optimum
-    lands near, but not exactly at, pi/4. The theta searches of all scanned
-    offsets run as lanes of one search, and so do those of the offsets that
-    the next golden steps of the offset search can visit.
+    lands near, but not exactly at, pi/4. The offset searches of all such
+    probes run as the lanes of one search, which looks _OFFSET_DEPTH steps
+    ahead, and each of its calls runs the theta searches of every offset it
+    asks for, over (probe, offset), as the lanes of one search. The theta
+    found at the chosen offset is kept. Each design is the one the probe
+    gets alone.
     """
-    _check_probe(probe)
-    if abs(probe.amplitude((1, 1))) ** 2 < 1e-12:
-        return DetectionConfig(Setting.QUARTER, 0.5)
-    coeff = _branch_amplitudes(probe, eta)[0]
+    configs = [DetectionConfig(Setting.QUARTER, 0.5)] * len(probes)
+    for probe in probes:
+        _check_probe(probe)
+    tuned = [k for k, probe in enumerate(probes) if abs(probe.amplitude((1, 1))) ** 2 >= 1e-12]
+    if not tuned:
+        return configs
+    coeff = np.array([_branch_amplitudes(probes[k], etas[k])[0] for k in tuned])[:, None, :]
+    searched = []  # (offsets, their theta) of each objective call
 
-    def best_theta(offset):
-        # one lane per element of offset, bracketed by the best grid point's neighbours
-        offset = np.asarray(offset, dtype=float)
-        i = np.argmax(_no_loss_fisher(coeff, _THETA_GRID, offset[..., None]), axis=-1)
-        return golden_section_max(
-            lambda t: _no_loss_fisher(coeff, t, offset),
-            _THETA_GRID[np.maximum(i - 1, 0)],
-            _THETA_GRID[np.minimum(i + 1, len(_THETA_GRID) - 1)],
-            tol=1e-9,
-        )
+    def fisher(offset):
+        theta, f = _best_theta(coeff, offset)
+        searched.append((offset, theta))
+        return f
 
-    # (theta, offset) and (1 - theta, pi - offset) are mirror-equivalent optima;
-    # searching offsets up to pi/2 keeps the representative nearest pi/4.
-    offsets = np.linspace(0.0, math.pi / 2.0, 61)
-    i = int(np.argmax(best_theta(offsets)[1]))
-    offset_best, _ = golden_section_max(
-        lambda o: best_theta(o)[1],
-        offsets[max(i - 1, 0)],
-        offsets[min(i + 1, len(offsets) - 1)],
+    i = np.argmax(fisher(np.broadcast_to(_OFFSET_GRID, (len(tuned), len(_OFFSET_GRID)))), axis=-1)
+    offset, _ = golden_section_max(
+        fisher,
+        _OFFSET_GRID[np.maximum(i - 1, 0)],
+        _OFFSET_GRID[np.minimum(i + 1, len(_OFFSET_GRID) - 1)],
         tol=1e-8,
+        depth=_OFFSET_DEPTH,
     )
-    theta_best, _ = best_theta(offset_best)
-    return DetectionConfig(Setting.QUARTER, theta_best, conditional_phase=offset_best)
-
+    offsets, thetas = (np.concatenate(v, axis=-1) for v in zip(*searched))
+    theta = thetas[np.arange(len(tuned)), np.argmax(offsets == offset[:, None], axis=-1)]
+    for k, t, o in zip(tuned, theta.tolist(), offset.tolist()):
+        configs[k] = DetectionConfig(Setting.QUARTER, t, conditional_phase=o)
+    return configs

@@ -8,88 +8,86 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Steps a float-bracket search takes per call of ``fn``: one call evaluates
-#: the 2**DEPTH - 1 points that the next DEPTH steps can visit.
-DEPTH = 5
 
-
-def golden_section_max(fn, lo, hi, tol: float = 1e-10):
+def golden_section_max(fn, lo, hi, tol: float = 1e-10, *, depth: int):
     """Locate the maximum of a unimodal function on [lo, hi].
 
     ``lo`` and ``hi`` are floats, or equal-shape arrays holding one bracket
-    per lane. Every lane runs the scalar search with the scalar arithmetic:
-    it keeps [a, d] when fn(c) >= fn(d), else [c, b], and stops once its
-    bracket is narrower than ``tol``; a stopped lane no longer moves. Returns
-    (x, fn(x)) at the bracket midpoints, as floats for float brackets.
+    per lane; a float bracket is the 0-d case. Every lane runs the scalar
+    search with the scalar arithmetic: it keeps [a, d] when fn(c) >= fn(d),
+    else [c, b], and stops once its bracket is narrower than ``tol``; a
+    stopped lane no longer moves. Returns (x, fn(x)) at the bracket
+    midpoints, as floats for float brackets. ``lo`` and ``hi`` are not
+    changed.
 
-    For array brackets ``fn`` maps an array of points of the bracket shape
-    to their values. For float brackets ``fn`` maps a 1-D array of points to
-    a 1-D array of their values: first the two opening points, then, once
-    per DEPTH steps, the 2**DEPTH - 1 points those steps can visit whichever
-    way each goes. Each value must round as a lone evaluation of its point
-    would, so that the result does not depend on DEPTH.
+    ``fn`` maps an array of points, the bracket shape plus one last axis, to
+    their values: first the two opening points of each lane, then, once per
+    ``depth`` steps, the 2**depth - 1 points those steps can visit whichever
+    way each goes; a lane within ``tol`` evaluates its midpoint there
+    instead. Each value must round as a lone evaluation of its point would,
+    so that the result depends neither on ``depth`` nor on the other lanes.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth!r}")
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"lo and hi differ in shape: {a.shape} and {b.shape}")
     if not np.all(np.isfinite(a) & np.isfinite(b) & (b > a)):
         raise ValueError("need finite lo < hi")
-    if a.ndim == 0:
-        return _speculative_search(fn, float(a), float(b), tol)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
+    opening = fn(np.stack([c, d], axis=-1))
+    fc, fd = opening[..., 0], opening[..., 1]
+    left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
+    f = np.empty(a.shape)
     live = (b - a) > tol
-    while live.any():
-        left = fc >= fd  # the maximum lies in [a, d], else in [c, b]
-        keep_left, keep_right = live & left, live & ~left
-        a, b = np.where(keep_right, c, a), np.where(keep_left, d, b)
-        c, d = np.where(keep_right, d, c), np.where(keep_left, c, d)
-        fc, fd = np.where(keep_right, fd, fc), np.where(keep_left, fc, fd)
-        width = b - a
-        x = np.where(left, b - _INV_PHI * width, a + _INV_PHI * width)
-        fx = fn(x)
-        c, fc = np.where(keep_left, x, c), np.where(keep_left, fx, fc)
-        d, fd = np.where(keep_right, x, d), np.where(keep_right, fx, fd)
-        live = width > tol
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _speculative_search(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """The scalar search on floats, evaluating DEPTH steps ahead per call of fn."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = np.asarray(fn(np.array([c, d])), dtype=float).tolist()
-    left = fc >= fd
     while True:
-        # Dry run: node k takes one step from its parent's bracket (the root
-        # from the current one, by the known outcome); its children 2k + 1 and
-        # 2k + 2 keep the left and the right part. A bracket within tol ends
-        # the search, so its node evaluates the bracket midpoint instead.
-        nodes = []
-        for k in range(2**DEPTH - 1):
-            if k:
-                (pa, pb, pc, pd), go_left = nodes[(k - 1) // 2][0], k % 2 == 1
+        every = live.all()  # no lane is masked while every lane is live
+        *nodes, x = _lookahead(a, b, c, d, left, None if every else ~live, tol, depth)
+        nodes.append(fn(x))  # (a, b, c, d, value) of each node
+        # Replay: each lane walks down the tree by the scalar rule, reading each value.
+        for level in range(depth):
+            if level:
+                k = 2 * k + 2 - left  # the child that keeps the chosen part
+                node = [np.take_along_axis(v, k[..., None], axis=-1)[..., 0] for v in nodes]
+                live = (b - a) > tol
+                every = live.all()
             else:
-                (pa, pb, pc, pd), go_left = (a, b, c, d), left
-            if not (pb - pa) > tol:
-                nodes.append(((pa, pb, pc, pd), 0.5 * (pa + pb)))
-            elif go_left:
-                x = pd - _INV_PHI * (pd - pa)
-                nodes.append(((pa, pd, x, pc), x))
-            else:
-                x = pc + _INV_PHI * (pb - pc)
-                nodes.append(((pc, pb, pd, x), x))
-        values = np.asarray(fn(np.array([x for _, x in nodes])), dtype=float).tolist()
-        # Replay: the scalar rule walks down the tree, reading each value.
-        k = 0
-        for _ in range(DEPTH):
-            if not (b - a) > tol:
-                return nodes[k][1], values[k]
-            (a, b, c, d), fx = nodes[k][0], values[k]
-            fc, fd = (fx, fc) if left else (fd, fx)
+                k, node = 0, [v[..., 0] for v in nodes]
+            if not every:
+                np.copyto(f, node[4], where=~live)
+                if not live.any():
+                    x = 0.5 * (a + b)
+                    return (float(x), float(f)) if x.ndim == 0 else (x, f)
+            a, b, c, d, fx = node  # a stopped lane's node keeps its bracket
+            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
             left = fc >= fd
-            k = 2 * k + (1 if left else 2)
+        live = (b - a) > tol
+
+
+def _lookahead(a, b, c, d, left, stop, tol, depth):
+    """Brackets (a, b, c, d) and points of the 2**depth - 1 nodes that the
+    next ``depth`` steps can visit, on a new last axis, breadth first: node k
+    takes one step from its parent's bracket (the root from the current one,
+    by the known outcome ``left``), and its children 2k + 1 and 2k + 2 keep
+    the left and the right part. A bracket within ``tol`` (at the root, a
+    lane of ``stop``, which None leaves empty) ends the search, so its node
+    keeps it and evaluates its midpoint."""
+    pa, pb, pc, pd, go = a[..., None], b[..., None], c[..., None], d[..., None], left[..., None]
+    stop = None if stop is None else stop[..., None]
+    levels = []
+    for level in range(depth):
+        if level:
+            pa, pb, pc, pd = (np.repeat(v, 2, axis=-1) for v in levels[-1][:4])
+            go, stop = np.arange(2**level) % 2 == 0, ~((pb - pa) > tol)
+        na, nb = np.where(go, pa, pc), np.where(go, pd, pb)
+        width = nb - na
+        x = np.where(go, nb - _INV_PHI * width, na + _INV_PHI * width)
+        node = [na, nb, np.where(go, x, pd), np.where(go, pc, x), x]
+        if stop is not None and stop.any():
+            for new, old in zip(node, (pa, pb, pc, pd, 0.5 * (pa + pb))):
+                np.copyto(new, old, where=stop)
+        levels.append(node)
+    return levels[0] if depth == 1 else [np.concatenate(parts, axis=-1) for parts in zip(*levels)]

@@ -260,13 +260,10 @@ def build_probe(weights: ProbeWeights, params: ImperfectionParams) -> FockState:
     return state.normalize()
 
 
-@lru_cache(maxsize=None)
-def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[ProbeWeights, DetectionConfig]:
-    """Target weights and quarter-setting detection of one (probe,
-    transmission) choice, cached per process: the weights maximize the lossy
-    QFI, then the final splitter and conditional phase suit the delivered
-    probe. Weights the preparation network cannot make raise ValueError
-    naming eta."""
+def _prepared(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[float, ProbeWeights, FockState]:
+    """(eta, target weights, delivered probe) of one (probe, transmission)
+    choice: the weights maximize the lossy QFI. Weights the preparation
+    network cannot make raise ValueError naming eta."""
     weights = NOON_WEIGHTS if kind is ProbeKind.NOON else optimize_weights(eta)[0]
     try:
         probe = build_probe(weights, params)
@@ -274,13 +271,30 @@ def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tup
         raise ValueError(
             f"{kind.value} probe at eta={eta:.12g}: weights {weights.as_tuple()} cannot be prepared: {exc}"
         ) from None
-    return weights, optimize_theta_d(probe, eta)
+    return eta, weights, probe
+
+
+def _tuned(prepared: list) -> list[tuple[ProbeWeights, DetectionConfig]]:
+    """Designs of ``_prepared`` choices: one ``optimize_theta_d`` call suits
+    the final splitter and conditional phase to every delivered probe."""
+    configs = optimize_theta_d([probe for _, _, probe in prepared], [eta for eta, _, _ in prepared])
+    return [(weights, config) for (_, weights, _), config in zip(prepared, configs)]
+
+
+@lru_cache(maxsize=None)
+def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[ProbeWeights, DetectionConfig]:
+    """Target weights and quarter-setting detection of one (probe,
+    transmission) choice, cached per process: ``probe_designs`` of one eta."""
+    return _tuned([_prepared(kind, eta, params)])[0]
 
 
 def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tuple[ProbeWeights, DetectionConfig]]:
-    """``probe_design`` of each eta, resolved in ``deal_map`` workers: the
-    costly designs, those with a |11> component, lie together at low eta."""
-    return deal_map(lambda eta: probe_design(kind, eta, params), etas)
+    """The design of each eta, resolved in ``deal_map`` workers, since the
+    costly designs, those with a |11> component, lie together at low eta.
+    Each hand prepares its probes in order, stopping at the first eta that
+    cannot be prepared, then tunes their detection in one
+    ``optimize_theta_d`` call; the lowest such eta is named."""
+    return deal_map(lambda eta: _prepared(kind, eta, params), etas, _tuned)
 
 
 def setting_models(

@@ -75,27 +75,33 @@ def fork_map(fn, parts) -> list:
     return results
 
 
-def deal_map(fn, parts) -> list:
+def deal_map(fn, parts, finish=list) -> list:
     """``[fn(part) for part in parts]`` through ``fork_map``, the parts dealt
     round-robin, one hand per worker, so costly parts that lie together in
-    the list spread evenly. Each hand stops at its first failing part, and
-    the lowest failing part's exception is raised, as in the serial loop."""
+    the list spread evenly. Each hand maps its parts in order and passes
+    their results to one call of ``finish``, which returns them finished, in
+    that order. A hand stops at its first failing part, before ``finish``,
+    and the lowest failing part's exception is raised, as in the serial
+    loop; else the lowest hand's exception from ``finish``."""
     parts = list(parts)
     hands = max(min(cpu_count(), len(parts)), 1)
 
-    def play(hand: int):
+    def play(hand: int):  # the results, or the failure keyed by its part's index (finish: after every part)
         results = []
-        for part in parts[hand::hands]:
-            try:
+        try:
+            for part in parts[hand::hands]:
                 results.append(fn(part))
-            except Exception as exc:
-                return results, exc
-        return results, None
+        except Exception as exc:
+            return None, (hand + hands * len(results), exc)
+        try:
+            return finish(results), None
+        except Exception as exc:
+            return None, (len(parts) + hand, exc)
 
     played = fork_map(play, range(hands))
-    failures = {hand + hands * len(results): exc for hand, (results, exc) in enumerate(played) if exc is not None}
-    if failures:  # keyed by the failing part's index
-        raise failures[min(failures)]
+    failures = [failure for _, failure in played if failure is not None]
+    if failures:
+        raise min(failures)[1]  # the keys differ, so no two exceptions are compared
     results = [None] * len(parts)
     for hand, (dealt, _) in enumerate(played):
         results[hand::hands] = dealt

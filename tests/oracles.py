@@ -3,15 +3,16 @@ without a file, the distinguishability mixture written out per label, the
 per-phase Fock pipeline of the coincidence labels with its phase shift and
 outcome probability, the classical Fisher information of the two-setting
 measurement (the phase-local bound of the acceptance gate), the numerically
-optimized standard interferometric limit and the peak search of one chunk of
-likelihood rows."""
+optimized standard interferometric limit, the peak search of one chunk of
+likelihood rows, and the one-probe theta_d optimizer with its float
+look-ahead golden search."""
 
 import math
 
 import numpy as np
 
 from lossyphase.cli import _assemble, _read_config
-from lossyphase.detection import LABELS, DetectionConfig, _check_probe
+from lossyphase.detection import LABELS, DetectionConfig, Setting, _branch_amplitudes, _check_probe
 from lossyphase.estimator import _peaks
 from lossyphase.fock import FockState, ModeTransform, apply_loss, apply_transform, beam_splitter
 from lossyphase.golden import golden_section_max
@@ -114,7 +115,9 @@ def sil_precision_numeric(eta: float, n_photons: float = 2.0, tol: float = 1e-10
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     if n_photons <= 0.0:
         raise ValueError("photon number must be positive")
-    _, f_best = golden_section_max(lambda tau: _coherent_fisher(tau, eta, n_photons), 1e-9, 1.0 - 1e-9, tol=tol)
+    _, f_best = golden_section_max(
+        lambda tau: _coherent_fisher(tau, eta, n_photons), 1e-9, 1.0 - 1e-9, tol=tol, depth=1
+    )
     return 1.0 / math.sqrt(f_best)
 
 
@@ -138,3 +141,124 @@ def outcome_probability(state: FockState, pattern) -> float:
 def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
     """``_peaks`` of ``rows`` as one chunk."""
     return _peaks(phis, step, [rows], lambda i: rows[i].min())
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Steps the float-bracket search of lookahead_golden_section_max takes per call of fn.
+_LOOKAHEAD = 5
+
+
+def lookahead_golden_section_max(fn, lo, hi, tol: float = 1e-10):
+    """The golden search the one-probe optimizer ran: equal-shape array
+    brackets step lane by lane, one point per lane per call of fn; a float
+    bracket runs the scalar search on Python floats, evaluating the 31 points
+    of its next five steps in one call of fn on a 1-D array."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if a.ndim == 0:
+        return _float_lookahead_search(fn, float(a), float(b), tol)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    live = (b - a) > tol
+    while live.any():
+        left = fc >= fd
+        keep_left, keep_right = live & left, live & ~left
+        a, b = np.where(keep_right, c, a), np.where(keep_left, d, b)
+        c, d = np.where(keep_right, d, c), np.where(keep_left, c, d)
+        fc, fd = np.where(keep_right, fd, fc), np.where(keep_left, fc, fd)
+        width = b - a
+        x = np.where(left, b - _INV_PHI * width, a + _INV_PHI * width)
+        fx = fn(x)
+        c, fc = np.where(keep_left, x, c), np.where(keep_left, fx, fc)
+        d, fd = np.where(keep_right, x, d), np.where(keep_right, fx, fd)
+        live = width > tol
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def _float_lookahead_search(fn, a: float, b: float, tol: float) -> tuple[float, float]:
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.asarray(fn(np.array([c, d])), dtype=float).tolist()
+    left = fc >= fd
+    while True:
+        # node k steps from its parent's bracket; children 2k + 1 and 2k + 2 keep the left and right part
+        nodes = []
+        for k in range(2**_LOOKAHEAD - 1):
+            if k:
+                (pa, pb, pc, pd), go_left = nodes[(k - 1) // 2][0], k % 2 == 1
+            else:
+                (pa, pb, pc, pd), go_left = (a, b, c, d), left
+            if not (pb - pa) > tol:
+                nodes.append(((pa, pb, pc, pd), 0.5 * (pa + pb)))
+            elif go_left:
+                x = pd - _INV_PHI * (pd - pa)
+                nodes.append(((pa, pd, x, pc), x))
+            else:
+                x = pc + _INV_PHI * (pb - pc)
+                nodes.append(((pc, pb, pd, x), x))
+        values = np.asarray(fn(np.array([x for _, x in nodes])), dtype=float).tolist()
+        k = 0
+        for _ in range(_LOOKAHEAD):
+            if not (b - a) > tol:
+                return nodes[k][1], values[k]
+            (a, b, c, d), fx = nodes[k][0], values[k]
+            fc, fd = (fx, fc) if left else (fd, fx)
+            left = fc >= fd
+            k = 2 * k + (1 if left else 2)
+
+
+def _transfer_two_stacked(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    t = np.sqrt(theta)
+    r = np.sqrt(1.0 - theta)
+    tt, rr, tr = t * t, r * r, math.sqrt(2.0) * t * r
+    entries = (tt, tr, rr, -tr, tt - rr, tr, rr, -tr, tt)
+    return np.stack(entries, axis=-1).reshape(theta.shape + (3, 3)).astype(complex)
+
+
+def offset_no_loss_fisher(coeff: np.ndarray, theta, offset):
+    """The theta_d objective over broadcast ``theta`` and ``offset``, rotating
+    the no-loss amplitudes ``coeff`` at every call."""
+    transfer = _transfer_two_stacked(theta)
+    harmonics = np.array([2.0, 1.0, 0.0])
+    rotated = coeff * np.exp(1j * harmonics * np.asarray(offset, dtype=float)[..., None])
+    amp = (transfer @ rotated[..., None])[..., 0]
+    damp = (transfer @ (1j * harmonics * rotated)[..., None])[..., 0]
+    p = np.abs(amp) ** 2
+    dp = 2.0 * np.real(np.conj(amp) * damp)
+    terms = np.divide(dp**2, p, out=np.zeros(p.shape), where=p > 1e-14)
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]
+
+
+_THETA_GRID = np.linspace(0.01, 0.99, 50)
+
+
+def one_probe_theta_d(probe: FockState, eta: float) -> DetectionConfig:
+    """theta_d and the conditional phase of one probe, by the nested searches
+    one probe at a time: the theta searches at the 61 scanned offsets as
+    lanes, then the offset search on a float bracket, five steps per call,
+    and the theta search again at the chosen offset."""
+    _check_probe(probe)
+    if abs(probe.amplitude((1, 1))) ** 2 < 1e-12:
+        return DetectionConfig(Setting.QUARTER, 0.5)
+    coeff = _branch_amplitudes(probe, eta)[0]
+
+    def best_theta(offset):
+        offset = np.asarray(offset, dtype=float)
+        i = np.argmax(offset_no_loss_fisher(coeff, _THETA_GRID, offset[..., None]), axis=-1)
+        return lookahead_golden_section_max(
+            lambda t: offset_no_loss_fisher(coeff, t, offset),
+            _THETA_GRID[np.maximum(i - 1, 0)],
+            _THETA_GRID[np.minimum(i + 1, len(_THETA_GRID) - 1)],
+            tol=1e-9,
+        )
+
+    offsets = np.linspace(0.0, math.pi / 2.0, 61)
+    i = int(np.argmax(best_theta(offsets)[1]))
+    offset_best, _ = lookahead_golden_section_max(
+        lambda o: best_theta(o)[1], offsets[max(i - 1, 0)], offsets[min(i + 1, len(offsets) - 1)], tol=1e-8
+    )
+    theta_best, _ = best_theta(offset_best)
+    return DetectionConfig(Setting.QUARTER, theta_best, conditional_phase=offset_best)

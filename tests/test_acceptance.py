@@ -113,7 +113,7 @@ def test_criterion_05_crb_saturation():
             else:
                 weights, fisher = optimize_weights(eta)
             probe = probe_state(weights)
-            quarter = optimize_theta_d(probe, eta)
+            (quarter,) = optimize_theta_d([probe], [eta])
             models = {Setting.QUARTER: OutcomeModel(probe, eta, quarter), Setting.HALF: OutcomeModel(probe, eta, HALF_BALANCED)}
             worst = max(worst, abs(classical_fisher(models, 0.0) - fisher) / fisher)
     _verdict(5, "detection saturates the Cramér-Rao bound at zero phase", worst < 1e-6, f"worst rel {worst:.2e}")
@@ -121,7 +121,7 @@ def test_criterion_05_crb_saturation():
 
 def test_criterion_06_fringe_doubling():
     probe = probe_state(NOON_WEIGHTS)
-    quarter = optimize_theta_d(probe, 0.361)
+    (quarter,) = optimize_theta_d([probe], [0.361])
     phis = np.linspace(-math.pi, math.pi, 257)
     worst = 0.0
     for config in (quarter, HALF_BALANCED):

@@ -1,5 +1,6 @@
 """Detection stage: coincidence distributions, Fisher information, saturation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,13 +18,15 @@ from lossyphase.detection import (
     Setting,
     _branch_amplitudes,
     _no_loss_fisher,
+    _rotated,
+    _transfer_two_closed,
     classical_distribution,
     optimize_theta_d,
 )
 from lossyphase.fock import FockState, apply_loss, basis
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
-from oracles import classical_fisher, degrade_distribution, outcome_distribution
+from oracles import classical_fisher, degrade_distribution, one_probe_theta_d, outcome_distribution
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 #: Imperfections of the benchmark's design sweep.
@@ -189,7 +192,7 @@ class TestClassicalFisher:
         for theta in (0.3, 0.5, 0.7):
             model = OutcomeModel(probe, 0.361, DetectionConfig(Setting.QUARTER, theta))
             numeric = classical_fisher({Setting.QUARTER: model}, 0.0)
-            analytic = _no_loss_fisher(coeff, theta, math.pi / 4)
+            analytic = _no_loss_fisher(*_rotated(coeff, math.pi / 4), theta)
             assert abs(numeric - analytic) < 1e-12
 
 
@@ -229,13 +232,21 @@ class TestOffOperatingPoint:
             assert abs(classical_fisher(models, phi) - expected) / expected < 1e-9
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def scalar_transfer(theta):
+    t, r, s2 = math.sqrt(theta), math.sqrt(1.0 - theta), math.sqrt(2.0)
+    return np.array(
+        [[t * t, s2 * t * r, r * r], [-s2 * t * r, t * t - r * r, s2 * t * r], [r * r, -s2 * t * r, t * t]], dtype=complex
+    )
+
+
 def scalar_no_loss_fisher(coeff, theta, offset):
     """The objective at one (theta, offset), with the closed-form transfer as
     scalar arithmetic: the oracle for the broadcast _no_loss_fisher."""
-    t, r, s2 = math.sqrt(theta), math.sqrt(1.0 - theta), math.sqrt(2.0)
-    transfer = np.array(
-        [[t * t, s2 * t * r, r * r], [-s2 * t * r, t * t - r * r, s2 * t * r], [r * r, -s2 * t * r, t * t]], dtype=complex
-    )
+    transfer = scalar_transfer(theta)
     harmonics = np.array([2.0, 1.0, 0.0])
     rotated = coeff * np.exp(1j * harmonics * offset)
     amp = transfer @ rotated
@@ -246,24 +257,55 @@ def scalar_no_loss_fisher(coeff, theta, offset):
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
+def no_loss_coeff(eta, params):
+    weights, _ = probe_design(ProbeKind.OPTIMAL, eta, params)
+    return _branch_amplitudes(build_probe(weights, params), eta)[0]
+
+
 class TestNoLossFisher:
     @pytest.mark.parametrize("params", [ImperfectionParams(), SWEEP_PARAMS], ids=["ideal", "sweep"])
     @pytest.mark.parametrize("eta", [0.1, 0.2, 0.361, 0.496667])
     def test_broadcast_matches_scalar_oracle_bit_for_bit(self, eta, params):
-        weights, _ = probe_design(ProbeKind.OPTIMAL, eta, params)
-        coeff = _branch_amplitudes(build_probe(weights, params), eta)[0]
+        coeff = no_loss_coeff(eta, params)
         rng = np.random.default_rng(int(eta * 1e6))
         theta, offset = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, math.pi / 2.0, 200)
         theta[:3] = (0.0, 1.0, 0.5)  # a splitter end zeroes a label's probability
         expected = np.array([scalar_no_loss_fisher(coeff, t, o) for t, o in zip(theta, offset)])
-        points = _no_loss_fisher(coeff, theta, offset)
-        # the optimizer's shapes: a theta row against an offset column, and 0-d
-        table = _no_loss_fisher(coeff, theta[:20], offset[:20, None])
+        points = _no_loss_fisher(*_rotated(coeff, offset), theta)
+        # a theta row against an offset column, and 0-d
+        table = _no_loss_fisher(*_rotated(coeff, offset[:20, None]), theta[:20])
         table_expected = [[scalar_no_loss_fisher(coeff, t, o) for t in theta[:20]] for o in offset[:20]]
         assert points.shape == (200,) and table.shape == (20, 20)
         assert np.array_equal(points.view(np.int64), expected.view(np.int64))
         assert np.array_equal(table.view(np.int64), np.array(table_expected).view(np.int64))
-        assert _no_loss_fisher(coeff, theta[5], offset[5]).view(np.int64) == expected[5].view(np.int64)
+        assert _no_loss_fisher(*_rotated(coeff, offset[5]), theta[5]).view(np.int64) == expected[5].view(np.int64)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 4, 5), (2, 3, 4, 5)], ids=["2-D", "3-D", "4-D"])
+    def test_lane_shapes_match_scalar_oracle(self, shape):
+        """The optimizer's shapes: theta and offset of one lane shape, and a
+        theta grid against lanes of offsets, with coefficient rows of
+        several probes. A transposed transfer gives wrong values for any
+        theta of more than one dimension."""
+        coeffs = np.array([no_loss_coeff(eta, SWEEP_PARAMS) for eta in (0.1, 0.27)])
+        rng = np.random.default_rng(11)
+        theta, offset = rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, math.pi / 2.0, shape)
+        rows = coeffs[np.arange(shape[0]) % 2].reshape((shape[0],) + (1,) * (len(shape) - 1) + (3,))
+        transfer = _transfer_two_closed(theta)
+        assert transfer.shape == shape + (3, 3) and transfer.flags.c_contiguous
+        for index in np.ndindex(shape):
+            assert np.array_equal(transfer[index], scalar_transfer(theta[index]))
+        points = _no_loss_fisher(*_rotated(rows, offset), theta)
+        expected = [scalar_no_loss_fisher(coeffs[index[0] % 2], theta[index], offset[index]) for index in np.ndindex(shape)]
+        assert points.shape == shape
+        assert bits(points.ravel()) == bits(expected)
+        grid = theta.reshape(-1)[:7]
+        rotated, drotated = (v[..., None, :] for v in _rotated(rows, offset))
+        table = _no_loss_fisher(rotated, drotated, grid)
+        expected = [
+            scalar_no_loss_fisher(coeffs[index[0] % 2], t, offset[index]) for index in np.ndindex(shape) for t in grid
+        ]
+        assert table.shape == shape + (7,)
+        assert bits(table.ravel()) == bits(expected)
 
 
 #: optimize_theta_d's (theta_d, conditional_phase) for the optimal probe on the
@@ -297,11 +339,13 @@ class TestOptimizeThetaD:
         assert type(quarter.theta_d) is float and type(quarter.conditional_phase) in (float, type(None))
 
     def test_offset_search_batches_its_steps(self, monkeypatch):
-        """The offset search evaluates its next golden steps in one lane-wise
-        call; one theta search per offset step makes 1,558 calls here."""
-        weights, _ = probe_design(ProbeKind.OPTIMAL, 0.27, SWEEP_PARAMS)
-        probe = build_probe(weights, SWEEP_PARAMS)
-        assert abs(probe.amplitude((1, 1))) ** 2 > 1e-3
+        """A hand of four costly sweep etas, as one of two workers holds it,
+        resolves its designs in 387 objective calls, 36 of them theta grids
+        of one probe each. One eta alone took 379 calls when each probe ran
+        its own searches, and 1,558 with one theta search per offset step."""
+        etas = (0.1, 0.213333, 0.326667, 0.44)
+        probes = [build_probe(probe_design(ProbeKind.OPTIMAL, eta, SWEEP_PARAMS)[0], SWEEP_PARAMS) for eta in etas]
+        assert all(abs(probe.amplitude((1, 1))) ** 2 > 1e-3 for probe in probes)
         calls = []
 
         def counted(*args):
@@ -309,17 +353,17 @@ class TestOptimizeThetaD:
             return _no_loss_fisher(*args)
 
         monkeypatch.setattr(detection, "_no_loss_fisher", counted)
-        optimize_theta_d(probe, 0.27)
+        optimize_theta_d(probes, etas)
         assert len(calls) <= 600
 
     def test_noon_keeps_balanced_splitter(self):
         for eta in EXPERIMENT_ETAS:
-            cfg = optimize_theta_d(noon_probe(), eta)
+            (cfg,) = optimize_theta_d([noon_probe()], [eta])
             assert cfg.theta_d == 0.5
             assert abs(cfg.phase_offset - math.pi / 4) < 1e-15
 
     def test_lossless_optimal_probe_is_noon(self):
-        cfg = optimize_theta_d(optimal_probe(1.0), 1.0)
+        (cfg,) = optimize_theta_d([optimal_probe(1.0)], [1.0])
         assert cfg.theta_d == 0.5
 
     @pytest.mark.parametrize("eta", EXPERIMENT_ETAS)
@@ -330,7 +374,59 @@ class TestOptimizeThetaD:
         else:
             weights, fisher = optimize_weights(eta)
             probe = probe_state(weights)
-        quarter = optimize_theta_d(probe, eta)
+        (quarter,) = optimize_theta_d([probe], [eta])
         models = {Setting.QUARTER: OutcomeModel(probe, eta, quarter), Setting.HALF: OutcomeModel(probe, eta, HALF_BALANCED)}
         achieved = classical_fisher(models, 0.0)
         assert abs(achieved - fisher) / fisher < 1e-6
+
+
+#: The design sweep's sixteen etas with its imperfections, the four campaign
+#: etas (ideal), and two tiny etas whose optimum lies at a grid edge, ideal and
+#: with the sweep's imperfections: fifteen costly designs and nine cheap.
+HAND_CASES = (
+    [("sweep", round(0.1 + 0.85 * i / 15, 6)) for i in range(16)]
+    + [("ideal", eta) for eta in EXPERIMENT_ETAS]
+    + [(name, eta) for name in ("ideal", "sweep") for eta in (1e-6, 1e-12)]
+)
+
+#: sha256 of the newline-joined reprs of HAND_CASES' designs, in order, as
+#: the nested searches found them one probe at a time.
+HAND_CASES_SHA256 = "36451584a2f5a04300b56089384da7b1f31cfcdf5ccfb2bf949aebd6a99bebbe"
+
+
+@pytest.fixture(scope="module")
+def hand_cases():
+    """The delivered optimal probes and etas of HAND_CASES, and their designs
+    by the one-probe oracle."""
+    probes = [
+        build_probe(optimize_weights(eta)[0], SWEEP_PARAMS if name == "sweep" else ImperfectionParams())
+        for name, eta in HAND_CASES
+    ]
+    etas = [eta for _, eta in HAND_CASES]
+    return probes, etas, [one_probe_theta_d(probe, eta) for probe, eta in zip(probes, etas)]
+
+
+def designs_sha256(designs) -> str:
+    return hashlib.sha256("\n".join(map(repr, designs)).encode()).hexdigest()
+
+
+class TestHands:
+    """optimize_theta_d gives each probe of a hand the design it gets alone."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8])
+    def test_hands_match_one_probe_oracle(self, hand_cases, size):
+        probes, etas, expected = hand_cases
+        designs = []
+        for start in range(0, len(probes), size):
+            designs += optimize_theta_d(probes[start : start + size], etas[start : start + size])
+        assert [repr(d) for d in designs] == [repr(d) for d in expected]
+        assert all(type(d.theta_d) is float and type(d.conditional_phase) in (float, type(None)) for d in designs)
+
+    def test_designs_match_stored_hash(self, hand_cases):
+        probes, etas, expected = hand_cases
+        assert designs_sha256(expected) == HAND_CASES_SHA256
+        assert designs_sha256(optimize_theta_d(probes, etas)) == HAND_CASES_SHA256
+        assert sum(d.conditional_phase is not None for d in expected) == 15
+
+    def test_empty_hand(self):
+        assert optimize_theta_d([], []) == []

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import lossyphase
-from lossyphase import golden
+from lossyphase import detection
 from lossyphase.golden import golden_section_max
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-DEPTH = golden.DEPTH
+#: The offset search's look-ahead.
+DEPTH = detection._OFFSET_DEPTH
 
 
 def scalar_golden_section_max(fn, lo, hi, tol=1e-10):
@@ -49,9 +50,32 @@ OBJECTIVES = {
 }
 
 
+def expected_calls(steps: int, depth: int) -> int:
+    """Calls of fn by a search whose slowest lane takes ``steps`` steps: the
+    opening call, then one per ``depth`` steps and the midpoint."""
+    return 1 + math.ceil((steps + 1) / depth)
+
+
+def steps_taken(lo, hi, tol):
+    """Steps the scalar search takes on [lo, hi]: each keeps INV_PHI of the bracket."""
+    return len(scalar_calls(lambda t: 0.0, lo, hi, tol)) - 3  # the two opening points and the midpoint
+
+
+def scalar_calls(objective, lo, hi, tol):
+    calls = []
+    scalar_golden_section_max(lambda t: calls.append(t) or objective(t), lo, hi, tol=tol)
+    return calls
+
+
+#: Look-ahead depths: the theta searches' one step per call, two, the offset
+#: search's depth, and one more.
+DEPTHS = [1, 2, DEPTH, DEPTH + 1]
+
+
 class TestLanes:
+    @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("name", list(OBJECTIVES))
-    def test_each_lane_matches_scalar_search(self, name):
+    def test_each_lane_matches_scalar_search(self, name, depth):
         objective = OBJECTIVES[name]
         rng = np.random.default_rng(7)
         lo = rng.uniform(-1.0, 0.5, 40)
@@ -60,13 +84,23 @@ class TestLanes:
         hi = lo + width
         lo[3], hi[3] = 0.0, 1e-9  # a bracket exactly tol wide takes no step
         centre = lo + rng.uniform(-0.2, 1.2, 40) * width
-        x, f = golden_section_max(lambda t: objective(t, centre), lo, hi, tol=1e-9)
+        lo_before, hi_before = lo.copy(), hi.copy()
+        calls = []
+
+        def fn(t):
+            calls.append(t.shape)
+            return objective(t, centre[:, None])
+
+        x, f = golden_section_max(fn, lo, hi, tol=1e-9, depth=depth)
         expected = [
             scalar_golden_section_max(lambda t, m=m: objective(t, m), a, b, tol=1e-9) for a, b, m in zip(lo, hi, centre)
         ]
         assert x.shape == f.shape == (40,)
         assert bits(x) == bits([e[0] for e in expected])
         assert bits(f) == bits([e[1] for e in expected])
+        assert bits(lo) == bits(lo_before) and bits(hi) == bits(hi_before)
+        assert calls[0] == (40, 2) and set(calls[1:]) == {(40, 2**depth - 1)}
+        assert len(calls) == expected_calls(max(steps_taken(a, b, 1e-9) for a, b in zip(lo, hi)), depth)
 
     def test_ties_keep_the_left_bracket(self):
         calls = []
@@ -75,26 +109,31 @@ class TestLanes:
             calls.append(np.shape(t))
             return np.zeros_like(t)
 
-        x, f = golden_section_max(flat, np.array([0.0, 1.0]), np.array([1.0, 1.5]), tol=1e-3)
+        x, f = golden_section_max(flat, np.array([0.0, 1.0]), np.array([1.0, 1.5]), tol=1e-3, depth=1)
         expected = [scalar_golden_section_max(lambda t: 0.0, a, b, tol=1e-3) for a, b in ((0.0, 1.0), (1.0, 1.5))]
         assert bits(x) == bits([e[0] for e in expected])
         assert x[0] < 1e-3 and x[1] < 1.0 + 1e-3  # always [a, d]
-        assert set(calls) == {(2,)}
+        assert calls[0] == (2, 2) and set(calls[1:]) == {(2, 1)}
 
-    def test_two_dimensional_lanes(self):
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_two_dimensional_lanes(self, depth):
         lo = np.array([[0.0, 0.1], [0.2, 0.3]])
-        x, _ = golden_section_max(lambda t: -(t - 0.35) ** 2, lo, lo + 0.5, tol=1e-8)
-        expected = [scalar_golden_section_max(lambda t: -(t - 0.35) ** 2, a, a + 0.5, tol=1e-8)[0] for a in lo.ravel()]
-        assert bits(x.ravel()) == bits(expected)
+        hi = lo + np.array([[0.5, 1e-3], [2e-9, 0.5]])
+        x, f = golden_section_max(lambda t: -(t - 0.35) ** 2, lo, hi, tol=1e-8, depth=depth)
+        expected = [scalar_golden_section_max(lambda t: -(t - 0.35) ** 2, a, b, tol=1e-8) for a, b in zip(lo.ravel(), hi.ravel())]
+        assert x.shape == f.shape == (2, 2)
+        assert bits(x.ravel()) == bits([e[0] for e in expected])
+        assert bits(f.ravel()) == bits([e[1] for e in expected])
 
     def test_float_brackets_give_floats(self):
-        x, f = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
+        x, f = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0, depth=1)
         assert type(x) is float and type(f) is float
         assert (x, f) == scalar_golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
 
 
-class TestSpeculativeFloatPath:
-    """Float brackets run the scalar search DEPTH steps per call of fn."""
+class TestFloatBrackets:
+    """A float bracket is the 0-d case: it runs the scalar search ``depth``
+    steps per call of fn, on a 1-D array of points."""
 
     TOL = 1e-9
 
@@ -110,32 +149,28 @@ class TestSpeculativeFloatPath:
             out.append((lo, lo + width, lo + float(rng.uniform(-0.2, 1.2)) * width))
         return out
 
-    @pytest.mark.parametrize("depth", [DEPTH, 1, 2, DEPTH + 1])
+    @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("name", list(OBJECTIVES))
-    def test_matches_scalar_search_bit_for_bit(self, name, depth, monkeypatch):
-        monkeypatch.setattr(golden, "DEPTH", depth)
+    def test_matches_scalar_search_bit_for_bit(self, name, depth):
         objective, taken = OBJECTIVES[name], set()
         for lo, hi, centre in self.brackets():
-            calls, oracle_calls = [], []
+            calls = []
 
             def fn(t):
                 calls.append(t)
                 assert len(calls) < 100, "the search does not stop"
                 return objective(t, centre)
 
-            def scalar_fn(t):
-                oracle_calls.append(t)
-                return objective(t, centre)
-
-            x, f = golden_section_max(fn, lo, hi, tol=self.TOL)
-            expected = scalar_golden_section_max(scalar_fn, lo, hi, tol=self.TOL)
+            x, f = golden_section_max(fn, lo, hi, tol=self.TOL, depth=depth)
+            oracle_calls = scalar_calls(lambda t: objective(t, centre), lo, hi, self.TOL)
+            expected = scalar_golden_section_max(lambda t: objective(t, centre), lo, hi, tol=self.TOL)
             assert type(x) is float and type(f) is float
             assert bits([x, f]) == bits(expected)
-            steps = len(oracle_calls) - 3  # the two opening points and the midpoint
+            steps = len(oracle_calls) - 3
             taken.add(steps)
             assert all(type(t) is np.ndarray and t.dtype == float and t.ndim == 1 for t in calls)
             assert calls[0].shape == (2,) and {t.shape for t in calls[1:]} == {(2**depth - 1,)}
-            assert len(calls) == 1 + math.ceil((steps + 1) / depth) <= math.ceil(steps / depth) + 2
+            assert len(calls) == expected_calls(steps, depth) <= math.ceil(steps / depth) + 2
         assert {0, DEPTH - 1, DEPTH, DEPTH + 1} <= taken
 
 
@@ -143,11 +178,16 @@ class TestArguments:
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (-math.inf, 0.0), ([0.0, 1.0], [1.0, 1.0])])
     def test_bad_bracket_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="lo < hi"):
-            golden_section_max(lambda t: t, lo, hi)
+            golden_section_max(lambda t: t, lo, hi, depth=1)
 
     def test_bracket_shapes_must_agree(self):
         with pytest.raises(ValueError, match="shape"):
-            golden_section_max(lambda t: t, np.zeros(2), np.ones(3))
+            golden_section_max(lambda t: t, np.zeros(2), np.ones(3), depth=1)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            golden_section_max(lambda t: t, 0.0, 1.0, depth=depth)
 
     def test_bad_tol_rejected(self):
         """A tol that is not a positive finite number once made the search
@@ -157,7 +197,7 @@ class TestArguments:
             "import math, sys; sys.path[:0] = sys.argv[1:]\n"
             "from lossyphase.golden import golden_section_max\n"
             "from oracles import sil_precision_numeric\n"
-            "calls = [lambda tol: golden_section_max(lambda t: -t * t, -1.0, 1.0, tol=tol),\n"
+            "calls = [lambda tol: golden_section_max(lambda t: -t * t, -1.0, 1.0, tol=tol, depth=1),\n"
             "         lambda tol: sil_precision_numeric(0.5, tol=tol)]\n"
             "for tol in (0.0, -1.0, -0.0, math.nan, math.inf):\n"
             "    for call in calls:\n"

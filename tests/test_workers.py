@@ -2,6 +2,7 @@
 and failures whatever the CPU count, and so do the bounds, the designs, the
 campaign and the estimator that use them."""
 
+import ast
 import json
 import os
 import threading
@@ -130,6 +131,41 @@ class TestDealMap:
             deal_map(fn, range(7))
 
 
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("n_parts", [0, 1, 5, 7])
+    def test_finish_takes_each_hand_once(self, monkeypatch, cpus, n_parts):
+        set_cpus(monkeypatch, cpus)
+
+        def finish(results):  # each hand's parts, in order, and its process
+            return [(part, tuple(parts for parts, _ in results), os.getpid()) for part, _ in results]
+
+        results = deal_map(pid_of_part, range(n_parts), finish)
+        assert [part for part, _, _ in results] == list(range(n_parts))
+        hands = max(min(cpus, n_parts), 1)
+        assert all(hand == tuple(range(part % hands, n_parts, hands)) for part, hand, _ in results)
+        assert len({pid for _, _, pid in results}) == min(cpus, n_parts)
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("failing, raised", [({3, 4}, "part 3"), ({6}, "part 6"), (set(), "finish 0")])
+    def test_parts_fail_before_finish(self, monkeypatch, cpus, failing, raised):
+        """A hand that fails at a part does not finish; a failing finish
+        comes after every part, as in the serial loop."""
+        set_cpus(monkeypatch, cpus)
+        finished = []
+
+        def fn(part):
+            if part in failing:
+                raise ValueError(f"part {part}")
+            return part
+
+        def finish(results):
+            finished.append(results)
+            raise ValueError(f"finish {results[0]}")
+
+        with pytest.raises(ValueError, match=f"^{raised}$"):
+            deal_map(fn, range(7), finish)
+
+
 #: Twelve transmissions from 0.05 to 1: those below about 0.5 have a |11> component and cost more.
 CURVE_ETAS = tuple(np.linspace(0.05, 1.0, 12))
 
@@ -154,8 +190,9 @@ def test_precision_curve_does_not_depend_on_the_cpu_count(monkeypatch):
 @pytest.mark.parametrize("cpus", CPUS)
 def test_simulate_optimizes_each_eta_once(monkeypatch, tmp_path, cpus):
     """The manifest takes the designs the campaign used; optimizing again in
-    the caller would undo the parallel design step. Each call, in any
-    process, appends a line to one log file."""
+    the caller would undo the parallel design step. Each hand tunes its
+    detection in one optimize_theta_d call. Each call, in any process,
+    appends a line to one log file."""
     log = tmp_path / "calls.log"
 
     def logged(name, fn):
@@ -172,8 +209,10 @@ def test_simulate_optimizes_each_eta_once(monkeypatch, tmp_path, cpus):
     probe_design.cache_clear()
     (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
     assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 0
-    expected = [f"{name} {eta!r}" for name in ("theta_d", "weights") for eta in DESIGN_ETAS]
-    assert sorted(log.read_text().splitlines()) == sorted(expected)
+    lines = log.read_text().splitlines()
+    hands = [ast.literal_eval(line.removeprefix("theta_d ")) for line in lines if line.startswith("theta_d ")]
+    assert sorted(hands) == [list(DESIGN_ETAS[hand :: min(cpus, 6)]) for hand in range(min(cpus, 6))]
+    assert sorted(line for line in lines if line.startswith("weights ")) == [f"weights {eta!r}" for eta in DESIGN_ETAS]
 
 
 @pytest.mark.parametrize("cpus", CPUS)
