@@ -4,6 +4,7 @@ and estimation, with bit-stable CSV/JSON outputs."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -868,5 +869,14 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run(argv=None) -> int:
+    """The program entry: ``main``, then its heap frozen, so the collections of
+    interpreter teardown skip it; ``atexit`` hooks and stream flushes still run."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

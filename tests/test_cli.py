@@ -1700,9 +1700,74 @@ def test_pinned_estimate_outputs(tmp_path, config, hist_bin, estimates, report, 
     assert digests == [estimates, report, histograms]
 
 
+def child_env() -> dict[str, str]:
+    """The environment with this package's sources first on the path, for a child interpreter."""
+    src = str(Path(lossyphase.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_leaves_numpy_random_unloaded():
     """Commands that draw nothing do not pay for importing numpy.random."""
-    src = str(Path(lossyphase.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, lossyphase.cli; sys.exit('numpy.random' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=child_env(), timeout=60).returncode == 0
+
+
+#: ``python -m lossyphase.cli`` with an ``atexit`` hook that prints how many objects are frozen.
+ENTRY = (
+    "import atexit, gc, runpy; atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+    "runpy.run_module('lossyphase.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+class TestProgramEntry:
+    """``cli.run``, the program entry, exits as ``main`` does, with its heap
+    frozen so that teardown skips collecting it, and still runs exit hooks."""
+
+    @staticmethod
+    def entry(*argv, cwd=None) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", ENTRY, *argv], cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120
+        )
+
+    @staticmethod
+    def frozen(result) -> int:
+        """The count the exit hook printed, which must be stdout's last line."""
+        name, count = result.stdout.splitlines()[-1].split()
+        assert name == "frozen"
+        return int(count)
+
+    def test_outputs_match_main(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text(SMALL_CONFIG)
+
+        def commands(out: Path) -> list[list[str]]:
+            sim, est = str(out / "sim"), str(out / "est")
+            return [
+                ["simulate", "--config", str(config), "--out-dir", sim],
+                ["estimate", "--dataset", f"{sim}/dataset.csv", "--out-dir", est, "--hist-bin", "0.01"],
+            ]
+
+        for argv in commands(tmp_path / "main"):
+            assert main(argv) == 0
+        for argv in commands(tmp_path / "entry"):
+            result = self.entry(*argv)
+            assert result.returncode == 0, result.stderr
+            assert self.frozen(result) > 0
+        for file in ("sim/dataset.csv", "est/estimates.csv", "est/report.csv", "est/histograms.csv"):
+            assert (tmp_path / "entry" / file).read_bytes() == (tmp_path / "main" / file).read_bytes()
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["simulate", "--config", "missing.cfg", "--out-dir", "x"], 1, id="missing-config"),
+        pytest.param(["bounds", "--steps", "0", "--out", "x.csv"], 2, id="zero-steps"),
+    ])
+    def test_errors_keep_their_exit_code(self, tmp_path, argv, code):
+        result = self.entry(*argv, cwd=tmp_path)
+        assert result.returncode == code
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+        assert self.frozen(result) > 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_version_exits_zero(self):
+        result = self.entry("--version")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == f"lossyphase {lossyphase.__version__}"

@@ -2,7 +2,7 @@
 ALLOWED with its reason; an ALLOWED entry that now runs or no longer exists
 fails too.
 
-The shrunk README recipes run through ``cli.main`` in a fresh interpreter, so
+The shrunk README recipes run through ``cli.run`` in a fresh interpreter, so
 no ``lru_cache`` and no import-time state carries over from other tests. The
 child pins ``workers.cpu_count`` to 1, so every part runs in the traced
 process, and records each function's code object as it is called. The test
@@ -88,7 +88,7 @@ with tempfile.TemporaryDirectory() as out:
             runs.append(["simulate", "--config", f"{out}/{name}.cfg", "--probe", probe, "--out-dir", f"{run}/sim"])
             runs.append(["estimate", "--dataset", f"{run}/sim/dataset.csv", "--out-dir", f"{run}/est", "--hist-bin", "0.01"])
     for argv in runs:
-        code = cli.main(argv)
+        code = cli.run(argv)
         if code:
             sys.exit(f"{' '.join(argv)} exited {code}")
 sys.setprofile(None)
