@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, apply_loss
-from .workers import deal_map
+from .workers import fork_map
 
 SIMPLEX_TOL = 1e-12
 
@@ -266,11 +266,11 @@ class PrecisionPoint:
 
 def precision_curve(eta_grid) -> list[PrecisionPoint]:
     """Optimal, N00N and SIL precision bounds over a transmission grid; the
-    weights of each eta are optimized in ``deal_map`` workers, since those
-    of low eta, which have a |11> component, cost about twice as much."""
+    weights of each eta are optimized in ``fork_map``'s dealt hands, since
+    those of low eta, which have a |11> component, cost about twice as much."""
     etas = [float(eta) for eta in eta_grid]
     points = []
-    for eta, (weights, f_max) in zip(etas, deal_map(optimize_weights, etas)):
+    for eta, (weights, f_max) in zip(etas, fork_map(optimize_weights, etas)):
         dphi_opt = 1.0 / math.sqrt(f_max)
         dphi_noon = noon_precision(eta)
         dphi_sil = sil_precision(eta, 2.0)

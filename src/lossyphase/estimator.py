@@ -262,10 +262,10 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     outcome models and its Cramér-Rao bound 1/sqrt(F), F the lossy QFI of the
     design's weights, and shares one likelihood grid per block, whose series
     are estimated together. The models, bounds, grids and estimates of the
-    blocks run in ``fork_map`` workers once every design is looked up. Two
-    rows of the same series and setting raise ValueError; a series without
-    phase information raises DegenerateLikelihoodError naming the first such
-    series.
+    blocks are dealt to ``fork_map`` workers once every design is looked
+    up. Two rows of the same series and setting raise ValueError; a series
+    without phase information raises DegenerateLikelihoodError naming the
+    first such series.
     """
     d = dataset
     design = design or (lambda kind, eta: probe_design(kind, eta, d.config.imperfections))

@@ -15,7 +15,7 @@ from .detection import LABELS, DetectionConfig, OutcomeModel, Setting, optimize_
 from .fock import FockState
 from .imperfections import ImperfectionParams, apply_coupler_thinning, build_model, fibre_input
 from .prep import prepare, solve_prep
-from .workers import deal_map, fork_map
+from .workers import fork_map
 
 #: Settings by their code in a dataset's setting column, which is also the
 #: stream index of their substream.
@@ -289,12 +289,12 @@ def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tup
 
 
 def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tuple[ProbeWeights, DetectionConfig]]:
-    """The design of each eta, resolved in ``deal_map`` workers, since the
-    costly designs, those with a |11> component, lie together at low eta.
+    """The design of each eta, resolved in ``fork_map``'s dealt hands, since
+    the costly designs, those with a |11> component, lie together at low eta.
     Each hand prepares its probes in order, stopping at the first eta that
     cannot be prepared, then tunes their detection in one
     ``optimize_theta_d`` call; the lowest such eta is named."""
-    return deal_map(lambda eta: _prepared(kind, eta, params), etas, _tuned)
+    return fork_map(lambda eta: _prepared(kind, eta, params), etas, _tuned)
 
 
 def setting_models(
@@ -326,9 +326,9 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None, counts: 
     The substreams are those of ``record_rng``, derived for the whole campaign
     at once. Rows run over (eta, phase, series, setting), the last fastest.
     ``designs`` holds the design of each eta (by default ``probe_designs``
-    resolves them); each eta's models and label probabilities are built in
-    ``deal_map`` workers, and the cells are drawn in ``fork_map`` workers
-    into ``counts`` (by default ``campaign_counts`` allocates it).
+    resolves them); ``fork_map`` deals the etas, whose models and label
+    probabilities it builds, then the cells, which it draws into ``counts``
+    (by default ``campaign_counts`` allocates it).
     """
     kind, params = config.probe_kind, config.imperfections
     designs = probe_designs(kind, config.eta_list, params) if designs is None else designs
@@ -337,7 +337,7 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None, counts: 
         models = setting_models(kind, config.eta_list[eta_index], params, designs[eta_index])
         return [[_label_pvals(models[s].probabilities(phi)) for s in SETTINGS] for phi in config.phase_list]
 
-    eta_pvals = deal_map(cell_pvals, range(len(config.eta_list)))
+    eta_pvals = fork_map(cell_pvals, range(len(config.eta_list)))
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
     states = substream_states(config.master_seed, np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T)
     states = states.reshape(*shape[:3], _SERIES_STREAM + 1, 4)  # no worker inherits the 1.7 MB of keys

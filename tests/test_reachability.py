@@ -41,7 +41,6 @@ ALLOWED = {
     "montecarlo.RowView.__len__": _TRACER,
     "montecarlo.RowView.__getitem__": _TRACER,
     "estimator.Estimates.__len__": _TRACER,
-    "workers._serve": "runs in a forked child, which a one-worker run never starts; tests/test_workers.py covers it",
     "workers.cpu_count": "pinned to 1 by the traced run; tests/test_workers.py covers it",
     "cli.read_dataset_csv.line_of": "error path: runs only for a repeated dataset row; tests/test_cli.py covers it",
     "cli._parse_rows": _OTHER_FORM,
