@@ -3,9 +3,11 @@ whatever the CPU count, and so do the bounds, the designs, the campaign and
 the estimator that use it."""
 
 import ast
+import errno
 import json
 import os
 import pickle
+import signal
 import threading
 import time
 
@@ -162,6 +164,52 @@ class TestForkMap:
             stop.set()
             thread.join()
         assert {pid for _, pid in results} == {os.getpid()}
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_child_killed_by_a_signal_raises_runtime_error(self, monkeypatch, cpus):
+        """As when the out-of-memory killer ends a worker: the status is minus the signal."""
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="without a result .exit status -9"):
+            fork_map(lambda part: os.kill(os.getpid(), signal.SIGKILL) if part == 1 else part, range(3))
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_failing_parts_exception_keeps_its_type_and_attributes(self, monkeypatch, cpus):
+        """Part 1 lies in a child's hand from two CPUs on; the pickled exception arrives whole."""
+        set_cpus(monkeypatch, cpus)
+
+        def fn(part):
+            if part == 1:
+                raise OSError(errno.ENOENT, "No such file", f"block{part}.csv")
+            return part
+
+        with pytest.raises(FileNotFoundError) as raised:
+            fork_map(fn, range(4))
+        assert (raised.value.errno, raised.value.strerror, raised.value.filename) == (errno.ENOENT, "No such file", "block1.csv")
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_returned_exceptions_are_results(self, monkeypatch, cpus):
+        """Only a raised exception fails a part; a returned one is a result like any other."""
+        set_cpus(monkeypatch, cpus)
+        results = fork_map(lambda part: ValueError(f"part {part}") if part % 2 else part, range(5))
+        assert [str(r) if isinstance(r, ValueError) else r for r in results] == [0, "part 1", 2, "part 3", 4]
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_parts_may_be_a_one_shot_iterator(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        assert fork_map(lambda part: part * part, iter(range(7))) == [part * part for part in range(7)]
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_finish_may_return_any_sequence(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        results = fork_map(lambda part: -part, range(5), tuple)
+        assert type(results) is list and results == [0, -1, -2, -3, -4]
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_a_part_may_fork_map_again(self, monkeypatch, cpus):
+        """Each hand, the caller's and the children's, deals its own parts and reaps its own workers."""
+        set_cpus(monkeypatch, cpus)
+        results = fork_map(lambda outer: fork_map(lambda inner: (outer, inner), range(3)), range(3))
+        assert results == [[(outer, inner) for inner in range(3)] for outer in range(3)]
 
 
 #: Twelve transmissions from 0.05 to 1: those below about 0.5 have a |11> component and cost more.
