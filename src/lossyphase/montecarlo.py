@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -77,31 +76,6 @@ class ExperimentConfig:
             raise ValueError("master_seed must be a non-negative integer")
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    eta: float
-    probe: ProbeKind
-    phi_true: float
-    setting: Setting
-    series_id: int
-    counts: dict[str, int]
-    seed_used: int
-
-
-class RowView(Sequence):
-    """Read-only sequence of ``n`` items, item i built by ``build(i)`` on access."""
-
-    def __init__(self, n: int, build):
-        self._n, self._build = n, build
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        rows = range(self._n)[i]  # raises IndexError; a slice gives a range
-        return [self._build(j) for j in rows] if isinstance(i, slice) else self._build(rows)
-
-
 @dataclass(frozen=True, eq=False)
 class EventDataset:
     """A campaign's records as columns, one row per record: ``eta`` and
@@ -119,15 +93,9 @@ class EventDataset:
     seed_used: np.ndarray  # uint64
 
     @property
-    def records(self) -> RowView:
-        """The rows as EventRecords, each built on access."""
-        return RowView(len(self.series_id), self.record)
-
-    def record(self, i: int) -> EventRecord:
-        return EventRecord(
-            float(self.eta[i]), PROBES[self.probe[i]], float(self.phi_true[i]), SETTINGS[self.setting[i]],
-            int(self.series_id[i]), dict(zip(LABELS, self.counts[i].tolist())), int(self.seed_used[i]),
-        )
+    def records(self) -> np.ndarray:
+        """The count rows, one per record."""
+        return self.counts
 
 
 def _int_words(value: int) -> list[int]:
@@ -326,18 +294,18 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None, counts: 
     The substreams are those of ``record_rng``, derived for the whole campaign
     at once. Rows run over (eta, phase, series, setting), the last fastest.
     ``designs`` holds the design of each eta (by default ``probe_designs``
-    resolves them); ``fork_map`` deals the etas, whose models and label
-    probabilities it builds, then the cells, which it draws into ``counts``
-    (by default ``campaign_counts`` allocates it).
+    resolves them). The models and label probabilities of every eta are built
+    here, too little work for a fork to pay off; ``fork_map`` deals the cells,
+    which it draws into ``counts`` (by default ``campaign_counts`` allocates
+    it).
     """
     kind, params = config.probe_kind, config.imperfections
     designs = probe_designs(kind, config.eta_list, params) if designs is None else designs
 
-    def cell_pvals(eta_index: int) -> list:
-        models = setting_models(kind, config.eta_list[eta_index], params, designs[eta_index])
-        return [[_label_pvals(models[s].probabilities(phi)) for s in SETTINGS] for phi in config.phase_list]
-
-    eta_pvals = fork_map(cell_pvals, range(len(config.eta_list)))
+    eta_pvals = [
+        [[_label_pvals(models[s].probabilities(phi)) for s in SETTINGS] for phi in config.phase_list]
+        for models in (setting_models(kind, eta, params, design) for eta, design in zip(config.eta_list, designs))
+    ]
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
     states = substream_states(config.master_seed, np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T)
     states = states.reshape(*shape[:3], _SERIES_STREAM + 1, 4)  # no worker inherits the 1.7 MB of keys

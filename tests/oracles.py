@@ -1,4 +1,6 @@
-"""Helpers that no command runs, kept as test oracles: the config parser
+"""Helpers that no command runs, kept as test oracles: the Fock probe state
+and the lossy quantum Fisher information summed over its Fock loss branches,
+which the closed form of ``bounds`` is tested against, the config parser
 without a file, the distinguishability mixture written out per label, the
 per-phase Fock pipeline of the coincidence labels with its phase shift and
 outcome probability, the classical Fisher information of the two-setting
@@ -11,11 +13,44 @@ import math
 
 import numpy as np
 
+from lossyphase.bounds import ProbeWeights
 from lossyphase.cli import _assemble, _read_config
 from lossyphase.detection import LABELS, DetectionConfig, Setting, _branch_amplitudes, _check_probe
 from lossyphase.estimator import _peaks
 from lossyphase.fock import FockState, ModeTransform, apply_loss, apply_transform, beam_splitter
 from lossyphase.golden import golden_section_max
+
+
+def probe_state(weights: ProbeWeights) -> FockState:
+    """Probe sqrt(x2)|20> + sqrt(x1)|11> - sqrt(x0)|02> on (sensing, reference)."""
+    amps = {
+        (2, 0): math.sqrt(weights.x2),
+        (1, 1): math.sqrt(weights.x1),
+        (0, 2): -math.sqrt(weights.x0),
+    }
+    return FockState(2, amps)
+
+
+def qfi_pure(state: FockState) -> float:
+    """Quantum Fisher information of a pure state for a phase on the sensing
+    mode, mode 0: four times its photon-number variance."""
+    if not state.normalized:
+        raise ValueError("quantum Fisher information of a pure state needs a normalized input")
+    mean = 0.0
+    second = 0.0
+    for pattern, amp in state.amplitudes.items():
+        p = abs(amp) ** 2
+        n = pattern[0]
+        mean += p * n
+        second += p * n * n
+    return 4.0 * (second - mean * mean)
+
+
+def fock_qfi_lossy(weights: ProbeWeights, eta: float) -> float:
+    """Lossy quantum Fisher information of the probe from its Fock loss
+    branches: they are distinguishable by total photon number, so the total is
+    the branch-probability-weighted sum of the pure-state terms."""
+    return float(sum(b.probability * qfi_pure(b.state) for b in apply_loss(probe_state(weights), 0, eta)))
 
 
 def parse_config(text: str) -> tuple[dict, bool]:

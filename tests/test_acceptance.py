@@ -16,7 +16,6 @@ from lossyphase.bounds import (
     noon_precision,
     optimize_weights,
     precision_curve,
-    probe_state,
     qfi_lossy,
     sil_precision,
 )
@@ -32,7 +31,7 @@ from lossyphase.estimator import analyze, estimate_dataset, histogram
 from lossyphase.fock import FockState, apply_loss, apply_transform, beam_splitter
 from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
 from lossyphase.prep import prepare, solve_prep
-from oracles import classical_fisher, phase_shift, sil_precision_numeric
+from oracles import classical_fisher, phase_shift, probe_state, sil_precision_numeric
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 HALF_BALANCED = DetectionConfig(Setting.HALF, 0.5)

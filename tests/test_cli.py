@@ -1210,9 +1210,13 @@ class TestDiagnostics:
                      id="events-above-2**49"),
         pytest.param("manifest", {"events": MAX_COUNT + 1}, 1, "invalid config: events must be at most 2**49",
                      id="manifest-events"),
-        pytest.param("campaign", "eta_list = 1e-14\nprobe = noon\nphases = 0\nseries = 2\nevents = 100\n", 2,
-                     "eta=1e-14 probe=noon: quantum Fisher information 0.0 gives no finite, positive Cramér-Rao bound",
+        pytest.param("campaign", "eta_list = 1e-200\nprobe = noon\nphases = 0\nseries = 2\nevents = 100\n", 2,
+                     "eta=1e-200 probe=noon: quantum Fisher information 0.0 gives no finite, positive Cramér-Rao bound",
                      id="zero-fisher-information"),
+        # the information 8e-28 is finite here, but no count carries the phase
+        pytest.param("campaign", "eta_list = 1e-14\nprobe = noon\nphases = 0\nseries = 2\nevents = 100\n", 2,
+                     "series eta=1e-14 probe=noon phi_true=0 series_id=0: likelihood is flat over the search interval",
+                     id="flat-likelihood-at-tiny-eta"),
     ])
     def test_bad_input_exits_with_one_line(self, fuzz_sim, tmp_path, capsys, monkeypatch, kind, value, code, message):
         resolved = []  # the etas of each probe_designs call

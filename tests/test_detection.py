@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lossyphase import detection
-from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, probe_state, qfi_lossy
+from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, qfi_lossy
 from lossyphase.detection import (
     HALF_LABELS,
     LABELS,
@@ -26,7 +26,7 @@ from lossyphase.detection import (
 from lossyphase.fock import FockState, apply_loss, basis
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
-from oracles import classical_fisher, degrade_distribution, one_probe_theta_d, outcome_distribution
+from oracles import classical_fisher, degrade_distribution, one_probe_theta_d, outcome_distribution, probe_state
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
 #: Imperfections of the benchmark's design sweep.

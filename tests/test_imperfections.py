@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lossyphase.bounds import NOON_WEIGHTS, ProbeWeights, probe_state
+from lossyphase.bounds import NOON_WEIGHTS, ProbeWeights
 from lossyphase.detection import (
     LABELS,
     DetectionConfig,
@@ -22,7 +22,7 @@ from lossyphase.imperfections import (
     build_model,
     fibre_input,
 )
-from oracles import degrade_distribution, outcome_distribution
+from oracles import degrade_distribution, outcome_distribution, probe_state
 
 QUARTER_BALANCED = DetectionConfig(Setting.QUARTER, 0.5)
 HOM_CONFIG = DetectionConfig(Setting.QUARTER, 0.5, conditional_phase=0.0)

@@ -157,23 +157,6 @@ class TestRunCampaign:
         assert dataset.eta.tolist() == [0.361] * 20
         assert dataset.phi_true.tolist() == [0.0] * 10 + [0.04] * 10  # rows run over (eta, phase, series, setting)
 
-    def test_records_view(self):
-        """``records`` is a read-only view whose items are built from the columns."""
-        dataset = run_campaign(small_config(series_count=2))
-        records = dataset.records
-        assert len(records) == len(dataset.series_id) == 8
-        rec = records[-1]
-        assert (rec.eta, rec.probe, rec.phi_true, rec.setting, rec.series_id) == (
-            0.361, ProbeKind.NOON, 0.04, Setting.HALF, 1
-        )
-        assert rec.counts == dict(zip(LABELS, dataset.counts[-1].tolist()))
-        assert rec.seed_used == int(dataset.seed_used[-1])
-        assert records[1:3] == [records[1], records[2]]
-        with pytest.raises(IndexError):
-            records[8]
-        with pytest.raises(TypeError):
-            records[0] = rec
-
     def test_lossless_noon_has_no_loss_counts(self):
         config = small_config(eta_list=(1.0,), series_count=10)
         dataset = run_campaign(config)

@@ -36,10 +36,6 @@ ALLOWED = {
     "montecarlo.record_rng": _TRACER,
     "montecarlo.sample_counts": _TRACER,
     "montecarlo.EventDataset.records": _TRACER,
-    "montecarlo.EventDataset.record": _TRACER,
-    "montecarlo.RowView.__init__": _TRACER,
-    "montecarlo.RowView.__len__": _TRACER,
-    "montecarlo.RowView.__getitem__": _TRACER,
     "estimator.Estimates.__len__": _TRACER,
     "workers.cpu_count": "pinned to 1 by the traced run; tests/test_workers.py covers it",
     "cli.read_dataset_csv.line_of": "error path: runs only for a repeated dataset row; tests/test_cli.py covers it",
