@@ -16,6 +16,13 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
 
+# OpenBLAS starts one pool thread per further CPU when numpy loads, and each spins idle before it sleeps: no
+# product a command makes is large enough to be split across threads, and fork_map already runs one process per
+# CPU. So a process that loads numpy through this module asks for one thread. A count the user sets wins, and a
+# caller that loaded numpy first keeps its pool and its environment.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__

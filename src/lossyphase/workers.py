@@ -48,8 +48,10 @@ def fork_map(fn, parts, finish=list) -> list:
         for hand in range(1, hands):
             read, write = os.pipe()
             with warnings.catch_warnings():
-                # Python 3.12 warns about the idle OpenBLAS pool threads: OpenBLAS
-                # stops them in its pthread_atfork handler, and no Python thread runs.
+                # Python 3.12 warns about idle OpenBLAS pool threads: OpenBLAS stops them in its
+                # pthread_atfork handler, and no Python thread runs. CLI processes start no pool unless
+                # the user sets a thread count, so the warning concerns callers that imported numpy
+                # before lossyphase.cli, such as tests and library use.
                 warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:  # send the hand or any exception, then leave without exit handlers, finally blocks or flushes

@@ -41,7 +41,7 @@ from lossyphase.cli import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from lossyphase import bounds, cli, montecarlo
+from lossyphase import bounds, cli, montecarlo, workers
 from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
@@ -1714,6 +1714,41 @@ def test_import_leaves_numpy_random_unloaded():
     """Commands that draw nothing do not pay for importing numpy.random."""
     code = "import sys, lossyphase.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=child_env(), timeout=60).returncode == 0
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy that cannot say
+        return False
+    return "openblas" in name.lower()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or workers.cpu_count() < 2 or not _numpy_uses_openblas(),
+    reason="counts OpenBLAS pool threads in /proc/self/task, which needs Linux, two CPUs and an OpenBLAS numpy",
+)
+class TestBlasThreads:
+    """A process that loads numpy through ``lossyphase.cli`` starts no OpenBLAS
+    pool, unless the user sets a thread count."""
+
+    @staticmethod
+    def threads(**env) -> int:
+        code = "import lossyphase.cli, os; print(len(os.listdir('/proc/self/task')))"
+        unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        base = {key: value for key, value in child_env().items() if key not in unset}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout)
+
+    def test_one_thread_by_default(self):
+        assert self.threads() == 1
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_count_wins(self, name):
+        assert self.threads(**{name: "2"}) == 2
 
 
 #: ``python -m lossyphase.cli`` with an ``atexit`` hook that prints how many objects are frozen.
