@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workers import fork_map
-
 SIMPLEX_TOL = 1e-12
 
 #: Simplex scan resolution used by the weight optimizer.
@@ -22,11 +20,28 @@ LATTICE.flags.writeable = False
 #: concavity bound falls below the best cell anchor is not evaluated.
 SCAN_CELL = 25
 
-#: Relative slack of that bound, far above the rounding of the surface.
+#: Lattice indices per side of a sub-cell, into which a kept cell is cut and
+#: bounded in the same way; only kept sub-cells are evaluated point by point.
+SCAN_SUBCELL = 5
+
+#: Relative slack of those bounds, far above the rounding of the surface.
 BOUND_SLACK = 1e-9
+
+#: Transmissions whose weights are optimized together, as lanes.
+WEIGHT_LANES = 64
+
+#: Kept cells that the lanes of one chunk refine at most (a lane that keeps
+#: more is refined alone), so the memory of the refinement does not grow
+#: with the lanes.
+REFINE_CELLS = 256
 
 #: The eight moves of the polish, in the order it tries them.
 PATTERN = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1), (1, 1), (-1, -1)], dtype=float)
+
+#: Steps of the polish: GRID_STEP, halved while the step stays above 1e-11.
+POLISH_STEPS = GRID_STEP * 0.5 ** np.arange(64)
+POLISH_STEPS = POLISH_STEPS[POLISH_STEPS > 1e-11]
+POLISH_STEPS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -114,95 +129,152 @@ def _qfi_gradient(x0, x1, x2, eta: float):
     return d0, d1, d2
 
 
-def _scan_cells(eta: float):
-    """Anchor lattice indices (i, j) of the SCAN_CELL x SCAN_CELL cells that meet
-    the simplex, with the surface at each anchor and a bound on it over the cell.
+def _cell_bounds(i, j, end_i, end_j, eta):
+    """The surface at anchor lattice indices (i, j) and a bound on it over the
+    cell of indices i..end_i by j..end_j that each anchors.
 
     The anchor is the cell's lowest corner, so every lattice point y of the cell
     lies at y - c in [0, w0] x [0, w1] along x0 and x1, with x2 = 1 - x0 - x1.
     """
-    starts = np.arange(0, len(LATTICE), SCAN_CELL)
-    i, j = np.meshgrid(starts, starts, indexing="ij")
-    meets = LATTICE[i] + LATTICE[j] <= 1.0 + SIMPLEX_TOL
-    i, j = i[meets], j[meets]
     x0, x1 = LATTICE[i], LATTICE[j]
     x2 = np.clip(1.0 - x0 - x1, 0.0, 1.0)
     surface = _qfi_surface(x0, x1, x2, eta)
     d0, d1, d2 = _qfi_gradient(x0, x1, x2, eta)
-    last = len(LATTICE) - 1
-    w0 = LATTICE[np.minimum(i + SCAN_CELL - 1, last)] - x0
-    w1 = LATTICE[np.minimum(j + SCAN_CELL - 1, last)] - x1
-    bound = surface + np.maximum(0.0, (d0 - d2) * w0) + np.maximum(0.0, (d1 - d2) * w1)
-    return i, j, surface, bound
+    w0, w1 = LATTICE[end_i] - x0, LATTICE[end_j] - x1
+    return surface, surface + np.maximum(0.0, (d0 - d2) * w0) + np.maximum(0.0, (d1 - d2) * w1)
 
 
-def _polish(x0: float, x1: float, eta: float) -> tuple[float, float, float]:
-    """Local pattern search on the simplex, refining the grid maximizer.
+def _cut(i, j, end_i, end_j, size):
+    """The size x size cells, meeting the simplex, into which the cells of
+    lattice indices i..end_i by j..end_j cut: the index of the cell each lies
+    in, and their anchors and ends. They come cell by cell, so items that
+    come lane by lane keep that order."""
+    offsets = np.arange(0, int(np.maximum(end_i - i, end_j - j).max()) + 1, size)
+    di, dj = (d.ravel() for d in np.meshgrid(offsets, offsets, indexing="ij"))
+    si, sj = i[:, None] + di, j[:, None] + dj
+    inside = (si <= end_i[:, None]) & (sj <= end_j[:, None])
+    cell, si, sj = np.nonzero(inside)[0], si[inside], sj[inside]
+    meets = LATTICE[si] + LATTICE[sj] <= 1.0 + SIMPLEX_TOL
+    cell, si, sj = cell[meets], si[meets], sj[meets]
+    return cell, si, sj, np.minimum(si + size - 1, end_i[cell]), np.minimum(sj + size - 1, end_j[cell])
+
+
+def _kept(surface, bound, top):
+    """Cells whose bound reaches ``top``, the best anchor value, less BOUND_SLACK;
+    a NaN bound compares false, so its cell is kept."""
+    return ~(bound < top - BOUND_SLACK * np.abs(top))
+
+
+def _first_maxima(etas: np.ndarray) -> np.ndarray:
+    """Lattice key i * len(LATTICE) + j of the first maximum of the surface on
+    the lattice of the simplex, in (i, j) order, at each eta.
+
+    Concavity bounds the surface on a cell by its tangent plane at the cell's
+    anchor, its lowest corner. The SCAN_CELL x SCAN_CELL cells are evaluated
+    at their anchors with eta as a column; the cells whose bound reaches the
+    best anchor value are cut into SCAN_SUBCELL x SCAN_SUBCELL sub-cells,
+    bounded in the same way, and only the sub-cells whose bound reaches the
+    best anchor value of either level are scanned point by point. A cell
+    holding a maximum has a bound at least that maximum, so every maximum is
+    scanned, and every scanned point is the float a scan of every point
+    evaluates. The kept cells are refined in chunks of lanes that keep at
+    most REFINE_CELLS cells (or of one lane).
+    """
+    n = len(LATTICE)
+    _, i, j, end_i, end_j = _cut(*(np.array([index]) for index in (0, 0, n - 1, n - 1)), SCAN_CELL)
+    surface, bound = _cell_bounds(i, j, end_i, end_j, etas[:, None])
+    kept = _kept(surface, bound, surface.max(axis=1, keepdims=True))
+    chunks, cells = [0], 0
+    for lane, count in enumerate(kept.sum(axis=1)):
+        if cells and cells + count > REFINE_CELLS:
+            chunks.append(lane)
+            cells = 0
+        cells += count
+    chunks.append(len(etas))
+    first = np.empty(len(etas), dtype=int)
+    for lo, hi in zip(chunks, chunks[1:]):
+        # at each level a lane keeps the cell of its best anchor, whose bound is at least that
+        # value (or NaN), so no lane's run of items is empty
+        lane, cell = np.nonzero(kept[lo:hi])
+        cell, si, sj, end_si, end_sj = _cut(i[cell], j[cell], end_i[cell], end_j[cell], SCAN_SUBCELL)
+        lane = lane[cell]
+        surface, bound = _cell_bounds(si, sj, end_si, end_sj, etas[lo:hi][lane])
+        starts = np.searchsorted(lane, np.arange(hi - lo))
+        sub = _kept(surface, bound, np.maximum.reduceat(surface, starts)[lane])
+        cell, pi, pj, _, _ = _cut(si[sub], sj[sub], end_si[sub], end_sj[sub], 1)
+        lane = lane[sub][cell]
+        x0, x1 = LATTICE[pi], LATTICE[pj]
+        surface = _qfi_surface(x0, x1, np.clip(1.0 - x0 - x1, 0.0, 1.0), etas[lo:hi][lane])
+        starts = np.searchsorted(lane, np.arange(hi - lo))
+        top = np.maximum.reduceat(surface, starts)[lane]
+        first[lo:hi] = np.minimum.reduceat(np.where(surface == top, pi * n + pj, n * n), starts)
+    return first
+
+
+def _polish(x0: np.ndarray, x1: np.ndarray, etas: np.ndarray):
+    """Local pattern search on the simplex from each lane's (x0, x1), refining
+    the grid maximizer at its eta; returns the final x0, x1 and values.
 
     Each sweep tries the PATTERN moves in order at one step and takes every one
-    that beats the best value so far; a sweep without a move halves the step.
-    One call of the surface evaluates every move the search would still try if
-    no move came: the rest of this sweep, one more sweep at this step after a
-    move, then a sweep at each smaller step. The search takes the first of them
-    that beats the best value, as the sweeps would, and calls again from there.
+    that beats the best value so far; a sweep without a move halves the step,
+    from GRID_STEP through POLISH_STEPS. One call of the surface evaluates, for
+    every lane still searching, every move its search would still try if no
+    move came: the rest of this sweep, one more sweep at this step after a
+    move, then a sweep at each smaller step. Each lane takes the first of them
+    that beats its best value, as the sweeps would, and the next call goes on
+    from there; a lane stops where none does, as the sweeps would.
     """
 
-    def values(a, b):
+    def values(a, b, eta):
         on = (a >= 0) & (b >= 0) & (a + b <= 1.0)
         return np.where(on, _qfi_surface(a, b, 1.0 - a - b, eta), -math.inf)
 
-    best = float(values(np.float64(x0), np.float64(x1)))
-    step, k, moved = GRID_STEP, 0, False
-    while step > 1e-11:
-        sweeps = [step] * (1 + moved)
-        while sweeps[-1] * 0.5 > 1e-11:
-            sweeps.append(sweeps[-1] * 0.5)
-        steps = np.repeat(sweeps, len(PATTERN))[k:]
-        moves = np.tile(PATTERN, (len(sweeps), 1))[k:]
-        a = x0 + steps * moves[:, 0]
-        b = x1 + steps * moves[:, 1]
-        cand = values(a, b)
-        better = np.flatnonzero(cand > best)
-        if not len(better):
-            break
-        m = int(better[0])
-        best, x0, x1, step = float(cand[m]), float(a[m]), float(b[m]), float(steps[m])
+    x0, x1, best = np.array(x0, dtype=float), np.array(x1, dtype=float), values(x0, x1, etas)
+    step = np.zeros(len(etas), dtype=int)  # the index in POLISH_STEPS
+    k = np.zeros(len(etas), dtype=int)  # the moves of this sweep already tried; a move came in it if k > 0
+    live = np.arange(len(etas))
+    while live.size:
+        moved = k[live, None] > 0
+        count = (len(POLISH_STEPS) - step[live, None] + moved) * len(PATTERN) - k[live, None]
+        tried = np.arange(count.max())
+        at = k[live, None] + tried  # place in this lane's sweeps, from the start of this one
+        steps = step[live, None] + np.maximum(at // len(PATTERN) - moved, 0)
+        moves = PATTERN[at % len(PATTERN)]
+        size = POLISH_STEPS[np.minimum(steps, len(POLISH_STEPS) - 1)]
+        a = x0[live, None] + size * moves[..., 0]
+        b = x1[live, None] + size * moves[..., 1]
+        cand = np.where(tried < count, values(a, b, etas[live, None]), -math.inf)
+        better = cand > best[live, None]
+        found = better.any(axis=1)
+        rows, live = np.flatnonzero(found), live[found]
+        m = better[rows].argmax(axis=1)
+        x0[live], x1[live], best[live] = a[rows, m], b[rows, m], cand[rows, m]
         # a move that ends its sweep starts a fresh one at the same step
-        k = (k + m + 1) % len(PATTERN)
-        moved = k > 0
+        step[live], k[live] = steps[rows, m], (at[rows, m] + 1) % len(PATTERN)
     return x0, x1, best
 
 
-def optimize_weights(eta: float) -> tuple[ProbeWeights, float]:
-    """Maximize qfi_lossy over the weight simplex.
+def optimize_weights(eta):
+    """Maximize qfi_lossy over the weight simplex at each transmission.
 
+    ``eta`` is a float, which gives one (ProbeWeights, F), or a sequence,
+    which gives a list of them, each the pair its eta gives alone.
     Finds the first maximum, in (x0, x1) index order, of the surface on the
-    GRID_STEP lattice of the simplex, then polishes it locally; deterministic.
-    The lattice is cut into SCAN_CELL x SCAN_CELL cells. Concavity bounds the
-    surface on a cell by its tangent plane at the cell's anchor, and only the
-    cells whose bound reaches the best anchor value (less BOUND_SLACK) are
-    evaluated, so the maximum and its bits are those of a scan of every point.
+    GRID_STEP lattice of the simplex without evaluating most of it
+    (``_first_maxima``), then polishes it locally (``_polish``);
+    deterministic. WEIGHT_LANES etas at a time run as the lanes of one scan
+    and one polish, so memory does not grow with the number of etas.
     """
-    if not 0.0 < eta <= 1.0:
+    etas = np.array(eta, dtype=float)
+    if etas.ndim > 1 or not np.all((etas > 0.0) & (etas <= 1.0)):
         raise ValueError("eta must be in (0, 1]; at eta = 0 the information vanishes identically")
-    n = len(LATTICE)
-    i, j, surface, bound = _scan_cells(eta)
-    top = surface.max()
-    # a NaN bound compares false, so its cell is scanned
-    cells = ~(bound < top - BOUND_SLACK * abs(top))
-    di, dj = np.divmod(np.arange(SCAN_CELL * SCAN_CELL), SCAN_CELL)
-    i = (i[cells, None] + di).ravel()
-    j = (j[cells, None] + dj).ravel()
-    inside = (i < n) & (j < n)
-    i, j = i[inside], j[inside]
-    x0, x1 = LATTICE[i], LATTICE[j]
-    on = x0 + x1 <= 1.0 + SIMPLEX_TOL
-    x0, x1, key = x0[on], x1[on], i[on] * n + j[on]
-    surface = _qfi_surface(x0, x1, np.clip(1.0 - x0 - x1, 0.0, 1.0), eta)
-    first = int(key[surface == surface.max()].min())
-    b0, b1, best = _polish(float(LATTICE[first // n]), float(LATTICE[first % n]), eta)
-    weights = ProbeWeights(b0, b1, max(1.0 - b0 - b1, 0.0))
-    return weights, float(best)
+    lanes, found = np.atleast_1d(etas), []
+    for lo in range(0, lanes.size, WEIGHT_LANES):
+        block = lanes[lo : lo + WEIGHT_LANES]
+        i, j = np.divmod(_first_maxima(block), len(LATTICE))
+        x0, x1, best = (v.tolist() for v in _polish(LATTICE[i], LATTICE[j], block))
+        found += [(ProbeWeights(a, b, max(1.0 - a - b, 0.0)), f) for a, b, f in zip(x0, x1, best)]
+    return found[0] if etas.ndim == 0 else found
 
 
 def noon_precision(eta: float) -> float:
@@ -241,11 +313,10 @@ class PrecisionPoint:
 
 def precision_curve(eta_grid) -> list[PrecisionPoint]:
     """Optimal, N00N and SIL precision bounds over a transmission grid; the
-    weights of each eta are optimized in ``fork_map``'s dealt hands, since
-    those of low eta, which have a |11> component, cost about twice as much."""
+    weights of every eta come from one ``optimize_weights`` call, as lanes."""
     etas = [float(eta) for eta in eta_grid]
     points = []
-    for eta, (weights, f_max) in zip(etas, fork_map(optimize_weights, etas)):
+    for eta, (weights, f_max) in zip(etas, optimize_weights(etas)):
         dphi_opt = 1.0 / math.sqrt(f_max)
         dphi_noon = noon_precision(eta)
         dphi_sil = sil_precision(eta, 2.0)

@@ -228,41 +228,30 @@ def build_probe(weights: ProbeWeights, params: ImperfectionParams) -> FockState:
     return state.normalize()
 
 
-def _prepared(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[float, ProbeWeights, FockState]:
-    """(eta, target weights, delivered probe) of one (probe, transmission)
-    choice: the weights maximize the lossy QFI. Weights the preparation
-    network cannot make raise ValueError naming eta."""
-    weights = NOON_WEIGHTS if kind is ProbeKind.NOON else optimize_weights(eta)[0]
-    try:
-        probe = build_probe(weights, params)
-    except ValueError as exc:  # below eta ~ 3e-22 the optimum has x1 > 0 but x0 = 0
-        raise ValueError(
-            f"{kind.value} probe at eta={eta:.12g}: weights {weights.as_tuple()} cannot be prepared: {exc}"
-        ) from None
-    return eta, weights, probe
-
-
-def _tuned(prepared: list) -> list[tuple[ProbeWeights, DetectionConfig]]:
-    """Designs of ``_prepared`` choices: one ``optimize_theta_d`` call suits
-    the final splitter and conditional phase to every delivered probe."""
-    configs = optimize_theta_d([probe for _, _, probe in prepared], [eta for eta, _, _ in prepared])
-    return [(weights, config) for (_, weights, _), config in zip(prepared, configs)]
-
-
 @lru_cache(maxsize=None)
 def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[ProbeWeights, DetectionConfig]:
     """Target weights and quarter-setting detection of one (probe,
     transmission) choice, cached per process: ``probe_designs`` of one eta."""
-    return _tuned([_prepared(kind, eta, params)])[0]
+    return probe_designs(kind, [eta], params)[0]
 
 
 def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tuple[ProbeWeights, DetectionConfig]]:
-    """The design of each eta, resolved in ``fork_map``'s dealt hands, since
-    the costly designs, those with a |11> component, lie together at low eta.
-    Each hand prepares its probes in order, stopping at the first eta that
-    cannot be prepared, then tunes their detection in one
-    ``optimize_theta_d`` call; the lowest such eta is named."""
-    return fork_map(lambda eta: _prepared(kind, eta, params), etas, _tuned)
+    """The design of each eta: the target weights, which maximize the lossy
+    QFI, come from one ``optimize_weights`` call; the probes are prepared in
+    eta order, and the first eta whose weights the preparation network cannot
+    make raises ValueError naming it; then one ``optimize_theta_d`` call suits
+    the final splitter and conditional phase to every delivered probe."""
+    etas = list(etas)
+    weights = [NOON_WEIGHTS] * len(etas) if kind is ProbeKind.NOON else [w for w, _ in optimize_weights(etas)]
+    probes = []
+    for eta, target in zip(etas, weights):
+        try:
+            probes.append(build_probe(target, params))
+        except ValueError as exc:  # below eta ~ 3e-22 the optimum has x1 > 0 but x0 = 0
+            raise ValueError(
+                f"{kind.value} probe at eta={eta:.12g}: weights {target.as_tuple()} cannot be prepared: {exc}"
+            ) from None
+    return list(zip(weights, optimize_theta_d(probes, etas)))
 
 
 def setting_models(

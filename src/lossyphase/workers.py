@@ -15,33 +15,28 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def fork_map(fn, parts, finish=list) -> list:
+def fork_map(fn, parts) -> list:
     """``[fn(part) for part in parts]``, the parts dealt round-robin, one hand
     per available CPU, so costly parts that lie together in the list spread
     evenly: the caller plays the first hand, a forked child each other. Each
-    hand maps its parts in order and passes their results to one call of
-    ``finish``, which returns them finished, in that order. A hand stops at
-    its first failing part, before ``finish``, and the lowest failing part's
-    exception is raised, as in the serial loop; else the lowest hand's
-    exception from ``finish``. Any other exception a child meets, such as a
-    result it cannot pickle, is raised as it is; a child that ends without a
-    result raises RuntimeError. One hand, in the caller, on one CPU, without
-    ``os.fork`` or beside other Python threads."""
+    hand maps its parts in order and stops at its first failing part; the
+    lowest failing part's exception is raised, as in the serial loop. Any
+    other exception a child meets, such as a result it cannot pickle, is
+    raised as it is; a child that ends without a result raises RuntimeError.
+    One hand, in the caller, on one CPU, without ``os.fork`` or beside other
+    Python threads."""
     parts = list(parts)
     serial = not hasattr(os, "fork") or threading.active_count() > 1
     hands = 1 if serial else max(min(cpu_count(), len(parts)), 1)
 
-    def play(hand: int):  # the results, or the failure keyed by its part's index (finish: after every part)
+    def play(hand: int):  # the results, or the failure keyed by its part's index
         results = []
         try:
             for part in parts[hand::hands]:
                 results.append(fn(part))
         except Exception as exc:
             return None, (hand + hands * len(results), exc)
-        try:
-            return finish(results), None
-        except Exception as exc:
-            return None, (len(parts) + hand, exc)
+        return results, None
 
     children, payloads, statuses = [], [], []  # (pid, read end) per child
     try:

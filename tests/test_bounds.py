@@ -14,10 +14,11 @@ from lossyphase.bounds import (
     NOON_WEIGHTS,
     SIMPLEX_TOL,
     ProbeWeights,
+    _cell_bounds,
+    _cut,
     _polish,
     _qfi_gradient,
     _qfi_surface,
-    _scan_cells,
     noon_precision,
     optimize_weights,
     precision_curve,
@@ -245,22 +246,39 @@ ORACLE_ETAS = sorted(
 def plateau_surface(x0, x1, x2, eta):
     """A concave stand-in surface whose maximum 1.0 ties over the strip
     27 i + j >= 8663.5 of lattice indices: its first point (295, 699) ends its
-    cell, and later points such as (296, 672) sit in cells before it."""
-    return np.minimum(1.0, 1.0 + 50.0 * (27.0 * x0 + x1 - 8.6635))
+    cell, and later points such as (296, 672) sit in cells before it. It
+    does not depend on eta, but broadcasts with it as the surface does."""
+    return np.minimum(1.0, 1.0 + 50.0 * (27.0 * x0 + x1 - 8.6635) + 0.0 * eta)
 
 
 def plateau_gradient(x0, x1, x2, eta):
     """A supergradient of plateau_surface."""
-    slope = (1.0 + 50.0 * (27.0 * x0 + x1 - 8.6635) < 1.0) * 50.0
+    slope = (1.0 + 50.0 * (27.0 * x0 + x1 - 8.6635) + 0.0 * eta < 1.0) * 50.0
     return 27.0 * slope, slope, 0.0 * slope
 
 
-def cell_of_each_point(anchor_i, anchor_j, cell):
-    """Index into the anchor arrays of the cell holding each full_lattice point."""
+def scan_cells(eta, sub=None):
+    """Anchor indices (i, j) of every SCAN_CELL x SCAN_CELL cell that meets the
+    simplex, or with ``sub`` of every sub x sub sub-cell of those cells, kept
+    or not, with the surface at each anchor and its bound over the cell."""
+    n = len(bounds.LATTICE)
+    level = _cut(*(np.array([index]) for index in (0, 0, n - 1, n - 1)), bounds.SCAN_CELL)[1:]
+    if sub is not None:
+        level = _cut(*level, sub)[1:]
+    i, j, end_i, end_j = level
+    return (i, j, *_cell_bounds(i, j, end_i, end_j, eta))
+
+
+def cell_of_each_point(anchor_i, anchor_j, cell, sub=None):
+    """Index into the anchor arrays of the cell, or with ``sub`` of the
+    sub-cell, holding each full_lattice point."""
     i, j = full_lattice()[:2]
-    table = np.full((i.max() // cell + 1, j.max() // cell + 1), -1)
-    table[anchor_i // cell, anchor_j // cell] = np.arange(len(anchor_i))
-    owner = table[i // cell, j // cell]
+    owner_i, owner_j = i // cell * cell, j // cell * cell
+    if sub is not None:
+        owner_i, owner_j = owner_i + (i - owner_i) // sub * sub, owner_j + (j - owner_j) // sub * sub
+    table = np.full((i.max() + 1, j.max() + 1), -1)
+    table[anchor_i, anchor_j] = np.arange(len(anchor_i))
+    owner = table[owner_i, owner_j]
     assert (owner >= 0).all()
     return owner
 
@@ -281,40 +299,73 @@ class TestSimplexGrid:
         monkeypatch.setattr(bounds, "SCAN_CELL", 7)
         self.test_matches_uncached_scan_bit_for_bit(eta)
 
+    @pytest.mark.parametrize("sub", [25, 5, 7])
     @pytest.mark.parametrize("block", [1, 2, 7, 49, 50, 51, 1000])
-    def test_first_maximum_across_blocks(self, block, monkeypatch):
+    def test_first_maximum_across_blocks(self, block, sub, monkeypatch):
         # the polish must start from the first maximum in (i, j) order, as one
-        # argmax over the whole lattice finds it, whatever cell it falls in
+        # argmax over the whole lattice finds it, whatever cell and sub-cell it falls in
         i, j, x0, x1, x2 = full_lattice()
         first = int(np.argmax(plateau_surface(x0, x1, x2, 0.5)))
         assert (i[first], j[first]) == (295, 699)
         monkeypatch.setattr(bounds, "SCAN_CELL", block)
+        monkeypatch.setattr(bounds, "SCAN_SUBCELL", sub)
         monkeypatch.setattr(bounds, "_qfi_surface", plateau_surface)
         monkeypatch.setattr(bounds, "_qfi_gradient", plateau_gradient)
         starts = []
-        monkeypatch.setattr(bounds, "_polish", lambda a, b, eta: starts.append((a, b)) or (0.5, 0.5, 0.0))
-        optimize_weights(0.5)
-        assert starts == [(float(x0[first]), float(x1[first]))]
+
+        def polish(a, b, etas):
+            starts.extend(zip(a.tolist(), b.tolist()))
+            return a, b, 0.0 * a
+
+        monkeypatch.setattr(bounds, "_polish", polish)
+        optimize_weights([0.5, 0.7])
+        assert starts == [(float(x0[first]), float(x1[first]))] * 2
 
     def test_oracle_over_eta_grid(self):
-        assert len(ORACLE_ETAS) >= 300
-        for eta in ORACLE_ETAS:
-            weights, f_max = optimize_weights(eta)
+        """Per eta, and as the lanes of one call: five blocks of WEIGHT_LANES, 1e-300 and 1e-170 in the first."""
+        assert len(ORACLE_ETAS) >= 300 and len(ORACLE_ETAS) > 4 * bounds.WEIGHT_LANES
+        lanes = optimize_weights(ORACLE_ETAS)
+        for eta, (weights, f_max) in zip(ORACLE_ETAS, lanes, strict=True):
+            expected, f_expected = full_scan_optimize_weights(eta)
+            assert (weights.as_tuple(), f_max) == (expected.as_tuple(), f_expected), eta
+            assert optimize_weights(eta) == (weights, f_max), eta
+
+    @pytest.mark.parametrize("refine", [1, bounds.REFINE_CELLS, 10**6])
+    def test_lanes_across_a_block_boundary(self, refine, monkeypatch):
+        """65 etas: a block of WEIGHT_LANES and a block of one, refined lane by
+        lane, in chunks, and each block at once."""
+        monkeypatch.setattr(bounds, "REFINE_CELLS", refine)
+        etas = ORACLE_ETAS[::4][:65]
+        assert len(etas) == bounds.WEIGHT_LANES + 1 and etas[0] == 1e-300
+        for eta, (weights, f_max) in zip(etas, optimize_weights(etas), strict=True):
             expected, f_expected = full_scan_optimize_weights(eta)
             assert (weights.as_tuple(), f_max) == (expected.as_tuple(), f_expected), eta
 
+    def test_sequences_give_lists(self):
+        assert optimize_weights([]) == []
+        assert optimize_weights((0.361,)) == [optimize_weights(0.361)]
+        assert optimize_weights(np.array([0.2, 0.4])) == [optimize_weights(0.2), optimize_weights(0.4)]
+        with pytest.raises(ValueError):
+            optimize_weights([0.5, 0.0])
+        with pytest.raises(ValueError):
+            optimize_weights([0.5, math.nan])
+
+    @pytest.mark.parametrize("sub", [None, 25, 5, 7])
     @pytest.mark.parametrize("cell", [bounds.SCAN_CELL, 7])
     @pytest.mark.parametrize("eta", BOUND_ETAS + [1e-170])
-    def test_cell_bounds_hold(self, eta, cell, monkeypatch):
+    def test_cell_bounds_hold(self, eta, cell, sub, monkeypatch):
+        """At both levels: the cells, or with ``sub`` the sub-cells of every cell."""
         # at eta = 1e-170 eta * eta underflows, so p0 = 0 at the x2 = 1 vertex
         monkeypatch.setattr(bounds, "SCAN_CELL", cell)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            anchor_i, anchor_j, anchor_f, bound = _scan_cells(eta)
+            anchor_i, anchor_j, anchor_f, bound = scan_cells(eta, sub)
         i, j, x0, x1, x2 = full_lattice()
         values = _qfi_surface(x0, x1, x2, eta)
-        owner = cell_of_each_point(anchor_i, anchor_j, cell)
-        assert np.array_equal(anchor_f, values[(i == anchor_i[owner]) & (j == anchor_j[owner])])
+        owner = cell_of_each_point(anchor_i, anchor_j, cell, sub)
+        anchor = (i == anchor_i[owner]) & (j == anchor_j[owner])
+        assert np.array_equal(np.sort(owner[anchor]), np.arange(len(anchor_i)))
+        assert np.array_equal(anchor_f[owner[anchor]], values[anchor])
         # a bound that is not finite has its cell scanned, so it cannot prune
         finite = np.isfinite(bound[owner])
         assert (values[finite] <= bound[owner][finite]).all()
@@ -324,7 +375,7 @@ class TestSimplexGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for eta in BOUND_ETAS:
-                anchor_i, anchor_j, _, bound = _scan_cells(eta)
+                anchor_i, anchor_j, _, bound = scan_cells(eta)
                 vertex = (anchor_i == 1000) & (anchor_j == 0)
                 assert vertex.sum() == 1
                 assert np.isfinite(bound).all()
@@ -350,9 +401,9 @@ class TestSimplexGrid:
             return _qfi_surface(x0, x1, x2, eta)
 
         monkeypatch.setattr(bounds, "_qfi_surface", counting)
-        monkeypatch.setattr(bounds, "_polish", lambda a, b, eta: (a, b, 0.0))
+        monkeypatch.setattr(bounds, "_polish", lambda a, b, etas: (a, b, 0.0 * a))
         optimize_weights(0.361)
-        assert sum(evaluated) < 50_000  # of 501,501 lattice points
+        assert sum(evaluated) < 2_000  # 1,361 of 501,501 lattice points: 861 cell and 300 sub-cell anchors, 200 points
 
 
 class TestPolish:
@@ -360,10 +411,11 @@ class TestPolish:
     # edge, and just off the simplex (which scores -inf)
     STARTS = [(0.236, 0.222), (0.1234567, 0.4567891), (0.5, 0.0), (0.0005, 0.9995), (0.5, 0.5 + 1e-13)]
 
-    @pytest.mark.parametrize("eta", [0.361, 1.0])
-    def test_batched_matches_scalar(self, eta):
-        for x0, x1 in self.STARTS:
-            assert _polish(x0, x1, eta) == scalar_polish(x0, x1, eta)
+    def test_lanes_match_scalar(self):
+        """Every start at both etas as the lanes of one call, each stopping where its scalar search stops."""
+        lanes = [(x0, x1, eta) for eta in (0.361, 1.0) for x0, x1 in self.STARTS]
+        x0, x1, best = _polish(*(np.array(column) for column in zip(*lanes)))
+        assert list(zip(x0.tolist(), x1.tolist(), best.tolist())) == [scalar_polish(*lane) for lane in lanes]
 
 
 class TestNoonPrecision:

@@ -159,7 +159,7 @@ class TestBounds:
 
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         """An optimum above the N00N bound breaks precision_curve's invariant."""
-        monkeypatch.setattr(bounds, "optimize_weights", lambda eta: (bounds.NOON_WEIGHTS, 1e-6))
+        monkeypatch.setattr(bounds, "optimize_weights", lambda etas: [(bounds.NOON_WEIGHTS, 1e-6) for _ in etas])
         out = tmp_path / "b.csv"
         assert main(["bounds", "--eta-min", "0.5", "--eta-max", "0.5", "--steps", "1", "--out", str(out)]) == 3
         err = capsys.readouterr().err

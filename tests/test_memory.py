@@ -1,7 +1,8 @@
 """Memory guards, measured with tracemalloc: dataset I/O works a block of
-rows at a time and the likelihood scan reuses two row buffers, so their
-working memory does not grow with the dataset. tracemalloc sees only its own
-process, so the guards run on one worker."""
+rows at a time, the likelihood scan reuses two row buffers and the weight
+optimizer takes WEIGHT_LANES transmissions at a time, so their working
+memory does not grow with the dataset or the transmission grid. tracemalloc
+sees only its own process, so the guards run on one worker."""
 
 import tracemalloc
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from lossyphase import workers
+from lossyphase.bounds import WEIGHT_LANES, optimize_weights, precision_curve
 from lossyphase.cli import read_dataset_csv, write_dataset_csv
 from lossyphase.estimator import CHUNK_SERIES, estimate_dataset
 from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign
@@ -86,3 +88,24 @@ def test_estimate_peak_does_not_grow_with_series():
     peaks = [traced(estimate_dataset, dataset)[1] for dataset in datasets]
     assert peaks[1] - peaks[0] < 1024 * series
     assert max(peaks) < 2.5 * MiB
+
+
+def test_precision_curve_peak_does_not_grow_with_etas():
+    """The peak over 512 etas, eight blocks of lanes, exceeds that over 64,
+    one block, by less than the 512 points returned: the blocks run one
+    after another."""
+    precision_curve([0.5])
+    runs = [traced(precision_curve, np.linspace(0.05, 1.0, n)) for n in (WEIGHT_LANES, 8 * WEIGHT_LANES)]
+    (_, peak_one, _), (points, peak_eight, kept_eight) = runs
+    assert len(points) == 8 * WEIGHT_LANES
+    assert peak_eight - peak_one < kept_eight
+
+
+def test_tiny_eta_block_peak():
+    """At tiny eta about 80 cells a lane survive the first level, against 2
+    to 33 above 0.05; the kept cells are refined a chunk of lanes at a time.
+    The block peaks at about 6 MiB, the anchors of its first level."""
+    etas = np.geomspace(1e-20, 1e-3, WEIGHT_LANES)
+    weights, peak, _ = traced(optimize_weights, etas)
+    assert len(weights) == WEIGHT_LANES
+    assert peak < 8 * MiB

@@ -1,6 +1,6 @@
 """Forked workers: ``fork_map`` gives the serial loop's results and failures
-whatever the CPU count, and so do the bounds, the designs, the campaign and
-the estimator that use it."""
+whatever the CPU count, and so do the campaign and the estimator that use it.
+The bounds and the designs run in the caller and fork nothing."""
 
 import ast
 import errno
@@ -79,40 +79,6 @@ class TestForkMap:
 
         with pytest.raises(ValueError, match=f"^part {raised}$"):
             fork_map(fn, range(7))
-
-    @pytest.mark.parametrize("cpus", CPUS)
-    @pytest.mark.parametrize("n_parts", [0, 1, 5, 7])
-    def test_finish_takes_each_hand_once(self, monkeypatch, cpus, n_parts):
-        set_cpus(monkeypatch, cpus)
-
-        def finish(results):  # each hand's parts, in order, and its process
-            return [(part, tuple(parts for parts, _ in results), os.getpid()) for part, _ in results]
-
-        results = fork_map(pid_of_part, range(n_parts), finish)
-        assert [part for part, _, _ in results] == list(range(n_parts))
-        hands = max(min(cpus, n_parts), 1)
-        assert all(hand == tuple(range(part % hands, n_parts, hands)) for part, hand, _ in results)
-        assert len({pid for _, _, pid in results}) == min(cpus, n_parts)
-
-    @pytest.mark.parametrize("cpus", CPUS)
-    @pytest.mark.parametrize("failing, raised", [({3, 4}, "part 3"), ({6}, "part 6"), (set(), "finish 0")])
-    def test_parts_fail_before_finish(self, monkeypatch, cpus, failing, raised):
-        """A hand that fails at a part does not finish; a failing finish
-        comes after every part, as in the serial loop."""
-        set_cpus(monkeypatch, cpus)
-        finished = []
-
-        def fn(part):
-            if part in failing:
-                raise ValueError(f"part {part}")
-            return part
-
-        def finish(results):
-            finished.append(results)
-            raise ValueError(f"finish {results[0]}")
-
-        with pytest.raises(ValueError, match=f"^{raised}$"):
-            fork_map(fn, range(7), finish)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_childs_unpicklable_result_raises_its_pickling_error(self, monkeypatch, cpus):
@@ -199,12 +165,6 @@ class TestForkMap:
         assert fork_map(lambda part: part * part, iter(range(7))) == [part * part for part in range(7)]
 
     @pytest.mark.parametrize("cpus", CPUS)
-    def test_finish_may_return_any_sequence(self, monkeypatch, cpus):
-        set_cpus(monkeypatch, cpus)
-        results = fork_map(lambda part: -part, range(5), tuple)
-        assert type(results) is list and results == [0, -1, -2, -3, -4]
-
-    @pytest.mark.parametrize("cpus", CPUS)
     def test_a_part_may_fork_map_again(self, monkeypatch, cpus):
         """Each hand, the caller's and the children's, deals its own parts and reaps its own workers."""
         set_cpus(monkeypatch, cpus)
@@ -224,21 +184,24 @@ DESIGN_ETAS = (0.1, 0.27, 0.44, 0.61, 0.78, 0.95)
 DESIGN_PARAMS = ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97)
 
 
-def test_precision_curve_does_not_depend_on_the_cpu_count(monkeypatch):
-    curves = []
-    for cpus in CPUS:
-        set_cpus(monkeypatch, cpus)
-        curves.append([repr(point) for point in precision_curve(CURVE_ETAS)])
-    assert len(curves[0]) == len(CURVE_ETAS)
-    assert all(curve == curves[0] for curve in curves[1:])
+def test_bounds_and_designs_fork_nothing(monkeypatch):
+    """With 64 CPUs and no fork that succeeds, both per-eta steps still return."""
+
+    def refuse():
+        raise OSError("no fork")
+
+    set_cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert [point.eta for point in precision_curve(CURVE_ETAS)] == list(CURVE_ETAS)
+    assert len(probe_designs(ProbeKind.OPTIMAL, DESIGN_ETAS, DESIGN_PARAMS)) == len(DESIGN_ETAS)
 
 
 @pytest.mark.parametrize("cpus", CPUS)
 def test_simulate_optimizes_each_eta_once(monkeypatch, tmp_path, cpus):
-    """The manifest takes the designs the campaign used; optimizing again in
-    the caller would undo the parallel design step. Each hand tunes its
-    detection in one optimize_theta_d call. Each call, in any process,
-    appends a line to one log file."""
+    """The manifest takes the designs the campaign used, from one
+    optimize_weights call over every eta and one optimize_theta_d call, at
+    any CPU count. Each call, in any process, appends a line to one log
+    file."""
     log = tmp_path / "calls.log"
 
     def logged(name, fn):
@@ -255,16 +218,15 @@ def test_simulate_optimizes_each_eta_once(monkeypatch, tmp_path, cpus):
     probe_design.cache_clear()
     (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
     assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 0
-    lines = log.read_text().splitlines()
-    hands = [ast.literal_eval(line.removeprefix("theta_d ")) for line in lines if line.startswith("theta_d ")]
-    assert sorted(hands) == [list(DESIGN_ETAS[hand :: min(cpus, 6)]) for hand in range(min(cpus, 6))]
-    assert sorted(line for line in lines if line.startswith("weights ")) == [f"weights {eta!r}" for eta in DESIGN_ETAS]
+    calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    etas = list(DESIGN_ETAS)
+    assert [(name, ast.literal_eval(logged_etas)) for name, logged_etas in calls] == [("weights", etas), ("theta_d", etas)]
 
 
 @pytest.mark.parametrize("cpus", CPUS)
 def test_lowest_unpreparable_eta_is_named(monkeypatch, tmp_path, capsys, cpus):
-    """Below eta ~ 3e-22 the optimal weights have x1 > 0 and x0 = 0; on two
-    workers the caller's hand fails at 1e-23 after the other hand failed at 1e-22."""
+    """Below eta ~ 3e-22 the optimal weights have x1 > 0 and x0 = 0; the
+    probes are prepared in eta order, so 1e-22 fails before 1e-23."""
     set_cpus(monkeypatch, cpus)
     (tmp_path / "c.cfg").write_text("eta_list = 0.4, 1e-22, 1e-23\nphases = 0\nseries = 2\nevents = 100\n")
     assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 2
@@ -343,7 +305,7 @@ def test_estimate_outputs_and_manifest_design_do_not_depend_on_the_cpu_count(mon
 
 
 def test_simulate_manifest_design_does_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
-    """The cache is cleared before each run, so every worker optimizes its own share."""
+    """The cache is cleared before each run, so each run optimizes every design again."""
     (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
     runs = []
     for cpus in CPUS:
