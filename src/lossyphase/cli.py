@@ -442,66 +442,53 @@ def _parse_prefix(fields_: list[str]) -> tuple:
     return parsed
 
 
-def _is_blank(line: str) -> bool:
-    return not line or line.isspace()
-
-
-def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tuple:
-    """The rows of ``lines``, blank ones skipped: each row's index into
-    ``parsed``, its series_id and counts as int64 (7, rows), its seed_used as
-    uint64. A prefix text met first is parsed into ``parsed`` and indexed in
-    ``prefixes``. Every row rule raises ValueError here; for one line, its
-    message is the line's diagnostic."""
-    rows, integers = [], []
-    for line in lines:
-        parts = line.rsplit(",", 8)  # the prefix text and the eight integer fields
-        prefix = prefixes.get(parts[0])
-        if prefix is None:
-            if _is_blank(line):
-                continue
-            fields_ = parts[0].split(",")
-            if len(parts) != 9 or len(fields_) != 4:
-                raise ValueError(f"expected {len(DATASET_COLUMNS)} fields")
-            parsed.append(_parse_prefix(fields_))
-            prefix = prefixes[parts[0]] = len(parsed) - 1
-        rows.append(prefix)
-        integers += parts[1:]
-    try:  # ASCII digits and a leading "-" only: int would also read whitespace, "_", "+" and other digits
-        if ",".join(integers).encode("ascii").translate(None, b"0123456789,-"):
-            raise ValueError
-        columns = [list(map(int, integers[k::8])) for k in range(8)]
-    except ValueError:  # also a non-ASCII character, a misplaced "-" or more digits than int reads
-        for i, text in enumerate(integers):
-            if not _is_integer(text):
-                raise ValueError(f"{DATASET_COLUMNS[4 + i % 8]} must be an integer of ASCII digits, got {text!r}") from None
+def _check_row(line: str) -> None:
+    """Raises ValueError with the diagnostic of a dataset row that breaks a
+    row rule, the rules taken in the order they are worded; a blank line
+    passes. It reads no values: it names the first bad row of a block
+    ``_writer_rows`` refuses."""
+    if not line.strip():
+        return
+    parts = line.rsplit(",", 8)  # the prefix text and the eight integer fields
+    fields_ = parts[0].split(",")
+    if len(parts) != 9 or len(fields_) != 4:
+        raise ValueError(f"expected {len(DATASET_COLUMNS)} fields")
+    _parse_prefix(fields_)
+    for column, text in zip(DATASET_COLUMNS[4:], parts[1:]):
+        if not _is_integer(text):
+            raise ValueError(f"{column} must be an integer of ASCII digits, got {text!r}")
+    try:  # leading zeros dropped, so a zero-padded field reads at any width
+        values = [int("-" * text.startswith("-") + (text.lstrip("-0") or "0")) for text in parts[1:]]
+    except ValueError:  # more digits than int reads
         raise ValueError("series_id, a count or seed_used is out of range") from None
-    lowest = [min(column, default=0) for column in columns[1:7]]
-    if min(lowest) < 0:
-        raise ValueError(f"{DATASET_COLUMNS[5 + lowest.index(min(lowest))]} must be non-negative, got {min(lowest)}")
-    highest = [max(column, default=0) for column in columns[1:7]]
-    if max(highest) > MAX_COUNT:
-        raise ValueError(f"{DATASET_COLUMNS[5 + highest.index(max(highest))]} must be at most 2**49, got {max(highest)}")
-    try:
-        return rows, np.array(columns[:7], dtype=np.int64), np.array(columns[7], dtype=np.uint64)
-    except OverflowError:
-        raise ValueError("series_id, a count or seed_used is out of range") from None
+    counts = values[1:7]
+    if min(counts) < 0:
+        raise ValueError(f"{DATASET_COLUMNS[5 + counts.index(min(counts))]} must be non-negative, got {min(counts)}")
+    if max(counts) > MAX_COUNT:
+        raise ValueError(f"{DATASET_COLUMNS[5 + counts.index(max(counts))]} must be at most 2**49, got {max(counts)}")
+    if not (-(2**63) <= values[0] < 2**63 and 0 <= values[7] < 2**64):
+        raise ValueError("series_id, a count or seed_used is out of range")
 
 
 #: Lines a block of the parser holds: a block's rows become arrays before the
 #: next block is read, so the parser's temporaries stay within one block.
 _PARSE_CHUNK = 2048
 
-#: The bytes of an ASCII file outside the writer's form: those on which
-#: ``str.splitlines`` also ends a line, and NUL, which the zero padding of a
-#: prefix would hide.
-_OTHER_FORM = (b"\0", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+#: The ASCII whitespace but "\\n": line breaks for ``str.splitlines``, and
+#: what else a blank line may hold. The writer's line form has none of them.
+_SPACE = b"\t\v\f\r\x1c\x1d\x1e\x1f "
 
 #: The weight of each digit of a piece of at most 15 digits, last digit
 #: first: float64 sums of such pieces are exact integers below 2**53.
 _POW10 = 10.0 ** np.arange(15)
 
-#: The largest seed_used, 2**64 - 1, as its digits before the last 15 and its last 15.
-_SEED_HIGH, _SEED_LOW = divmod(2**64 - 1, 10**15)
+#: The largest magnitude of each integer field (series_id, the six counts,
+#: seed_used), in ``_MOST[0]`` without a "-" and in ``_MOST[1]`` with one:
+#: its digits before the last 15, then its last 15, each a column of eight.
+_MOST = np.array(
+    [[divmod(most, 10**15) for most in row] for row in ((2**63 - 1, *[MAX_COUNT] * 6, 2**64 - 1), (2**63, *[0] * 7))],
+    dtype=np.float64,
+).transpose(0, 2, 1)[..., None]
 
 
 def _blocks(data: bytes) -> Iterator[tuple[int, np.ndarray]]:
@@ -518,35 +505,55 @@ def _blocks(data: bytes) -> Iterator[tuple[int, np.ndarray]]:
         yield int(stops[at - 1]) + 1 if at else 0, stops[at : at + _PARSE_CHUNK]
 
 
-def _digit_pieces(u: np.ndarray, first: np.ndarray, end: np.ndarray) -> tuple | None:
-    """The fields ``u[first:end]`` of 1 to 20 bytes as (high, low): the value
-    of the digits before the last 15 and of the last 15, float64 arrays of
-    the shape of ``first``; None if a byte is not an ASCII digit."""
+def _integers(u: np.ndarray, first: np.ndarray, end: np.ndarray, most: np.ndarray) -> np.ndarray | None:
+    """The fields ``u[first:end]``, each an optional "-" and ASCII digits, as
+    uint64 of the shape of ``first``, a negative value modulo 2**64; None for
+    another byte, no digit, or a magnitude above ``most[sign]``, as in
+    ``_MOST``. Only the last 20 bytes of a field are gathered, and those
+    before must be 0s: a zero-padded field costs no array of its width."""
     shape, first, end = first.shape, first.ravel(), end.ravel()
-    width = int((end - first).max())
+    negative = np.take(u, first, mode="clip") == ord("-")
+    if negative.any():
+        first = first + negative
+    widths = end - first
+    if widths.min() < 1:
+        return None
+    width = int(widths.max())
+    if width > 20:
+        wide = np.flatnonzero(widths > 20)
+        cuts = np.column_stack((first[wide], end[wide] - 20)).ravel()  # each wide field's bytes before its last 20
+        if not np.logical_and.reduceat(u == ord("0"), cuts)[::2].all():
+            return None
+        first, width = np.maximum(first, end - 20), 20
     at = end - np.arange(width, 0, -1)[:, None]  # row j: the byte ``width - j`` before each field's end
     digits = np.take(u, at, mode="clip") - np.uint8(ord("0"))
     digits *= at >= first  # zero the bytes before the field
     if digits.max() > 9:
         return None
     digits = digits.astype(np.float64)
-    low = np.dot(_POW10[min(width, 15) - 1 :: -1], digits[-15:])
-    high = np.dot(_POW10[width - 16 :: -1], digits[:-15]) if width > 15 else np.zeros_like(low)
-    return high.reshape(shape), low.reshape(shape)
+    low = np.dot(_POW10[min(width, 15) - 1 :: -1], digits[-15:]).reshape(shape)  # the last 15 digits
+    high = (np.dot(_POW10[width - 16 :: -1], digits[:-15]) if width > 15 else np.zeros_like(low)).reshape(shape)
+    del digits, at  # before the range check, which bounds the peak
+    negative = negative.reshape(shape)
+    most_high, most_low = np.where(negative, most[1], most[0]) if negative.any() else most[0]
+    if ((high > most_high) | ((high == most_high) & (low > most_low))).any():
+        return None
+    values = high.astype(np.uint64) * np.uint64(10**15) + low.astype(np.uint64)
+    return np.negative(values, out=values, where=negative)
 
 
-def _writer_rows(u: np.ndarray, stops: np.ndarray, prefixes: dict[str, int], parsed: list) -> tuple | None:
-    """The rows ``_parse_rows`` reads from a block in the writer's form, in
-    numpy array operations; None for a block in any other form. ``u`` holds
-    the block's bytes, ASCII without NUL or a line break but "\\n", and
-    ``stops`` the offset of each row's end. In the writer's form every row
-    has 11 commas; each integer field is 1 to 18 ASCII digits, seed_used 1 to
-    20 and at most 2**64 - 1; every count is at most MAX_COUNT; and
-    ``_parse_prefix`` reads each distinct prefix, the text before the fourth
-    comma."""
+def _writer_rows(u: np.ndarray, stops: np.ndarray, prefixes: dict[bytes, int], parsed: list) -> tuple | None:
+    """The rows of a block in numpy array operations: each row's index into
+    ``parsed``, its series_id and counts as int64 (7, rows), its seed_used as
+    uint64. ``u`` holds the block's lines, none blank, joined by "\\n", and
+    ``stops`` the offset of each one's end. None if a row breaks a rule: 11
+    commas and no NUL; each integer field an optional "-" and ASCII digits,
+    of any width, whose value fits its column (series_id int64, a count 0 to
+    MAX_COUNT, seed_used 0 to 2**64 - 1); and a prefix, the text before the
+    fourth comma, that ``_parse_prefix`` reads into ``parsed`` once."""
     n = len(stops)
     commas = np.flatnonzero(u == ord(","))
-    if len(commas) != 11 * n:
+    if len(commas) != 11 * n or not u.all():
         return None
     # Row i takes commas 11 i to 11 i + 10. Should the first row with another
     # count have fewer, its seed_used ends before it starts; more, and its
@@ -555,18 +562,10 @@ def _writer_rows(u: np.ndarray, stops: np.ndarray, prefixes: dict[str, int], par
     starts = np.concatenate(([0], stops[:-1] + 1))
     bounds = np.vstack((commas[:, 3:].T, stops))  # the comma before each integer field, then the row's end
     first, end = bounds[:-1] + 1, bounds[1:]
-    widths = end - first
-    if widths.min() < 1 or widths[:7].max() > 18 or widths[7].max() > 20:
+    integers = _integers(u, first[:7], end[:7], _MOST[:, :, :7])
+    seed_used = _integers(u, first[7:], end[7:], _MOST[:, :, 7:])  # apart: it has the most digits
+    if integers is None or seed_used is None:
         return None
-    pieces = [_digit_pieces(u, first[:7], end[:7]), _digit_pieces(u, first[7], end[7])]
-    if None in pieces:
-        return None
-    (high, low), (seed_high, seed_low) = pieces
-    integers = high.astype(np.int64) * 10**15 + low.astype(np.int64)  # below 10**18
-    too_large = (seed_high > _SEED_HIGH) | ((seed_high == _SEED_HIGH) & (seed_low > _SEED_LOW))
-    if integers[1:].max() > MAX_COUNT or too_large.any():
-        return None
-    seed_used = seed_high.astype(np.uint64) * np.uint64(10**15) + seed_low.astype(np.uint64)
     width = -(-int((commas[:, 3] - starts).max()) // 8) * 8  # the longest prefix, in whole 8-byte words
     at = starts + np.arange(width)[:, None]  # row j: the byte j after each row's start
     keys = np.take(u, at, mode="clip")
@@ -575,15 +574,14 @@ def _writer_rows(u: np.ndarray, stops: np.ndarray, prefixes: dict[str, int], par
     number, distinct = _first_seen(*keys.view(np.uint64).T)
     index = np.empty(len(distinct), dtype=np.intp)
     for i, text in enumerate(keys[distinct].view(f"S{width}").ravel().tolist()):
-        text = text.decode("ascii")
         if text not in prefixes:
-            try:
-                parsed.append(_parse_prefix(text.split(",")))
+            try:  # a non-ASCII byte fails to decode
+                parsed.append(_parse_prefix(text.decode("ascii").split(",")))
             except ValueError:
                 return None
             prefixes[text] = len(parsed) - 1
         index[i] = prefixes[text]
-    return index[number], integers, seed_used
+    return index[number], integers.view(np.int64), seed_used[0]
 
 
 def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
@@ -596,14 +594,15 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     an optional ``-``) and a row whose (eta, probe, phi_true, series_id,
     setting) repeats by value.
 
-    The file's bytes are cut into blocks of lines at "\\n" (``_blocks``).
-    ``_writer_rows`` converts a block in the form ``write_dataset_csv``
-    writes with array operations on its bytes; any other block, and every
-    block of a file that is not ASCII or holds a byte of ``_OTHER_FORM``, is
-    decoded, split with ``str.splitlines`` and read by ``_parse_rows``, which
-    checks the block at once and a failed block one line at a time to name
-    its first bad line. Both give the same rows. Repeated rows are sought
-    once every line parses.
+    The file's bytes are cut into blocks of lines at "\\n" (``_blocks``), and
+    ``_writer_rows`` turns every block into values with array operations on
+    its bytes. A block in the writer's line form, ASCII without a byte of
+    ``_SPACE`` or an empty line, is read as it stands. Any other block, with
+    CRLF line ends, a blank line or a non-ASCII byte, is first decoded,
+    split with ``str.splitlines``, rid of its blank lines, whose numbers are
+    kept, and rejoined with "\\n". A block ``_writer_rows`` refuses holds a
+    bad row, which ``_check_row`` names. Repeated rows are sought once every
+    line parses.
     """
     try:
         data = Path(path).read_bytes()
@@ -613,7 +612,6 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     if not data:
         raise ConfigError(f"{path}: empty dataset file")
-    writer = data.isascii() and not any(byte in data for byte in _OTHER_FORM)
     blocks = _blocks(data)
     start, stops = next(blocks)
     header = data[: stops[0] + 1].decode("utf-8").splitlines()[0].split(",")
@@ -622,36 +620,36 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
             raise ConfigError(f"{path}: expected column {expected!r}, found {got!r}")
     if len(header) != len(DATASET_COLUMNS):
         raise ConfigError(f"{path}: expected {len(DATASET_COLUMNS)} columns, found {len(header)}")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    prefixes: dict[str, int] = {}  # text of a row's first four fields -> index into parsed
+    prefixes: dict[bytes, int] = {}  # text of a row's first four fields -> index into parsed
     parsed = []  # (eta, probe, phi_true, setting) of each prefix text
-    chunks = []  # per block: prefix of each row, then series_id and counts, then seed_used
+    no_rows = (np.empty(0, np.intp), np.empty((7, 0), np.int64), np.empty(0, np.uint64))
+    chunks = [no_rows]  # per block: prefix of each row, then series_id and counts, then seed_used
     blanks = []  # line numbers of the blank lines, ascending
     first_line = 2  # line number of the block's first row
     for start, stops in chain([(start, stops)], blocks):
         skip = int(start == 0)  # the header line
-        rows = None
-        if writer and len(stops) > skip:
+        block = data[start : stops[-1] + 1]
+        if block.isascii() and not any(byte in block for byte in _SPACE) and np.diff(stops, prepend=start - 1).min() > 1:
             offset = int(stops[0]) + 1 if skip else start  # of the block's first row
-            rows = _writer_rows(raw[offset : stops[-1]], stops[skip:] - offset, prefixes, parsed)
-        if rows is not None:
-            chunks.append(rows)
-            first_line += len(stops) - skip
-            continue
-        block = data[start : stops[-1] + 1].decode("utf-8").splitlines()[skip:]
-        try:
-            chunks.append(_parse_rows(block, prefixes, parsed))
-        except ValueError:
-            for line_no, line in enumerate(block, start=first_line):
+            u, ends = np.frombuffer(block, dtype=np.uint8)[offset - start : stops[-1] - start], stops[skip:] - offset
+            lines = len(ends)
+        else:  # in another line form
+            text = block.decode("utf-8").splitlines()[skip:]
+            blanks += [line_no for line_no, line in enumerate(text, start=first_line) if not line.strip()]
+            lines, text = len(text), "\n".join(line for line in text if line.strip()).encode()
+            u = np.frombuffer(text, dtype=np.uint8)
+            ends = np.append(np.flatnonzero(u == ord("\n")), len(u))
+        rows = _writer_rows(u, ends, prefixes, parsed) if len(u) else no_rows  # no rows: the header or blank lines
+        if rows is None:  # a bad row: the first is named
+            for line_no, line in enumerate(block.decode("utf-8").splitlines()[skip:], start=first_line):
                 try:
-                    _parse_rows([line], prefixes, parsed)
+                    _check_row(line)
                 except ValueError as exc:
                     raise ConfigError(f"{path}: line {line_no}: {exc}") from None
-            raise  # not reached: every rule applies to one row, so some line fails alone
-        if len(chunks[-1][0]) < len(block):
-            blanks += [line_no for line_no, line in enumerate(block, start=first_line) if _is_blank(line)]
-        first_line += len(block)
-    del data, raw, stops  # before the columns are built, which bounds the peak
+            raise RuntimeError(f"{path}: the rows from line {first_line} were refused, yet none breaks a row rule")
+        chunks.append(rows)
+        first_line += lines
+    del data, stops  # before the columns are built, which bounds the peak
     prefix, integers, seed_used = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
     del chunks
     prefix = prefix.astype(np.intp)

@@ -6,19 +6,22 @@ per-phase Fock pipeline of the coincidence labels with its phase shift and
 outcome probability, the classical Fisher information of the two-setting
 measurement (the phase-local bound of the acceptance gate), the numerically
 optimized standard interferometric limit, the peak search of one chunk of
-likelihood rows, and the one-probe theta_d optimizer with its float
-look-ahead golden search."""
+likelihood rows, the one-probe theta_d optimizer with its float look-ahead
+golden search, and the dataset reader that reads every row with the row
+routine, which the byte parser of ``cli`` is tested against."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from lossyphase.bounds import ProbeWeights
-from lossyphase.cli import _assemble, _read_config
+from lossyphase.cli import DATASET_COLUMNS, MAX_COUNT, ConfigError, _assemble, _is_integer, _parse_prefix, _read_config
 from lossyphase.detection import LABELS, DetectionConfig, Setting, _branch_amplitudes, _check_probe
-from lossyphase.estimator import _peaks
+from lossyphase.estimator import _first_seen, _peaks
 from lossyphase.fock import FockState, ModeTransform, apply_loss, apply_transform, beam_splitter
 from lossyphase.golden import golden_section_max
+from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig
 
 
 def probe_state(weights: ProbeWeights) -> FockState:
@@ -297,3 +300,94 @@ def one_probe_theta_d(probe: FockState, eta: float) -> DetectionConfig:
     )
     theta_best, _ = best_theta(offset_best)
     return DetectionConfig(Setting.QUARTER, theta_best, conditional_phase=offset_best)
+
+
+def _is_blank(line: str) -> bool:
+    return not line or line.isspace()
+
+
+def _parse_rows(lines: list[str], prefixes: dict[str, int], parsed: list) -> tuple:
+    """The rows of ``lines``, blank ones skipped: each row's index into
+    ``parsed``, its series_id and counts as int64 (7, rows), its seed_used as
+    uint64. A prefix text met first is parsed into ``parsed`` and indexed in
+    ``prefixes``. Every row rule raises ValueError here; for one line, its
+    message is the line's diagnostic."""
+    rows, integers = [], []
+    for line in lines:
+        parts = line.rsplit(",", 8)  # the prefix text and the eight integer fields
+        prefix = prefixes.get(parts[0])
+        if prefix is None:
+            if _is_blank(line):
+                continue
+            fields_ = parts[0].split(",")
+            if len(parts) != 9 or len(fields_) != 4:
+                raise ValueError(f"expected {len(DATASET_COLUMNS)} fields")
+            parsed.append(_parse_prefix(fields_))
+            prefix = prefixes[parts[0]] = len(parsed) - 1
+        rows.append(prefix)
+        integers += parts[1:]
+    try:  # ASCII digits and a leading "-" only: int would also read whitespace, "_", "+" and other digits
+        if ",".join(integers).encode("ascii").translate(None, b"0123456789,-"):
+            raise ValueError
+        columns = [list(map(int, integers[k::8])) for k in range(8)]
+    except ValueError:  # also a non-ASCII character, a misplaced "-" or more digits than int reads
+        for i, text in enumerate(integers):
+            if not _is_integer(text):
+                raise ValueError(f"{DATASET_COLUMNS[4 + i % 8]} must be an integer of ASCII digits, got {text!r}") from None
+        raise ValueError("series_id, a count or seed_used is out of range") from None
+    lowest = [min(column, default=0) for column in columns[1:7]]
+    if min(lowest) < 0:
+        raise ValueError(f"{DATASET_COLUMNS[5 + lowest.index(min(lowest))]} must be non-negative, got {min(lowest)}")
+    highest = [max(column, default=0) for column in columns[1:7]]
+    if max(highest) > MAX_COUNT:
+        raise ValueError(f"{DATASET_COLUMNS[5 + highest.index(max(highest))]} must be at most 2**49, got {max(highest)}")
+    try:
+        return rows, np.array(columns[:7], dtype=np.int64), np.array(columns[7], dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("series_id, a count or seed_used is out of range") from None
+
+
+def read_dataset_rows(path: Path, config: ExperimentConfig) -> EventDataset:
+    """The dataset a CSV holds as ``cli.read_dataset_csv`` reads it, from the
+    file's text: decoded, split with ``str.splitlines`` and read by the row
+    routine ``_parse_rows``, which checks every row at once and, when they
+    fail, one line at a time to name the first bad line. Raises ConfigError
+    with the diagnostics of ``read_dataset_csv``, but for an integer field
+    of more characters than ``int`` reads, which it finds out of range."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+    if not text:
+        raise ConfigError(f"{path}: empty dataset file")
+    header, *lines = text.splitlines()
+    header = header.split(",")
+    for got, expected in zip(header, DATASET_COLUMNS):
+        if got != expected:
+            raise ConfigError(f"{path}: expected column {expected!r}, found {got!r}")
+    if len(header) != len(DATASET_COLUMNS):
+        raise ConfigError(f"{path}: expected {len(DATASET_COLUMNS)} columns, found {len(header)}")
+    parsed = []  # (eta, probe, phi_true, setting) of each prefix text
+    try:
+        rows, integers, seed_used = _parse_rows(lines, {}, parsed)
+    except ValueError:
+        for line_no, line in enumerate(lines, start=2):
+            try:
+                _parse_rows([line], {}, [])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {line_no}: {exc}") from None
+        raise
+    prefix = np.array(rows, dtype=np.intp)
+    codes = np.array([(PROBES.index(p[1]), SETTINGS.index(p[3])) for p in parsed], dtype=np.int8).reshape(-1, 2)
+    probe, setting = codes[prefix].T
+    eta, phi_true = (np.array([p[k] for p in parsed], dtype=float)[prefix] for k in (0, 2))
+    series_id, counts = integers[0].copy(), integers[1:].T.copy()
+    number, first = _first_seen(eta, probe, phi_true, setting, series_id)
+    repeats = np.flatnonzero(first[number] != np.arange(len(number)))  # rows whose key an earlier row has
+    if len(repeats):
+        line_of = [line_no for line_no, line in enumerate(lines, start=2) if not _is_blank(line)]  # by row
+        raise ConfigError(
+            f"{path}: line {line_of[repeats[0]]}: duplicates line {line_of[first[number[repeats[0]]]]}"
+            " (same eta, probe, phi_true, series_id and setting)"
+        )
+    return EventDataset(config, eta, probe, phi_true, setting, series_id, counts, seed_used)

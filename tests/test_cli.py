@@ -32,7 +32,6 @@ from lossyphase.cli import (
     _WRITE_BLOCK,
     _blocks,
     _config_dict,
-    _parse_prefix,
     _write_lines,
     build_parser,
     config_from_dict,
@@ -46,7 +45,7 @@ from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design
-from oracles import parse_config
+from oracles import parse_config, read_dataset_rows
 
 SMALL_CONFIG = """\
 # compact campaign for integration checks
@@ -1135,7 +1134,25 @@ class TestNumberSpelling:
         assert "line 9: series_id, a count or seed_used is out of range" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("text", ["-0", "007"])
+    def test_wide_count_past_the_range_exits_1(self, fuzz_sim, tmp_path, capsys):
+        """A count of 100,000 characters whose first digit is not 0."""
+        assert self.estimate_with(fuzz_sim, tmp_path, "n_AA", "9" + "0" * 99_998 + "7") == 1
+        err = capsys.readouterr().err
+        assert "line 9: series_id, a count or seed_used is out of range" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_row_after_a_wide_count_named(self, fuzz_sim, tmp_path):
+        """A count zero-padded past the 4,300 digits ``int`` reads, then a bad
+        row in the same block: the bad row is named."""
+        lines = (fuzz_sim / "dataset.csv").read_text().splitlines()
+        TestDatasetBlocks.set_field(lines, 5, "n_AA", "0" * 99_999 + "7")
+        TestDatasetBlocks.set_field(lines, 9, "n_CC", "x")
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=": line 9: n_CC must be an integer of ASCII digits, got 'x'$"):
+            read_dataset_csv(path, ExperimentConfig())
+
+    @pytest.mark.parametrize("text", ["-0", "007", pytest.param("0" * 99_999 + "7", id="100000-wide")])
     def test_ascii_digit_counts_still_read(self, fuzz_sim, tmp_path, text):
         assert self.estimate_with(fuzz_sim, tmp_path, "n_AA", text) == 0
 
@@ -1500,33 +1517,20 @@ class TestDatasetBlocks:
         assert not (tmp_path / "o").exists()
 
 
-#: Integer-field texts at the edges of the writer's form: leading zeros (a
-#: 20-digit seed among them), 18, 19 and 20 digits, counts at and past
-#: MAX_COUNT, seeds at and past 2**64 - 1, and -0.
+#: Integer-field texts at the edges of what the byte path reads: leading
+#: zeros (a 20-digit seed and fields wider than 20 characters among them),
+#: 18, 19 and 20 digits, counts at and past MAX_COUNT, series_ids and seeds
+#: at and past the ends of their ranges, a "-" on zero and nonzero values.
 _EDGE_TEXTS = (
     "007", "0" * 18 + "42", "0" * 20, "9" * 18, "1" + "0" * 17, "9" * 19, "1" + "0" * 18, "9" * 20, "1" + "0" * 19,
     str(MAX_COUNT), str(MAX_COUNT + 1), str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), "-0",
+    "0" * 20 + "7", "0" * 40 + str(2**64 - 1), "0" * 40 + str(2**64), "1" + "0" * 40, "-" + "0" * 30, "-7",
+    str(-(2**63)), str(-(2**63) - 1), "-" + "0" * 25 + str(2**63),
 )
 
 #: Characters spliced into a row: NUL, the ASCII ones str.splitlines also
 #: ends a line at, a tab and a non-ASCII one.
 _SPLICED = ("\0", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\t", "\x85")
-
-
-def in_writer_form(row: str) -> bool:
-    """Whether ``row`` is in the form ``write_dataset_csv`` writes, as the
-    parser's byte check reads it."""
-    fields_ = row.split(",")
-    if not row.isascii() or any(c in row for c in "\0\r\x0b\x0c\x1c\x1d\x1e\n") or len(fields_) != 12:
-        return False
-    integers, seed = fields_[4:11], fields_[11]
-    if not all(text.isdigit() and len(text) <= 18 for text in integers) or not (seed.isdigit() and len(seed) <= 20):
-        return False
-    try:
-        _parse_prefix(fields_[:4])
-    except ValueError:
-        return False
-    return max(map(int, integers[1:])) <= MAX_COUNT and int(seed) < 2**64
 
 
 def splice(row: str, text: str) -> str:
@@ -1536,11 +1540,11 @@ def splice(row: str, text: str) -> str:
 
 
 @st.composite
-def edited_csv(draw, header: str, rows: list[str]) -> tuple[bytes, list[str]]:
+def edited_csv(draw, header: str, rows: list[str]) -> bytes:
     """The bytes of a dataset CSV of ``header`` and ``rows`` after random
-    edits, and its rows: the edits of ``mutated_rows``, an integer field set
-    to an edge text, a character spliced into a row and a blank line; every
-    row may go, and the last line may lack its "\\n"."""
+    edits: the edits of ``mutated_rows``, an integer field set to an edge
+    text, a character spliced into a row and a blank line; every row may go,
+    and the last line may lack its "\\n"."""
     rows = draw(mutated_rows(rows)) if draw(st.booleans()) else list(rows)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
@@ -1557,46 +1561,40 @@ def edited_csv(draw, header: str, rows: list[str]) -> tuple[bytes, list[str]]:
             rows.insert(i, draw(st.sampled_from(["", " "])))
     if draw(st.integers(0, 7)) == 0:
         rows = []
-    return ("\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))).encode(), rows
+    return ("\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))).encode()
 
 
-def read_outcome(path) -> tuple[list | str, int]:
-    """What read_dataset_csv gives for ``path``: each column's dtype, shape
-    and bytes, or its ConfigError's text; and how many times it ran the row
-    routine."""
-    with mock.patch("lossyphase.cli._parse_rows", wraps=cli._parse_rows) as row_routine:
-        try:
-            d = read_dataset_csv(path, ExperimentConfig())
-        except ConfigError as exc:
-            return str(exc), row_routine.call_count
+def read_outcome(read, path) -> list | str:
+    """What ``read``, read_dataset_csv or the reference reader, gives for
+    ``path``: each column's dtype, shape and bytes, or its ConfigError's
+    text."""
+    try:
+        d = read(path, ExperimentConfig())
+    except ConfigError as exc:
+        return str(exc)
     columns = (d.eta, d.probe, d.phi_true, d.setting, d.series_id, d.counts, d.seed_used)
-    return [(column.dtype.str, column.shape, column.tobytes()) for column in columns], row_routine.call_count
+    return [(column.dtype.str, column.shape, column.tobytes()) for column in columns]
 
 
 class TestWriterForm:
-    """A dataset block in the writer's form is converted with array operations
-    on its bytes; any other block goes through the row routine, which the
-    tests make the oracle by refusing every block. Both read the same
+    """The byte path reads every dataset block, in the writer's line form or
+    rejoined into it. ``oracles.read_dataset_rows``, the row routine that
+    read every other block before, is the reference: both read the same
     dataset, or fail with the same diagnostic."""
 
     @staticmethod
     def both(path) -> tuple:
-        """``read_outcome`` of ``path``, and the oracle's."""
-        with mock.patch("lossyphase.cli._writer_rows", return_value=None):
-            oracle, _ = read_outcome(path)
-        return read_outcome(path), oracle
+        """``read_outcome`` of ``path`` for read_dataset_csv, and the reference reader's."""
+        return read_outcome(read_dataset_csv, path), read_outcome(read_dataset_rows, path)
 
     @given(st.data(), st.sampled_from([1, 2, 3, _PARSE_CHUNK]))
     def test_edited_rows_read_as_the_row_routine_reads_them(self, fuzz_sim, tmp_path_factory, data, chunk):
         header, *rows = (fuzz_sim / "dataset.csv").read_text().splitlines()
-        content, rows = data.draw(edited_csv(header, rows))
         path = tmp_path_factory.mktemp("edited") / "dataset.csv"
-        path.write_bytes(content)
+        path.write_bytes(data.draw(edited_csv(header, rows)))
         with mock.patch("lossyphase.cli._PARSE_CHUNK", chunk):
-            (outcome, row_routine), oracle = self.both(path)
+            outcome, oracle = self.both(path)
         assert outcome == oracle
-        if chunk == _PARSE_CHUNK:  # one block: the row routine reads it unless every row is in the writer's form
-            assert (row_routine == 0) == (bool(rows) and all(map(in_writer_form, rows)))
 
     @staticmethod
     def edited(fuzz_sim, tmp_path, edit) -> Path:
@@ -1615,33 +1613,41 @@ class TestWriterForm:
         lines[8] = ",".join(parts)
         path = tmp_path / "dataset.csv"
         path.write_text("\n".join(lines) + "\n")
-        (outcome, row_routine), oracle = self.both(path)
+        outcome, oracle = self.both(path)
         assert outcome == oracle
-        assert (row_routine == 0) == in_writer_form(lines[8])
 
     @pytest.mark.parametrize("edit", [
         *(pytest.param(lambda lines, c=c: "\n".join([*lines[:5], splice(lines[5], c), *lines[6:]]) + "\n",
                        id=f"splice-{ord(c):#04x}") for c in _SPLICED),
         pytest.param(lambda lines: "\n".join(lines[:4] + [""] + lines[4:]) + "\n", id="blank-line"),
         pytest.param(lambda lines: "\r\n".join(lines) + "\r\n", id="crlf"),
+        pytest.param(lambda lines: "\r\n".join(lines[:4] + [" \x1f\u3000"] + lines[4:]), id="crlf-blank-no-final-newline"),
+        pytest.param(lambda lines: "\r".join(lines[:1] + lines[1:] + lines[6:7]) + "\r", id="cr-duplicate"),
         pytest.param(lambda lines: lines[0] + "\n", id="header-only"),
         pytest.param(lambda lines: lines[0], id="header-only-no-final-newline"),
+        pytest.param(lambda lines: lines[0] + "\n\n \r\n", id="header-and-blank-lines"),
         pytest.param(lambda lines: "\n".join(lines), id="no-final-newline"),
     ])
     def test_line_edits_read_as_the_row_routine_reads_them(self, fuzz_sim, tmp_path, edit):
-        (outcome, _), oracle = self.both(self.edited(fuzz_sim, tmp_path, edit))
+        outcome, oracle = self.both(self.edited(fuzz_sim, tmp_path, edit))
         assert outcome == oracle
 
-    def test_writer_files_take_the_byte_path(self, tmp_path):
-        """The default N00N campaign's dataset runs no row routine, and parses
-        each prefix once: a block falling back unseen would undo the gain."""
+    @pytest.mark.parametrize("newline, blank", [("\n", False), ("\r\n", True)], ids=["writer", "crlf-blank-line"])
+    def test_writer_files_take_the_byte_path(self, tmp_path, newline, blank):
+        """The default N00N campaign's dataset, as written and as a CRLF copy
+        with a blank line: the byte path reads each block, and parses each
+        prefix once a read."""
         path = tmp_path / "dataset.csv"
         write_dataset_csv(path, montecarlo.run_campaign(ExperimentConfig(probe_kind=ProbeKind.NOON, master_seed=0)))
-        with mock.patch("lossyphase.cli._parse_prefix", wraps=cli._parse_prefix) as parse_prefix:
-            (outcome, row_routine), oracle = self.both(path)
-        assert row_routine == 0
-        assert parse_prefix.call_count == 2 * 4 * 15 * 2  # each (eta, phi_true, setting) text once a read
-        assert outcome == oracle
+        lines = path.read_text().splitlines()
+        lines[5:5] = [""] * blank
+        path.write_bytes((newline.join(lines) + newline).encode())
+        with mock.patch("lossyphase.cli._parse_prefix", wraps=cli._parse_prefix) as parse_prefix, \
+                mock.patch("lossyphase.cli._writer_rows", wraps=cli._writer_rows) as writer_rows:
+            outcome = read_outcome(read_dataset_csv, path)
+        assert writer_rows.call_count == -(-len(lines) // _PARSE_CHUNK)
+        assert parse_prefix.call_count == 4 * 15 * 2  # each (eta, phi_true, setting) text once a read
+        assert outcome == read_outcome(read_dataset_rows, path)
 
 
 class TestDeterminism:

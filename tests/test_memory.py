@@ -1,8 +1,9 @@
 """Memory guards, measured with tracemalloc: dataset I/O works a block of
-rows at a time, the likelihood scan reuses two row buffers and the weight
-optimizer takes WEIGHT_LANES transmissions at a time, so their working
-memory does not grow with the dataset or the transmission grid. tracemalloc
-sees only its own process, so the guards run on one worker."""
+rows at a time, in any line form and field width, the likelihood scan
+reuses two row buffers and the weight optimizer takes WEIGHT_LANES
+transmissions at a time, so their working memory does not grow with the
+dataset or the transmission grid. tracemalloc sees only its own process, so
+the guards run on one worker."""
 
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 
 from lossyphase import workers
 from lossyphase.bounds import WEIGHT_LANES, optimize_weights, precision_curve
-from lossyphase.cli import read_dataset_csv, write_dataset_csv
+from lossyphase.cli import ConfigError, read_dataset_csv, write_dataset_csv
 from lossyphase.estimator import CHUNK_SERIES, estimate_dataset
 from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign
 
@@ -60,19 +61,60 @@ def test_write_peak(noon_csv, tmp_path):
     assert peak < 3 * MiB
 
 
-def test_read_transient(noon_csv):
-    """Beyond the dataset it returns, the parser holds the file's text, the
-    rows parsed so far as arrays and one block of lines; splitting every
-    line at once takes 7.5 MiB beyond the dataset."""
+@pytest.mark.parametrize("newline, blank", [("\n", 0), ("\r\n", 3)], ids=["writer", "crlf-blank-lines"])
+def test_read_transient(noon_csv, tmp_path, newline, blank):
+    """Beyond the dataset it returns, the parser holds the file's bytes, the
+    rows parsed so far as arrays and one block of lines, which a CRLF copy
+    with blank lines rejoins in the writer's line form a block at a time;
+    splitting every line at once takes 7.5 MiB beyond the dataset."""
     dataset, path = noon_csv
+    if blank:
+        lines = path.read_text().splitlines()
+        for at in range(1, len(lines), len(lines) // blank):
+            lines.insert(at, "")
+        path = tmp_path / "dataset.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
     parsed, peak, kept = traced(read_dataset_csv, path, dataset.config)
     np.testing.assert_array_equal(parsed.counts, dataset.counts)
     assert peak - kept < 5 * MiB
 
 
-def noon_dataset(series: int):
+@pytest.mark.parametrize("count, expected", [
+    pytest.param("0" * 99_999 + "7", 7, id="zero-padded"),
+    pytest.param("9" + "0" * 99_998 + "7", "line 6: series_id, a count or seed_used is out of range", id="past-int64"),
+])
+def test_wide_field_transient(tmp_path, count, expected):
+    """An n_AA of 100,000 characters reads as its value, or is named out of
+    range, holding a few copies of its line's bytes: an array of the field's
+    width by the rows and fields would take 8 MiB for the 12 rows here."""
+    dataset = noon_dataset(series=3, phases=(0.0, 0.04))
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(path, dataset)
+    lines = path.read_text().splitlines()
+    parts = lines[5].split(",")
+    parts[5] = count
+    lines[5] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+    def read():
+        try:
+            return read_dataset_csv(path, dataset.config)
+        except ConfigError as exc:
+            return str(exc)
+
+    result, peak, kept = traced(read)
+    if isinstance(expected, str):
+        assert result == f"{path}: {expected}"
+    else:
+        counts = dataset.counts.copy()
+        counts[4, 0] = expected
+        np.testing.assert_array_equal(result.counts, counts)
+    assert peak - kept < MiB
+
+
+def noon_dataset(series: int, phases=(0.0,)):
     config = ExperimentConfig(
-        eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=(0.0,), series_count=series,
+        eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=phases, series_count=series,
         events_per_series=200, master_seed=3,
     )
     return run_campaign(config)
