@@ -382,7 +382,7 @@ def cmd_fringes(args) -> None:
     seed = args.seed if args.seed is not None else _default_seed()
     kind = ProbeKind(args.probe)
     phis = _linspace("--phi-steps", -np.pi, np.pi, args.phi_steps)
-    models = setting_models(kind, args.eta, params)
+    models = setting_models(kind, args.eta, params, probe_designs(kind, [args.eta], params)[0])
     rows = []
     rng = np.random.default_rng(seed)
     for setting in (Setting.QUARTER, Setting.HALF):
@@ -493,13 +493,18 @@ _MOST = np.array(
 
 def _blocks(data: bytes) -> Iterator[tuple[int, np.ndarray]]:
     """Blocks of ``_PARSE_CHUNK`` lines of ``data`` (fewer in the last): the
-    offset of each block's first byte and of each of its lines' "\\n", or
-    ``len(data)`` for a last line without one. Each block ends just after a
-    "\\n", which ends a line whatever precedes it, so no block cuts a line
-    or its "\\r\\n", and ``data[start:stops[-1] + 1]`` splits into the
-    block's share of ``data.splitlines()``."""
-    stops = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    if not data.endswith(b"\n"):
+    offset of each block's first byte and of the last byte of each of its
+    lines' ASCII line break, or ``len(data)`` for a last line without one.
+    No block cuts a line or its "\\r\\n", so ``data[start:stops[-1] + 1]``
+    splits into the block's share of ``data.splitlines()``; a break of
+    U+0085, U+2028 or U+2029 does not end a block."""
+    u = np.frombuffer(data, dtype=np.uint8)
+    stops = u == ord("\n")  # the mask of line breaks, then their offsets
+    for byte in filter(data.__contains__, b"\r\v\f\x1c\x1d\x1e"):  # the other ASCII breaks: none in the writer's form
+        stops |= u == byte
+    stops = np.flatnonzero(stops)
+    stops = stops[(u[stops] != ord("\r")) | (np.take(u, stops + 1, mode="clip") != ord("\n"))]  # "\r\n" ends at "\n"
+    if not len(stops) or stops[-1] < len(data) - 1:
         stops = np.append(stops, len(data))
     for at in range(0, len(stops), _PARSE_CHUNK):
         yield int(stops[at - 1]) + 1 if at else 0, stops[at : at + _PARSE_CHUNK]
@@ -594,15 +599,14 @@ def read_dataset_csv(path: Path, config: ExperimentConfig) -> EventDataset:
     an optional ``-``) and a row whose (eta, probe, phi_true, series_id,
     setting) repeats by value.
 
-    The file's bytes are cut into blocks of lines at "\\n" (``_blocks``), and
-    ``_writer_rows`` turns every block into values with array operations on
-    its bytes. A block in the writer's line form, ASCII without a byte of
-    ``_SPACE`` or an empty line, is read as it stands. Any other block, with
-    CRLF line ends, a blank line or a non-ASCII byte, is first decoded,
-    split with ``str.splitlines``, rid of its blank lines, whose numbers are
-    kept, and rejoined with "\\n". A block ``_writer_rows`` refuses holds a
-    bad row, which ``_check_row`` names. Repeated rows are sought once every
-    line parses.
+    The file's bytes are cut into blocks of lines at every ASCII line break
+    (``_blocks``), and ``_writer_rows`` turns every block into values with
+    array operations on its bytes. A block in the writer's line form, ASCII
+    without a byte of ``_SPACE`` or an empty line, is read as it stands. Any
+    other block is first decoded, split with ``str.splitlines``, rid of its
+    blank lines, whose numbers are kept, and rejoined with "\\n". A block
+    ``_writer_rows`` refuses holds a bad row, which ``_check_row`` names.
+    Repeated rows are sought once every line parses.
     """
     try:
         data = Path(path).read_bytes()

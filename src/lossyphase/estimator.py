@@ -11,7 +11,7 @@ import numpy as np
 
 from .bounds import ProbeWeights, qfi_lossy
 from .detection import LABELS, DetectionConfig, Setting
-from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, probe_design, setting_models
+from .montecarlo import PROBES, SETTINGS, EventDataset, ProbeKind, probe_designs, setting_models
 from .workers import fork_map
 
 SEARCH_INTERVAL = (-math.pi / 2.0, math.pi / 2.0)
@@ -27,7 +27,7 @@ _NEG = -1e30  # stand-in for log(0) that keeps 0 * log(0) = 0 in matrix products
 
 
 #: The design of each (probe, eta) block: its target weights and quarter-setting
-#: detection, as ``montecarlo.probe_design`` resolves them.
+#: detection, as a ``probe_designs`` entry, e.g. one a simulate manifest records.
 Design = Callable[[ProbeKind, float], tuple[ProbeWeights, DetectionConfig]]
 
 
@@ -257,24 +257,28 @@ class Estimates:
 def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Design | None = None) -> Estimates:
     """Maximum-likelihood estimates for every series of a campaign.
 
-    Looks up the ``design`` of each (eta, probe) block once (by default
-    ``probe_design`` for the dataset's imperfections), builds the block's
-    outcome models and its Cramér-Rao bound 1/sqrt(F), F the lossy QFI of the
-    design's weights, and shares one likelihood grid per block, whose series
-    are estimated together. The models, bounds, grids and estimates of the
-    blocks are dealt to ``fork_map`` workers once every design is looked
-    up. Two rows of the same series and setting raise ValueError; a series
-    without phase information raises DegenerateLikelihoodError naming the
-    first such series.
+    Looks up the ``design`` of each (eta, probe) block once (by default one
+    ``probe_designs`` call per probe kind, over its etas in block order, for
+    the dataset's imperfections), builds the block's outcome models and its
+    Cramér-Rao bound 1/sqrt(F), F the lossy QFI of the design's weights, and
+    shares one likelihood grid per block, whose series are estimated
+    together. The models, bounds, grids and estimates of the blocks are dealt
+    to ``fork_map`` workers once every design is looked up. Two rows of the
+    same series and setting raise ValueError; a series without phase
+    information raises DegenerateLikelihoodError naming the first such series.
     """
     d = dataset
-    design = design or (lambda kind, eta: probe_design(kind, eta, d.config.imperfections))
     eta, phi = d.eta, d.phi_true  # compared by value: 0.0 == -0.0
     series, rows = _first_seen(eta, d.probe, phi, d.series_id)
     if len(_first_seen(series, d.setting)[1]) < len(series):
         raise ValueError("the dataset holds two rows of one series and setting")
     group, _ = _first_seen(eta[rows], d.probe[rows], phi[rows])
     block, block_rows = _first_seen(eta[rows], d.probe[rows])
+    keys = [(PROBES[code], e) for code, e in zip(d.probe[rows[block_rows]].tolist(), eta[rows[block_rows]].tolist())]
+    if design is None:  # one probe_designs call per probe kind, over its etas in block order
+        etas = {kind: [e for k, e in keys if k is kind] for kind, _ in keys}
+        designs = {kind: dict(zip(own, probe_designs(kind, own, d.config.imperfections))) for kind, own in etas.items()}
+        design = lambda kind, transmission: designs[kind][transmission]
     counts = np.zeros((len(rows), len(SETTINGS), len(LABELS)))
     counts[series, d.setting] = d.counts
     phi_hat, lmax, n_coinc = np.empty(len(rows)), np.empty(len(rows)), np.empty(len(rows), dtype=np.int64)
@@ -282,8 +286,7 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     problems: dict[int, str] = {}  # series -> why it carries no phase information
     kept = {setting: [LABELS.index(l) for l in _kept_labels(setting, include_cc)] for setting in SETTINGS}
     blocks = []  # (series, kind, eta, design, count matrices) of each block
-    for b, first in enumerate(rows[block_rows]):
-        kind, transmission = PROBES[d.probe[first]], float(d.eta[first])
+    for b, (kind, transmission) in enumerate(keys):
         members = np.flatnonzero(block == b)
         # C order as the products need it: a column-major matrix rounds differently
         matrices = {s: np.ascontiguousarray(counts[members, SETTINGS.index(s)][:, idx]) for s, idx in kept.items()}

@@ -85,9 +85,9 @@ class EventDataset:
 
     config: ExperimentConfig
     eta: np.ndarray  # float64
-    probe: np.ndarray
+    probe: np.ndarray  # int8
     phi_true: np.ndarray  # float64
-    setting: np.ndarray
+    setting: np.ndarray  # int8
     series_id: np.ndarray  # int64
     counts: np.ndarray  # (rows, labels) int64
     seed_used: np.ndarray  # uint64
@@ -228,13 +228,6 @@ def build_probe(weights: ProbeWeights, params: ImperfectionParams) -> FockState:
     return state.normalize()
 
 
-@lru_cache(maxsize=None)
-def probe_design(kind: ProbeKind, eta: float, params: ImperfectionParams) -> tuple[ProbeWeights, DetectionConfig]:
-    """Target weights and quarter-setting detection of one (probe,
-    transmission) choice, cached per process: ``probe_designs`` of one eta."""
-    return probe_designs(kind, [eta], params)[0]
-
-
 def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tuple[ProbeWeights, DetectionConfig]]:
     """The design of each eta: the target weights, which maximize the lossy
     QFI, come from one ``optimize_weights`` call; the probes are prepared in
@@ -255,11 +248,11 @@ def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tup
 
 
 def setting_models(
-    kind: ProbeKind, eta: float, params: ImperfectionParams, design: tuple[ProbeWeights, DetectionConfig] | None = None
+    kind: ProbeKind, eta: float, params: ImperfectionParams, design: tuple[ProbeWeights, DetectionConfig]
 ) -> dict[Setting, OutcomeModel]:
     """Outcome models for both settings of one (probe, transmission) choice,
-    built from ``design`` or else from the one ``probe_design`` resolves."""
-    weights, quarter = design or probe_design(kind, eta, params)
+    built from its ``design``: an entry of ``probe_designs`` or of a manifest."""
+    weights, quarter = design
     probe = build_probe(weights, params)
     half = DetectionConfig(Setting.HALF, 0.5)
     return {
@@ -325,7 +318,7 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None, counts: 
         probe=np.full(index.shape[1], PROBES.index(config.probe_kind), dtype=np.int8),
         phi_true=np.array(config.phase_list)[index[1]],
         series_id=index[2],
-        setting=index[3],
+        setting=index[3].astype(np.int8),
         counts=counts.reshape(-1, len(LABELS)),
         seed_used=states[:, :, :, : len(SETTINGS), 0].reshape(-1),
     )

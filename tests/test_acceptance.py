@@ -29,7 +29,7 @@ from lossyphase.detection import (
 )
 from lossyphase.estimator import analyze, estimate_dataset, histogram
 from lossyphase.fock import FockState, apply_loss, apply_transform, beam_splitter
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
+from lossyphase.montecarlo import ExperimentConfig, ProbeKind, probe_designs, run_campaign, setting_models
 from lossyphase.prep import prepare, solve_prep
 from oracles import classical_fisher, phase_shift, probe_state, sil_precision_numeric
 
@@ -171,8 +171,9 @@ def test_criterion_07_end_to_end_efficiency():
         )
         dataset = run_campaign(config)
         reports[kind] = analyze(estimate_dataset(dataset))
-        for eta in config.eta_list:
-            models = setting_models(kind, eta, config.imperfections)
+        designs = probe_designs(kind, config.eta_list, config.imperfections)
+        for eta, design in zip(config.eta_list, designs):
+            models = setting_models(kind, eta, config.imperfections, design)
             for phi in phases:
                 local_crb[(kind, eta, phi)] = 1.0 / math.sqrt(classical_fisher(models, phi))
     crb_mismatch = []

@@ -11,7 +11,7 @@ import pytest
 from lossyphase.detection import OutcomeModel
 from lossyphase.estimator import estimate_dataset, likelihood_grid
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind, run_campaign, setting_models
+from lossyphase.montecarlo import ExperimentConfig, ProbeKind, probe_designs, run_campaign, setting_models
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,7 +43,8 @@ def test_counters_read_rows_and_series():
     rows, series = 1 * 2 * 3 * 2, 1 * 2 * 3  # etas x phases x series (x settings)
     assert len(dataset.records) == len(dataset.series_id) == rows
     assert len(estimates) == series
-    grid = likelihood_grid(setting_models(ProbeKind.NOON, 0.361, ImperfectionParams()))
+    [design] = probe_designs(ProbeKind.NOON, [0.361], ImperfectionParams())
+    grid = likelihood_grid(setting_models(ProbeKind.NOON, 0.361, ImperfectionParams(), design))
     kept = sum(len(labels) for labels in grid.labels.values())
     tracer = load_tracer().Tracer()
     tracer._after_run_campaign(dataset)
@@ -59,5 +60,5 @@ def test_counters_read_rows_and_series():
 def test_every_model_is_an_outcome_model(kind, params):
     """The tracer's ``detection.OutcomeModel.probabilities`` counter sees every
     probability evaluation only while no other model type exists."""
-    for model in setting_models(kind, 0.361, params).values():
+    for model in setting_models(kind, 0.361, params, probe_designs(kind, [0.361], params)[0]).values():
         assert type(model) is OutcomeModel

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lossyphase
 
@@ -44,7 +44,7 @@ from lossyphase import bounds, cli, montecarlo, workers
 from lossyphase.detection import Setting
 from lossyphase.estimator import analyze, estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_design
+from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig, ProbeKind, probe_designs
 from oracles import parse_config, read_dataset_rows
 
 SMALL_CONFIG = """\
@@ -280,6 +280,24 @@ class TestFringes:
             assert sum(values) == 1000
             assert all(v == int(v) for v in values)
 
+    @pytest.mark.parametrize("flags, digest", [
+        (
+            ["--probe", "optimal", "--epsilon", "0.02", "--delta", "0.1", "--lambda-hom", "0.95", "--v-classical", "0.97"],
+            "bed616d264a72aecdf49f8513501e16d92696ba68f2ab449f2e38ef492d9da43",
+        ),
+        (["--probe", "noon"], "74741a45b4d332621c138c6635f22fc0ec6fb43b8ca36e30909328d7ff9bd017"),
+        (
+            ["--probe", "optimal", "--counts", "2000", "--seed", "7"],
+            "8d4e389880452213174c42fc63e8a5436c8d21429120754919df2f475a15af9b",
+        ),
+    ], ids=["optimal-imperfect", "noon", "optimal-counts"])
+    def test_pinned_output(self, tmp_path, flags, digest):
+        """The fringe table's bytes at eta = 0.361: probabilities of an
+        imperfect optimal probe and of the N00N probe, and drawn counts."""
+        out = tmp_path / "fringes.csv"
+        assert main(["fringes", "--eta", "0.361", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestSimulate:
     def test_dataset_schema(self, sim_dir):
@@ -300,7 +318,7 @@ class TestSimulate:
         entries = json.loads((sim_dir / "manifest.json").read_text())["design"]
         assert [entry["eta"] for entry in entries] == SMALL_MANIFEST_CONFIG["eta_list"]
         for entry in entries:
-            weights, quarter = probe_design(ProbeKind.OPTIMAL, entry["eta"], ImperfectionParams())
+            [(weights, quarter)] = probe_designs(ProbeKind.OPTIMAL, [entry["eta"]], ImperfectionParams())
             assert entry == {
                 "probe": "optimal", "eta": entry["eta"], "x0": weights.x0, "x1": weights.x1, "x2": weights.x2,
                 "theta_d": quarter.theta_d, "conditional_phase": quarter.phase_offset,
@@ -723,7 +741,6 @@ class TestDesignReplay:
         manifest = json.loads((sim_dir / "manifest.json").read_text())
         config, include_cc = config_from_dict(manifest["config"])
         dataset = read_dataset_csv(sim_dir / "dataset.csv", config)
-        probe_design.cache_clear()
         estimates = estimate_dataset(dataset, include_cc=include_cc)
         report = analyze(estimates)
         estimate_rows = [
@@ -759,7 +776,6 @@ class TestDesignReplay:
         def refuse(*args, **kwargs):
             raise AssertionError("estimate must replay the recorded design")
 
-        probe_design.cache_clear()
         for module in (bounds, montecarlo):
             monkeypatch.setattr(module, "optimize_weights", refuse)
         monkeypatch.setattr(montecarlo, "optimize_theta_d", refuse)
@@ -993,6 +1009,21 @@ class TestDatasetRoundTrip:
         for name in ("eta", "probe", "phi_true", "setting", "series_id", "counts", "seed_used"):
             np.testing.assert_array_equal(getattr(parsed, name), getattr(dataset, name))
 
+    def test_simulated_and_parsed_datasets_hold_one_layout(self, tmp_path):
+        """Every column of a campaign has the dtype, shape and bits of the
+        same column parsed back from its written CSV."""
+        config = ExperimentConfig(eta_list=(0.361, 0.547), phase_list=(-0.02, 0.0), series_count=3, events_per_series=200)
+        dataset = montecarlo.run_campaign(config)
+        path = tmp_path / "dataset.csv"
+        write_dataset_csv(path, dataset)
+        parsed = read_dataset_csv(path, config)
+        columns = [f.name for f in fields(EventDataset) if f.name != "config"]
+        assert len(columns) == 7
+        for name in columns:
+            simulated, read = getattr(dataset, name), getattr(parsed, name)
+            assert (read.dtype, read.shape) == (simulated.dtype, simulated.shape), name
+            assert read.tobytes() == simulated.tobytes(), name
+
     @given(datasets().filter(lambda d: len(d.series_id) > 0), st.data())
     def test_value_equal_duplicate_rejected_with_its_line(self, tmp_path_factory, dataset, data):
         path = tmp_path_factory.mktemp("dup") / "dataset.csv"
@@ -1075,6 +1106,97 @@ class TestDatasetFuzz:
             ])
         assert rc in (0, 1, 2)
         assert len(stderr.getvalue().splitlines()) == (rc != 0)
+
+
+#: Transmissions of the generated campaigns: edges that stopped runs before,
+#: and any value in (0, 1].
+_GUARD_ETAS = st.sampled_from([1e-300, 1e-14, 1e-12, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+#: Phases of the generated campaigns: the search interval's edges, phases
+#: outside it, and any value in [-4, 4].
+_GUARD_PHASES = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, 2.0, -3.5, 100.0]) | st.floats(-4.0, 4.0)
+#: An imperfection bounded to [0, 1]: at its bounds or inside them.
+_UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def small_campaigns(draw) -> dict:
+    """Config values of a small campaign: 1-3 etas and phases, 1-4 series of
+    1-300 events, either probe and toggle, and the imperfections."""
+    return {
+        "eta_list": draw(st.lists(_GUARD_ETAS, min_size=1, max_size=3, unique=True)),
+        "phases": draw(st.lists(_GUARD_PHASES, min_size=1, max_size=3, unique=True)),
+        "probe": draw(st.sampled_from(["optimal", "noon"])),
+        "series": draw(st.integers(1, 4)),
+        "events": draw(st.integers(1, 300)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "poissonize_m": draw(st.booleans()),
+        "include_cc": draw(st.booleans()),
+        "epsilon": draw(_UNIT),
+        "delta": draw(st.sampled_from([0.0]) | st.floats(-4.0, 4.0)),
+        "lambda_hom": draw(_UNIT),
+        "v_classical": draw(_UNIT),
+    }
+
+
+def stopped_at_degenerate(err: str) -> bool:
+    """Whether estimate stopped at a degenerate series or group, with exit 2:
+    a series without phase information, as a few events can leave (events =
+    3), or a group of fewer than two estimates (series = 1). The first one
+    ends the run today; once they are counted in the report instead, this
+    one predicate changes."""
+    return any(reason in err for reason in ("likelihood is", "no registered coincidences", "fewer than 2 estimates"))
+
+
+def read_table(path: Path, header) -> list[list]:
+    """The rows of a CSV an estimate writes under ``header``: probe as text,
+    every other field as a number."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(header)
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == len(header) for row in rows)
+    return [[text if name == "probe" else float(text) for name, text in zip(header, row)] for row in rows]
+
+
+class TestGeneratedCampaigns:
+    """simulate then estimate of generated small campaigns, in process on one
+    worker: a designed exit with one diagnostic line, or outputs of the
+    expected size that parse back, never a traceback."""
+
+    @staticmethod
+    def run(argv) -> tuple[int, str]:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        return code, stderr.getvalue()
+
+    @settings(max_examples=200)
+    @given(small_campaigns())
+    def test_designed_exit_or_complete_outputs(self, tmp_path_factory, values):
+        root = tmp_path_factory.mktemp("generated")
+        text = "".join(f"{key} = {', '.join(map(repr, v)) if isinstance(v, list) else v}\n" for key, v in values.items())
+        (root / "c.cfg").write_text(text)
+        sim, est = root / "sim", root / "est"
+        with mock.patch.object(workers, "cpu_count", lambda: 1):
+            code, err = self.run(["simulate", "--config", str(root / "c.cfg"), "--out-dir", str(sim)])
+            estimated = code == 0
+            if estimated:
+                code, err = self.run(["estimate", "--dataset", str(sim / "dataset.csv"), "--out-dir", str(est), "--hist-bin", "0.01"])
+        assert code in (0, 1, 2)
+        assert (err.startswith("error: ") and len(err.splitlines()) == 1) if code else err == ""
+        if code:
+            assert not est.exists()
+            # estimate reads what simulate wrote: it stops only where the design carries no information or at degeneracy
+            assert not estimated or code == 2 and (stopped_at_degenerate(err) or "positive Cramér-Rao bound" in err)
+            return
+        groups = len(values["eta_list"]) * len(values["phases"])
+        config, _ = config_from_dict(json.loads((sim / "manifest.json").read_text())["config"])
+        assert len(read_dataset_csv(sim / "dataset.csv", config).series_id) == groups * values["series"] * 2
+        assert len(read_table(est / "estimates.csv", ESTIMATES_COLUMNS)) == groups * values["series"]
+        assert len(read_table(est / "report.csv", REPORT_COLUMNS)) == groups
+        bins = read_table(est / "histograms.csv", ("eta", "probe", "phi_true", "bin_left", "bin_right", "count"))
+        assert sum(row[-1] for row in bins) == groups * values["series"]
+        assert (est / "estimate.manifest.json").exists()
 
 
 class TestNumberSpelling:
@@ -1237,9 +1359,10 @@ class TestDiagnostics:
     ])
     def test_bad_input_exits_with_one_line(self, fuzz_sim, tmp_path, capsys, monkeypatch, kind, value, code, message):
         resolved = []  # the etas of each probe_designs call
-        monkeypatch.setattr("lossyphase.cli.probe_designs", lambda kind, etas, params: resolved.append(etas) or [
-            probe_design(kind, eta, params) for eta in etas
-        ])
+        monkeypatch.setattr(
+            "lossyphase.cli.probe_designs",
+            lambda kind, etas, params: resolved.append(etas) or montecarlo.probe_designs(kind, etas, params),
+        )
         assert self.run(kind, value, fuzz_sim, tmp_path) == code
         err = capsys.readouterr().err
         assert message in err
@@ -1432,10 +1555,12 @@ class TestDatasetBlocks:
             blocks = list(_blocks(data))
         lines = [data[start : stops[-1] + 1].decode().splitlines() for start, stops in blocks]
         assert [line for block in lines for line in block] == data.decode().splitlines()
-        assert all(len(block) >= size for block in lines[:-1])
+        assert all(len(block) == size for block in lines[:-1]) or not data.isascii()  # a non-ASCII break ends no block
         assert all(len(stops) == size for _, stops in blocks[:-1])
         starts = [start for start, _ in blocks]
-        assert starts == sorted(starts) and all(data[start - 1 : start] == b"\n" for start in starts[1:])
+        assert starts == sorted(starts)
+        for start in starts[1:]:  # just after an ASCII line break, never inside a "\r\n"
+            assert data[start - 1 : start] in b"\n\r\v\f\x1c\x1d\x1e" and data[start - 1 : start + 1] != b"\r\n"
 
     @staticmethod
     def lines_of(n: int) -> list[str]:
@@ -1471,7 +1596,19 @@ class TestDatasetBlocks:
         with pytest.raises(ConfigError, match=f": line {bad[0]}: n_AA must be an integer of ASCII digits, got 'x'$"):
             self.read(tmp_path, lines)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_bad_row_late_in_a_cr_file_named(self, tmp_path):
+        """A file whose lines end in "\\r" alone is cut into blocks at those
+        ends: a bad row in its third block, after blank lines in the first
+        two, is named by its line."""
+        lines = self.lines_of(2 * _PARSE_CHUNK + 100)
+        for at in (3, _PARSE_CHUNK + 5):
+            lines.insert(at, "")
+        bad = 2 * _PARSE_CHUNK + 90
+        self.set_field(lines, bad, "n_AC", "-2")
+        with pytest.raises(ConfigError, match=f": line {bad}: n_AC must be non-negative, got -2$"):
+            self.read(tmp_path, lines, "\r")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_blank_lines_and_line_endings(self, tmp_path, newline):
         n = 2 * _PARSE_CHUNK
         lines = self.lines_of(n)
@@ -1488,7 +1625,7 @@ class TestDatasetBlocks:
         with pytest.raises(ConfigError, match=f": line {_PARSE_CHUNK + 2}: n_BB must be non-negative, got -1$"):
             self.read(tmp_path, lines, newline)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("copy_at", [_PARSE_CHUNK, _PARSE_CHUNK + 1, 2 * _PARSE_CHUNK - 3])
     def test_duplicate_across_blocks_named(self, tmp_path, newline, copy_at):
         """A row of the first block copied to line ``copy_at``, with blank

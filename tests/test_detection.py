@@ -25,7 +25,7 @@ from lossyphase.detection import (
 )
 from lossyphase.fock import FockState, apply_loss, basis
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import ProbeKind, build_probe, probe_design, setting_models
+from lossyphase.montecarlo import ProbeKind, build_probe, probe_designs, setting_models
 from oracles import classical_fisher, degrade_distribution, one_probe_theta_d, outcome_distribution, probe_state
 
 EXPERIMENT_ETAS = (0.2, 0.361, 0.4, 0.547)
@@ -213,7 +213,7 @@ class TestOffOperatingPoint:
 
     @staticmethod
     def check(kind, eta, params):
-        models = setting_models(kind, eta, params)
+        models = setting_models(kind, eta, params, probe_designs(kind, [eta], params)[0])
 
         def dist(model, phi):
             ideal = outcome_distribution(model.probe, eta, phi, model.config, params.v_classical)
@@ -258,7 +258,7 @@ def scalar_no_loss_fisher(coeff, theta, offset):
 
 
 def no_loss_coeff(eta, params):
-    weights, _ = probe_design(ProbeKind.OPTIMAL, eta, params)
+    [(weights, _)] = probe_designs(ProbeKind.OPTIMAL, [eta], params)
     return _branch_amplitudes(build_probe(weights, params), eta)[0]
 
 
@@ -334,7 +334,7 @@ class TestOptimizeThetaD:
     @pytest.mark.parametrize("name, eta", list(PINNED_DESIGNS))
     def test_pinned_design(self, name, eta):
         params = SWEEP_PARAMS if name == "sweep" else ImperfectionParams()
-        _, quarter = probe_design(ProbeKind.OPTIMAL, eta, params)  # optimize_theta_d of the delivered probe
+        [(_, quarter)] = probe_designs(ProbeKind.OPTIMAL, [eta], params)  # optimize_theta_d of the delivered probe
         assert (quarter.theta_d, quarter.conditional_phase) == PINNED_DESIGNS[name, eta]
         assert type(quarter.theta_d) is float and type(quarter.conditional_phase) in (float, type(None))
 
@@ -344,7 +344,7 @@ class TestOptimizeThetaD:
         of one probe each. One eta alone took 379 calls when each probe ran
         its own searches, and 1,558 with one theta search per offset step."""
         etas = (0.1, 0.213333, 0.326667, 0.44)
-        probes = [build_probe(probe_design(ProbeKind.OPTIMAL, eta, SWEEP_PARAMS)[0], SWEEP_PARAMS) for eta in etas]
+        probes = [build_probe(weights, SWEEP_PARAMS) for weights, _ in probe_designs(ProbeKind.OPTIMAL, etas, SWEEP_PARAMS)]
         assert all(abs(probe.amplitude((1, 1))) ** 2 > 1e-3 for probe in probes)
         calls = []
 

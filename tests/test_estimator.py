@@ -26,14 +26,14 @@ from lossyphase.estimator import (
     likelihood_grid,
 )
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import PROBES, SETTINGS, ExperimentConfig, ProbeKind, run_campaign, setting_models
+from lossyphase.montecarlo import PROBES, SETTINGS, ExperimentConfig, ProbeKind, probe_designs, run_campaign, setting_models
 from oracles import _best_phis
 
 IDEAL = ImperfectionParams()
 
 
 def models_for(kind, eta):
-    return setting_models(kind, eta, IDEAL)
+    return setting_models(kind, eta, IDEAL, probe_designs(kind, [eta], IDEAL)[0])
 
 
 def expected_counts(models, phi, m_per_setting, include_cc=True):
@@ -420,6 +420,36 @@ class TestEstimateDataset:
             phi_hat, lmax = best_phi(grid.phis, (quarter + half)[0], grid.step)
             assert (repr(float(estimates.phi_hat[i])), repr(float(estimates.loglik[i]))) == (repr(phi_hat), repr(lmax))
             assert estimates.n_coinc[i] == sum(int(vec.sum()) for vec in vecs)
+
+    def test_default_designs_take_one_call_per_probe_kind(self, monkeypatch):
+        """Without a design, each probe kind's blocks get theirs from one
+        probe_designs call over its etas in block order, made in the caller;
+        the estimates equal those of the designs the campaigns drew with, as
+        a simulate manifest records them and estimate replays them."""
+        campaigns = [
+            ExperimentConfig(eta_list=etas, probe_kind=kind, phase_list=(0.0, 0.02), series_count=3, events_per_series=300)
+            for kind, etas in ((ProbeKind.NOON, (0.361, 0.547)), (ProbeKind.OPTIMAL, (0.547, 0.2)))
+        ]
+        recorded, parts = {}, []
+        for config in campaigns:
+            designs = probe_designs(config.probe_kind, config.eta_list, config.imperfections)
+            recorded.update(((config.probe_kind, eta), design) for eta, design in zip(config.eta_list, designs))
+            parts.append(run_campaign(config, designs))
+        columns = ("eta", "probe", "phi_true", "setting", "series_id", "counts", "seed_used")
+        dataset = replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts]) for name in columns})
+        calls = []
+
+        def counted(kind, etas, params):
+            calls.append((kind, list(etas)))
+            return probe_designs(kind, etas, params)
+
+        monkeypatch.setattr(estimator, "probe_designs", counted)
+        default = estimate_dataset(dataset)
+        assert calls == [(ProbeKind.NOON, [0.361, 0.547]), (ProbeKind.OPTIMAL, [0.547, 0.2])]
+        replayed = estimate_dataset(dataset, design=lambda kind, eta: recorded[kind, eta])
+        assert len(calls) == 2
+        for name in ("row", "group", "phi_hat", "loglik", "n_coinc", "crb"):
+            assert getattr(default, name).tobytes() == getattr(replayed, name).tobytes(), name
 
     @pytest.mark.parametrize("phi", [0.0, -0.0], ids=["same-bits", "signed-zero-phase"])
     def test_repeated_series_setting_rejected(self, phi):

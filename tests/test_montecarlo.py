@@ -15,6 +15,7 @@ from lossyphase.montecarlo import (
     ExperimentConfig,
     ProbeKind,
     default_phase_list,
+    probe_designs,
     record_rng,
     run_campaign,
     sample_counts,
@@ -192,7 +193,8 @@ class TestRunCampaign:
             master_seed=77,
         )
         dataset = run_campaign(config)
-        models = setting_models(ProbeKind.OPTIMAL, 0.361, ImperfectionParams())
+        [design] = probe_designs(ProbeKind.OPTIMAL, [0.361], ImperfectionParams())
+        models = setting_models(ProbeKind.OPTIMAL, 0.361, ImperfectionParams(), design)
         for setting in (Setting.QUARTER, Setting.HALF):
             probs = np.asarray(models[setting].probabilities(0.04), dtype=float)
             pooled = dataset.counts[dataset.setting == SETTINGS.index(setting)].sum(axis=0).astype(float)
@@ -264,7 +266,8 @@ class TestPinnedDatasets:
         sample_counts and the thinning's scalar draws in their defined order."""
         config = PINNED_DATASETS[0][0]
         dataset = run_campaign(config)
-        models = setting_models(config.probe_kind, 0.4, config.imperfections)
+        [design] = probe_designs(config.probe_kind, [0.4], config.imperfections)
+        models = setting_models(config.probe_kind, 0.4, config.imperfections, design)
         for row in range(0, len(dataset.series_id), 5):
             eta_index = config.eta_list.index(dataset.eta[row])
             phase_index = config.phase_list.index(dataset.phi_true[row])

@@ -20,7 +20,7 @@ from lossyphase.cli import main
 from lossyphase.detection import Setting
 from lossyphase.estimator import estimate_dataset
 from lossyphase.imperfections import ImperfectionParams
-from lossyphase.montecarlo import ExperimentConfig, ProbeKind, probe_design, probe_designs, run_campaign
+from lossyphase.montecarlo import ExperimentConfig, ProbeKind, probe_designs, run_campaign
 from lossyphase.workers import fork_map
 
 #: CPU counts: serial, two and three workers, and more workers than any part count here.
@@ -215,7 +215,6 @@ def test_simulate_optimizes_each_eta_once(monkeypatch, tmp_path, cpus):
     monkeypatch.setattr(montecarlo, "optimize_weights", logged("weights", montecarlo.optimize_weights))
     monkeypatch.setattr(montecarlo, "optimize_theta_d", logged("theta_d", montecarlo.optimize_theta_d))
     set_cpus(monkeypatch, cpus)
-    probe_design.cache_clear()
     (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
     assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(tmp_path / "sim")]) == 0
     calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
@@ -305,14 +304,12 @@ def test_estimate_outputs_and_manifest_design_do_not_depend_on_the_cpu_count(mon
 
 
 def test_simulate_manifest_design_does_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
-    """The cache is cleared before each run, so each run optimizes every design again."""
+    """Each run optimizes every design again."""
     (tmp_path / "c.cfg").write_text(DESIGN_CONFIG)
     runs = []
     for cpus in CPUS:
         set_cpus(monkeypatch, cpus)
-        probe_design.cache_clear()
         designs = probe_designs(ProbeKind.OPTIMAL, DESIGN_ETAS, DESIGN_PARAMS)
-        probe_design.cache_clear()
         out_dir = tmp_path / f"sim{cpus}"
         assert main(["simulate", "--config", str(tmp_path / "c.cfg"), "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
