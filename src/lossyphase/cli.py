@@ -382,7 +382,7 @@ def cmd_fringes(args) -> None:
     seed = args.seed if args.seed is not None else _default_seed()
     kind = ProbeKind(args.probe)
     phis = _linspace("--phi-steps", -np.pi, np.pi, args.phi_steps)
-    models = setting_models(kind, args.eta, params, probe_designs(kind, [args.eta], params)[0])
+    models = setting_models(args.eta, params, probe_designs(kind, [args.eta], params)[0])
     rows = []
     rng = np.random.default_rng(seed)
     for setting in (Setting.QUARTER, Setting.HALF):
@@ -500,10 +500,12 @@ def _blocks(data: bytes) -> Iterator[tuple[int, np.ndarray]]:
     U+0085, U+2028 or U+2029 does not end a block."""
     u = np.frombuffer(data, dtype=np.uint8)
     stops = u == ord("\n")  # the mask of line breaks, then their offsets
-    for byte in filter(data.__contains__, b"\r\v\f\x1c\x1d\x1e"):  # the other ASCII breaks: none in the writer's form
+    breaks = bytes(filter(data.__contains__, b"\r\v\f\x1c\x1d\x1e"))  # the other ASCII breaks: none in the writer's form
+    for byte in breaks:
         stops |= u == byte
     stops = np.flatnonzero(stops)
-    stops = stops[(u[stops] != ord("\r")) | (np.take(u, stops + 1, mode="clip") != ord("\n"))]  # "\r\n" ends at "\n"
+    if b"\r" in breaks:  # "\r\n" ends at "\n"
+        stops = stops[(u[stops] != ord("\r")) | (np.take(u, stops + 1, mode="clip") != ord("\n"))]
     if not len(stops) or stops[-1] < len(data) - 1:
         stops = np.append(stops, len(data))
     for at in range(0, len(stops), _PARSE_CHUNK):

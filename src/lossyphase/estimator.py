@@ -296,7 +296,7 @@ def estimate_dataset(dataset: EventDataset, include_cc: bool = True, design: Des
     def estimate_block(block):
         # Each grid is built beside its estimate: building a design sweep's 16 grids first took 8,000 more page faults
         _, kind, transmission, (weights, quarter), matrices = block
-        models = setting_models(kind, transmission, d.config.imperfections, (weights, quarter))
+        models = setting_models(transmission, d.config.imperfections, (weights, quarter))
         information = qfi_lossy(weights, transmission)
         if not 0.0 < information < math.inf:  # the bound would be infinite, 0 or nan
             raise ValueError(

@@ -247,9 +247,7 @@ def probe_designs(kind: ProbeKind, etas, params: ImperfectionParams) -> list[tup
     return list(zip(weights, optimize_theta_d(probes, etas)))
 
 
-def setting_models(
-    kind: ProbeKind, eta: float, params: ImperfectionParams, design: tuple[ProbeWeights, DetectionConfig]
-) -> dict[Setting, OutcomeModel]:
+def setting_models(eta: float, params: ImperfectionParams, design: tuple[ProbeWeights, DetectionConfig]) -> dict[Setting, OutcomeModel]:
     """Outcome models for both settings of one (probe, transmission) choice,
     built from its ``design``: an entry of ``probe_designs`` or of a manifest."""
     weights, quarter = design
@@ -286,7 +284,7 @@ def run_campaign(config: ExperimentConfig, designs: list | None = None, counts: 
 
     eta_pvals = [
         [[_label_pvals(models[s].probabilities(phi)) for s in SETTINGS] for phi in config.phase_list]
-        for models in (setting_models(kind, eta, params, design) for eta, design in zip(config.eta_list, designs))
+        for models in (setting_models(eta, params, design) for eta, design in zip(config.eta_list, designs))
     ]
     shape = (len(config.eta_list), len(config.phase_list), config.series_count, len(SETTINGS))
     states = substream_states(config.master_seed, np.indices((*shape[:3], _SERIES_STREAM + 1)).reshape(4, -1).T)

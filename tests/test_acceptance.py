@@ -173,7 +173,7 @@ def test_criterion_07_end_to_end_efficiency():
         reports[kind] = analyze(estimate_dataset(dataset))
         designs = probe_designs(kind, config.eta_list, config.imperfections)
         for eta, design in zip(config.eta_list, designs):
-            models = setting_models(kind, eta, config.imperfections, design)
+            models = setting_models(eta, config.imperfections, design)
             for phi in phases:
                 local_crb[(kind, eta, phi)] = 1.0 / math.sqrt(classical_fisher(models, phi))
     crb_mismatch = []

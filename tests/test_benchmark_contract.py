@@ -44,7 +44,7 @@ def test_counters_read_rows_and_series():
     assert len(dataset.records) == len(dataset.series_id) == rows
     assert len(estimates) == series
     [design] = probe_designs(ProbeKind.NOON, [0.361], ImperfectionParams())
-    grid = likelihood_grid(setting_models(ProbeKind.NOON, 0.361, ImperfectionParams(), design))
+    grid = likelihood_grid(setting_models(0.361, ImperfectionParams(), design))
     kept = sum(len(labels) for labels in grid.labels.values())
     tracer = load_tracer().Tracer()
     tracer._after_run_campaign(dataset)
@@ -60,5 +60,5 @@ def test_counters_read_rows_and_series():
 def test_every_model_is_an_outcome_model(kind, params):
     """The tracer's ``detection.OutcomeModel.probabilities`` counter sees every
     probability evaluation only while no other model type exists."""
-    for model in setting_models(kind, 0.361, params, probe_designs(kind, [0.361], params)[0]).values():
+    for model in setting_models(0.361, params, probe_designs(kind, [0.361], params)[0]).values():
         assert type(model) is OutcomeModel

@@ -1555,6 +1555,7 @@ class TestDatasetBlocks:
             blocks = list(_blocks(data))
         lines = [data[start : stops[-1] + 1].decode().splitlines() for start, stops in blocks]
         assert [line for block in lines for line in block] == data.decode().splitlines()
+        assert all(len(block) >= size for block in lines[:-1])
         assert all(len(block) == size for block in lines[:-1]) or not data.isascii()  # a non-ASCII break ends no block
         assert all(len(stops) == size for _, stops in blocks[:-1])
         starts = [start for start, _ in blocks]

@@ -213,7 +213,7 @@ class TestOffOperatingPoint:
 
     @staticmethod
     def check(kind, eta, params):
-        models = setting_models(kind, eta, params, probe_designs(kind, [eta], params)[0])
+        models = setting_models(eta, params, probe_designs(kind, [eta], params)[0])
 
         def dist(model, phi):
             ideal = outcome_distribution(model.probe, eta, phi, model.config, params.v_classical)

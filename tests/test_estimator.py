@@ -33,7 +33,7 @@ IDEAL = ImperfectionParams()
 
 
 def models_for(kind, eta):
-    return setting_models(kind, eta, IDEAL, probe_designs(kind, [eta], IDEAL)[0])
+    return setting_models(eta, IDEAL, probe_designs(kind, [eta], IDEAL)[0])
 
 
 def expected_counts(models, phi, m_per_setting, include_cc=True):

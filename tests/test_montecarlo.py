@@ -194,7 +194,7 @@ class TestRunCampaign:
         )
         dataset = run_campaign(config)
         [design] = probe_designs(ProbeKind.OPTIMAL, [0.361], ImperfectionParams())
-        models = setting_models(ProbeKind.OPTIMAL, 0.361, ImperfectionParams(), design)
+        models = setting_models(0.361, ImperfectionParams(), design)
         for setting in (Setting.QUARTER, Setting.HALF):
             probs = np.asarray(models[setting].probabilities(0.04), dtype=float)
             pooled = dataset.counts[dataset.setting == SETTINGS.index(setting)].sum(axis=0).astype(float)
@@ -267,7 +267,7 @@ class TestPinnedDatasets:
         config = PINNED_DATASETS[0][0]
         dataset = run_campaign(config)
         [design] = probe_designs(config.probe_kind, [0.4], config.imperfections)
-        models = setting_models(config.probe_kind, 0.4, config.imperfections, design)
+        models = setting_models(0.4, config.imperfections, design)
         for row in range(0, len(dataset.series_id), 5):
             eta_index = config.eta_list.index(dataset.eta[row])
             phase_index = config.phase_list.index(dataset.phi_true[row])
