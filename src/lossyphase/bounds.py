@@ -182,8 +182,10 @@ def _first_maxima(etas: np.ndarray) -> np.ndarray:
     """
     n = len(LATTICE)
     _, i, j, end_i, end_j = _cut(*(np.array([index]) for index in (0, 0, n - 1, n - 1)), SCAN_CELL)
-    surface, bound = _cell_bounds(i, j, end_i, end_j, etas[:, None])
-    kept = _kept(surface, bound, surface.max(axis=1, keepdims=True))
+    kept = np.empty((len(etas), len(i)), dtype=bool)
+    for lo in range(0, len(etas), 16):  # 16 lanes at a time: the (64, 861) arrays of all at once took 6 MiB
+        surface, bound = _cell_bounds(i, j, end_i, end_j, etas[lo : lo + 16, None])
+        kept[lo : lo + 16] = _kept(surface, bound, surface.max(axis=1, keepdims=True))
     chunks, cells = [0], 0
     for lane, count in enumerate(kept.sum(axis=1)):
         if cells and cells + count > REFINE_CELLS:

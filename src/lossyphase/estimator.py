@@ -98,22 +98,28 @@ def _loglik_rows(
     stop: int,
     total: np.ndarray | None = None,
     part: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Log-likelihood rows of series start:stop over the grid, written into
-    the first rows of ``total``, with ``part`` as scratch; both are
-    C-contiguous float arrays of at least stop - start rows and one column per
-    grid point, allocated here when not given.
+    """Log-likelihood rows of series start:stop at the grid columns ``cols``
+    (every column by default), written into the start of ``total``, with
+    ``part`` as scratch; both are C-contiguous float arrays of at least as many
+    elements, allocated here when not given.
 
-    The stacked (series, 1, labels) @ (labels, grid) product runs one BLAS
+    The stacked (series, 1, labels) @ (labels, columns) product runs one BLAS
     matrix-vector product per series; a plain (series, labels) matrix product
     rounds differently and would change the estimates in the last digits.
     The products go straight into the buffers, which hold them in the
-    (series, 1, grid) layout a fresh product has, and are then summed in
-    place, so the rows equal the fresh stacked products bit for bit.
+    (series, 1, columns) layout a fresh product has, and are then summed in
+    place, so the rows equal the fresh stacked products bit for bit. Columns
+    in whole aligned WINDOW-column blocks in grid order keep the full row's
+    bits: BLAS rounds a call's last few columns apart, and the gathered
+    log-probabilities keep the grid's memory order.
     """
-    n = stop - start
-    total, part = (np.empty((n, len(grid.phis))) if a is None else a[:n] for a in (total, part))
+    n, width = stop - start, len(grid.phis) if cols is None else len(cols)
+    total, part = (np.empty((n, width)) if a is None else a.reshape(-1)[: n * width].reshape(n, width) for a in (total, part))
     for k, (setting, log_probs) in enumerate(grid.log_probs.items()):
+        if width < len(grid.phis):
+            log_probs = np.take(log_probs.T, cols, axis=1).T if log_probs.flags.f_contiguous else log_probs[cols]
         out = part if k else total
         np.matmul(counts[setting][start:stop, None, :], log_probs.T, out=out.reshape(n, 1, -1))
         if k:
@@ -123,6 +129,13 @@ def _loglik_rows(
 
 #: Series whose peaks are resolved at once: the candidates of 16 chunks, never of a whole block.
 GROUP_SERIES = 16 * CHUNK_SERIES
+#: Grid columns per window of the bound in ``_pruned_rows``, and series bounded at a time.
+WINDOW, BOUND_SERIES = 16, 128
+
+
+def _sampled(n: int) -> np.ndarray:
+    """The columns of an n-column grid whose values ``_peaks`` reads in every row."""
+    return np.r_[0, 1, n - 2, n - 1, 997:n:997]  # a prime stride rarely aliases a fringe
 
 
 def _peaks(phis: np.ndarray, step: float, chunks, exact_min: Callable[[int], float]):
@@ -130,29 +143,34 @@ def _peaks(phis: np.ndarray, step: float, chunks, exact_min: Callable[[int], flo
     local maxima are refined with a parabola through the best grid point and
     its neighbors; near-ties are broken toward the smallest |phi|.
 
-    Each chunk is scanned once, before the next is drawn; then all rows are
-    resolved at once. A row's maximum is a candidate or an edge value; its
-    minimum comes from ``exact_min(row)`` only where sampled columns leave the
-    row possibly flat or its maximum is at most ``_NEG``.
+    A chunk is (rows, columns), the rows at ascending grid columns that hold
+    the sampled ones; a local maximum counts where its neighbors are its grid
+    neighbors. Each chunk is scanned once, before the next is drawn; then all
+    rows are resolved at once. A row's maximum is a candidate or an edge
+    value; its minimum comes from ``exact_min(row)`` only where sampled
+    columns leave the row possibly flat or its maximum is at most ``_NEG``.
 
     Returns (phi_hat, value, problem) per row; ``problem`` holds None, or why
     the row carries no phase information, in which case phi_hat and value are
     meaningless.
     """
-    columns = np.r_[0, 1, len(phis) - 2, len(phis) - 1, 997 : len(phis) : 997]  # a prime stride rarely aliases a fringe
-    ats, triples, probes, offset = [], [], [], 0
-    for rows in chunks:  # rows laid end to end: a point on a row's edge gets a neighbor from another row
+    columns = _sampled(len(phis))
+    rs, cs, triples, probes, offset = [], [], [], [], 0
+    for rows, cols in chunks:  # rows laid end to end: a point on a row's edge gets a neighbor from another row
         x = rows.reshape(-1)
         at = x[1:-1] >= x[:-2]  # the local-maximum mask, then its indices: no mask outlives its chunk
         at &= x[1:-1] >= x[2:]
         at = np.flatnonzero(at)  # (left, center, right) = x[at], x[at + 1], x[at + 2]
-        ats.append(at + offset)
+        inner = np.zeros(len(cols), dtype=bool)
+        inner[1:-1] = cols[2:] - cols[:-2] == 2
+        r, j = divmod(at + 1, len(cols))
+        at, r, j = at[inner[j]], r[inner[j]], j[inner[j]]
+        rs.append(r + offset)
+        cs.append(cols[j])
         triples.append(x[at[:, None] + np.arange(3)])
-        probes.append(rows[:, columns])
-        offset += x.size
-    r, c = divmod(np.concatenate(ats) + 1, len(phis))
-    inner = (c > 0) & (c < len(phis) - 1)
-    r, c, (lm, l0, lp) = r[inner], c[inner], np.concatenate(triples)[inner].T
+        probes.append(rows[:, np.searchsorted(cols, columns)])
+        offset += len(rows)
+    r, c, (lm, l0, lp) = np.concatenate(rs), np.concatenate(cs), np.concatenate(triples).T
     probes = np.concatenate(probes)
     top, bottom = np.maximum(probes[:, 0], probes[:, 3]), probes.min(axis=1)
     np.maximum.at(top, r, l0)
@@ -193,21 +211,82 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
 
     Returns arrays of phi_hat, loglik max and n_coinc and a list of problems,
     one per series, ``problem`` as in ``_peaks`` or for a series without
-    registered coincidences.
+    registered coincidences. The series of more than one chunk are taken in
+    order of their best knots, BOUND_SERIES at a time (``_pruned_rows``).
     """
     n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
-    phi_hat, lmax, problems = np.empty(len(n_coinc)), np.empty(len(n_coinc)), []
+    n, width = len(n_coinc), len(grid.phis)
+    phi_hat, lmax, problems = np.empty(n), np.empty(n), [None] * n
+    bounds = _window_bounds(grid) if n > CHUNK_SERIES else None  # its temporaries are gone before the buffers come
     # Allocated once: a fresh 0.8 MB product per chunk may come from new pages each time
-    buffers = [np.empty((min(CHUNK_SERIES, len(n_coinc)), len(grid.phis))) for _ in range(2)]
-    for first in range(0, len(n_coinc), GROUP_SERIES):
-        last = min(first + GROUP_SERIES, len(n_coinc))
-        chunks = (_loglik_rows(grid, counts, s, min(s + CHUNK_SERIES, last), *buffers) for s in range(first, last, CHUNK_SERIES))
-        phi_hat[first:last], lmax[first:last], problem = _peaks(
-            grid.phis, grid.step, chunks, lambda i: _loglik_rows(grid, counts, first + i, first + i + 1).min()
+    buffers = [np.empty((min(CHUNK_SERIES, n), width)) for _ in range(2)]
+    step = min(BOUND_SERIES, buffers[0].size // (2 * width // WINDOW + 4))  # a batch's knot values and bounds fit a buffer
+    batches = lambda members: ({s: m[members[lo : lo + step]] for s, m in counts.items()} for lo in range(0, len(members), step))
+    order = np.arange(n)
+    if bounds is not None:  # one int per series, so that series sharing windows come together
+        order = np.argsort(np.concatenate([_knot_values(bounds, m, buffers).argmax(axis=1) for m in batches(order)]), kind="stable")
+    for first in range(0, n, GROUP_SERIES):
+        members = order[first : first + GROUP_SERIES]
+        chunks = (chunk for m in batches(members) for chunk in _pruned_rows(grid, bounds, m, buffers))
+        phi_hat[members], lmax[members], problem = _peaks(
+            grid.phis, grid.step, chunks, lambda i: _loglik_rows(grid, counts, members[i], members[i] + 1).min()
         )
-        problems += problem
-    problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]
+        for i, p in zip(members.tolist(), problem):
+            problems[i] = "no registered coincidences" if n_coinc[i] == 0 else p
     return phi_hat, lmax, n_coinc, problems
+
+
+def _window_bounds(grid: LikelihoodGrid):
+    """The knots (every WINDOW-th column and the last), and for the labels of
+    every setting in turn their log-probabilities at the knots, ((b - a)**2 +
+    1) / 8 times minus their least second difference over each window [a, b]
+    between knots, ends included, and a rounding margin per count; the blocks
+    of ``_peaks``' samples."""
+    n = len(grid.phis)
+    knots = np.r_[0 : n - 1 : WINDOW, n - 1]
+    centers = np.minimum(np.clip(knots[:-1, None] + np.arange(WINDOW + 1), 1, n - 2), knots[1:, None])
+    lp = np.hstack(list(grid.log_probs.values()))
+    second = (lp[:-2] - 2.0 * lp[1:-1] + lp[2:])[centers - 1].min(axis=1)
+    spread = (np.diff(knots) ** 2 + 1) / 8.0
+    return knots, lp[knots].T, -(second * spread[:, None]).T, 2e-10 * np.abs(lp).max(axis=0), _sampled(n) // WINDOW
+
+
+def _knot_values(bounds, counts, buffers) -> np.ndarray:
+    """Log-likelihood at the knots, to within rounding, written into a buffer no chunk uses yet."""
+    rows = len(next(iter(counts.values())))
+    out = buffers[0].reshape(-1)[: rows * len(bounds[0])].reshape(rows, -1)
+    return np.matmul(np.hstack(list(counts.values())), bounds[1], out=out)
+
+
+def _pruned_rows(grid: LikelihoodGrid, bounds, counts, buffers):
+    """(rows, columns) chunks of the log-likelihood rows of the ``counts``, in
+    ``buffers``: every column without ``bounds``, else ``_peaks``' samples and
+    the WINDOW-column blocks that can hold a maximum, a near-tie or a row's
+    largest value. Counts are >= 0, so with k = max(0, -(sum of count * least
+    second difference)) over window [a, b], a value there is at most
+    max(x_a, x_b) + k (b - a)**2 / 8 (discrete convexity) and a parabola
+    refinement adds at most k / 8. A window whose bound, less a rounding
+    margin, is below the best knot less TIE_TOL is dropped; a kept one takes
+    the next block too, for its right end. A candidate on a knot that can win
+    or tie keeps both windows that share it, so it has both neighbors."""
+    n, start = len(grid.phis), 0
+    need = np.ones((len(next(iter(counts.values()))), -(-n // WINDOW)), dtype=bool)  # block b starts window b
+    if bounds is not None:
+        knots, _, curvature, margin, sampled = bounds
+        x, matrix = _knot_values(bounds, counts, buffers), np.hstack(list(counts.values()))
+        bound, scratch = (b.reshape(-1)[x.size : x.size + x.size - len(x)].reshape(len(x), -1) for b in buffers)
+        np.maximum(np.matmul(matrix, curvature, out=bound), 0.0, out=bound)
+        bound += np.maximum(x[:, :-1], x[:, 1:], out=scratch)
+        need[:, : len(knots) - 1] = ~(bound < (x.max(axis=1) - TIE_TOL - matrix @ margin)[:, None])
+        need[:, 1:] |= need[:, :-1].copy()
+        need[:, sampled] = True  # the grid's last block among them, which may start no window
+    while start < len(need):  # a chunk takes the series whose blocks, with those before, fit a buffer
+        first = np.where(need[start:].any(axis=0), need[start:].argmax(axis=0), len(need))  # the series first needing each block
+        width = WINDOW * np.cumsum(np.bincount(first, minlength=len(need) + 1))[: len(need) - start]  # of 1, 2, ... series' blocks
+        rows = max(1, int(np.sum(np.arange(1, len(width) + 1) * width <= buffers[0].size)))
+        cols = (np.flatnonzero(first < rows)[:, None] * WINDOW + np.arange(WINDOW)).ravel()
+        yield _loglik_rows(grid, counts, start, start + rows, *buffers, cols[cols < n]), cols[cols < n]
+        start += rows
 
 
 def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ per-phase Fock pipeline of the coincidence labels with its phase shift and
 outcome probability, the classical Fisher information of the two-setting
 measurement (the phase-local bound of the acceptance gate), the numerically
 optimized standard interferometric limit, the peak search of one chunk of
-likelihood rows, the one-probe theta_d optimizer with its float look-ahead
+likelihood rows, the full-grid likelihood scan, the one-probe theta_d optimizer with its float look-ahead
 golden search, and the dataset reader that reads every row with the row
 routine, which the byte parser of ``cli`` is tested against."""
 
@@ -18,7 +18,7 @@ import numpy as np
 from lossyphase.bounds import ProbeWeights
 from lossyphase.cli import DATASET_COLUMNS, MAX_COUNT, ConfigError, _assemble, _is_integer, _parse_prefix, _read_config
 from lossyphase.detection import LABELS, DetectionConfig, Setting, _branch_amplitudes, _check_probe
-from lossyphase.estimator import _first_seen, _peaks
+from lossyphase.estimator import CHUNK_SERIES, GROUP_SERIES, _first_seen, _loglik_rows, _peaks
 from lossyphase.fock import FockState, ModeTransform, apply_loss, apply_transform, beam_splitter
 from lossyphase.golden import golden_section_max
 from lossyphase.montecarlo import PROBES, SETTINGS, EventDataset, ExperimentConfig
@@ -178,7 +178,29 @@ def outcome_probability(state: FockState, pattern) -> float:
 
 def _best_phis(phis: np.ndarray, rows: np.ndarray, step: float):
     """``_peaks`` of ``rows`` as one chunk."""
-    return _peaks(phis, step, [rows], lambda i: rows[i].min())
+    return _peaks(phis, step, [(rows, np.arange(len(phis)))], lambda i: rows[i].min())
+
+
+def full_scan_series(grid, counts):
+    """``estimator._estimate_series`` evaluating every grid column of every
+    series, in chunks of CHUNK_SERIES series in series order, resolved per
+    GROUP_SERIES: the reference of the pruned scan."""
+    n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
+    phi_hat, lmax, problems = np.empty(len(n_coinc)), np.empty(len(n_coinc)), []
+    buffers = [np.empty((min(CHUNK_SERIES, len(n_coinc)), len(grid.phis))) for _ in range(2)]
+    columns = np.arange(len(grid.phis))
+    for first in range(0, len(n_coinc), GROUP_SERIES):
+        last = min(first + GROUP_SERIES, len(n_coinc))
+        chunks = (
+            (_loglik_rows(grid, counts, s, min(s + CHUNK_SERIES, last), *buffers), columns)
+            for s in range(first, last, CHUNK_SERIES)
+        )
+        phi_hat[first:last], lmax[first:last], problem = _peaks(
+            grid.phis, grid.step, chunks, lambda i: _loglik_rows(grid, counts, first + i, first + i + 1).min()
+        )
+        problems += problem
+    problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]
+    return phi_hat, lmax, n_coinc, problems
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -10,11 +10,12 @@ from hypothesis import example, given, strategies as st
 
 from lossyphase.bounds import NOON_WEIGHTS, optimize_weights, qfi_lossy
 from lossyphase.detection import LABELS, Setting
-from lossyphase import estimator
+from lossyphase import estimator, workers
 from lossyphase.estimator import (
     CHUNK_SERIES,
     MAX_BINS,
     TIE_TOL,
+    WINDOW,
     DegenerateLikelihoodError,
     LikelihoodGrid,
     _estimate_series,
@@ -27,7 +28,7 @@ from lossyphase.estimator import (
 )
 from lossyphase.imperfections import ImperfectionParams
 from lossyphase.montecarlo import PROBES, SETTINGS, ExperimentConfig, ProbeKind, probe_designs, run_campaign, setting_models
-from oracles import _best_phis
+from oracles import _best_phis, full_scan_series
 
 IDEAL = ImperfectionParams()
 
@@ -262,6 +263,139 @@ class TestChunkAndGroupBoundaries:
         phis = 1e-3 * (np.arange(5) - 2)
         row = [_NEG, 3 * _NEG, -np.inf, 3 * _NEG, _NEG]
         assert_batched_matches_scalar(phis, np.array([row, [0.0, -1.0, -2.0, -1.0, 0.0]]), 1e-3)
+
+
+def assert_same_scan(grid, counts):
+    """``_estimate_series`` gives what the full-grid scan gives, bit for bit;
+    returns it."""
+    result = phi_hat, lmax, n_coinc, problems = _estimate_series(grid, counts)
+    expected = full_scan_series(grid, counts)
+    assert problems == expected[3]
+    np.testing.assert_array_equal(n_coinc, expected[2])
+    np.testing.assert_array_equal(phi_hat.view(np.uint64), expected[0].view(np.uint64))
+    np.testing.assert_array_equal(lmax.view(np.uint64), expected[1].view(np.uint64))
+    return result
+
+
+#: Log-probability columns of the synthetic scan grids, as functions of the
+#: grid's phis and drawn amplitude, frequency and offset.
+LABEL_SHAPES = {
+    "mirror": lambda phis, a, f, c: -a * (phis * phis - c * c) ** 2,  # exact mirror lobes at +-c on a symmetric grid
+    "lobe": lambda phis, a, f, c: a * np.cos(f * phis - c) - a,
+    "plateau": lambda phis, a, f, c: np.minimum(a * np.cos(f * phis - c), 0.3 * a) - a,
+    "constant": lambda phis, a, f, c: np.full(len(phis), -a),
+    "tiny": lambda phis, a, f, c: 1e-14 * phis - 1.0,
+    "tilt": lambda phis, a, f, c: 0.3 * a * phis - a,
+    "log0": lambda phis, a, f, c: np.full(len(phis), _NEG),
+    "holes": lambda phis, a, f, c: np.where(np.cos(40.0 * f * phis - c) > 0.97, _NEG, a * np.cos(f * phis - c) - a),
+}
+
+
+@st.composite
+def synthetic_scans(draw):
+    """A grid of 3 to 996 columns, not a multiple of WINDOW, symmetric about
+    phi = 0 when odd, whose two settings' labels take LABEL_SHAPES in C or
+    Fortran memory order, and the count matrices of 4 to 40 series: counts
+    on every label, on one label (a flat, tiny or log(0) series where that
+    label is) or on none."""
+    n = draw(st.integers(3, 996).filter(lambda n: n % WINDOW))
+    phis = draw(st.sampled_from([1e-3, 0.01])) * (np.arange(n) - (n - 1) // 2)
+    labels, logs = {}, {}
+    for setting in (Setting.QUARTER, Setting.HALF):
+        shapes = draw(st.lists(st.sampled_from(sorted(LABEL_SHAPES)), min_size=1, max_size=3))
+        columns = [
+            LABEL_SHAPES[shape](phis, *draw(st.tuples(st.floats(0.1, 30.0), st.floats(0.5, 20.0), st.floats(-1.5, 1.5))))
+            for shape in shapes
+        ]
+        order = draw(st.sampled_from(["C", "F"]))
+        labels[setting], logs[setting] = LABELS[: len(shapes)], np.array(np.column_stack(columns), order=order)
+    series = draw(st.integers(4, 40))
+    counts = {setting: np.zeros((series, len(kept))) for setting, kept in labels.items()}
+    for i in range(series):
+        support = draw(st.sampled_from(["all", "one", "none"]))
+        for setting, matrix in counts.items():
+            if support == "all":
+                matrix[i] = draw(st.lists(st.sampled_from([0, 1, 3, 40]), min_size=matrix.shape[1], max_size=matrix.shape[1]))
+        if support == "one":
+            setting = draw(st.sampled_from(sorted(counts, key=lambda s: s.value)))
+            counts[setting][i, draw(st.integers(0, counts[setting].shape[1] - 1))] = draw(st.sampled_from([1, 2, 40]))
+    return LikelihoodGrid(phis, labels, logs), counts
+
+
+def crafted_scan(n, step, quarter, half, series=5):
+    """A grid of n columns symmetric about phi = 0 (n odd) with one label a
+    setting, each given as a function of phis, and ``series`` series with one
+    count on each label."""
+    phis = step * (np.arange(n) - (n - 1) // 2)
+    logs = {Setting.QUARTER: quarter(phis)[:, None], Setting.HALF: half(phis)[:, None]}
+    grid = LikelihoodGrid(phis, {Setting.QUARTER: ("AB",), Setting.HALF: ("AB",)}, logs)
+    return grid, {setting: np.ones((series, 1)) for setting in logs}
+
+
+def kinks(n):
+    """Piecewise-linear values over n columns: a peak of -1 at column 48,
+    rising 0.001 a column toward it and falling 10 a column after it, and a
+    symmetric peak of 0 at column 80."""
+    i = np.arange(n, dtype=float)
+    return np.maximum(np.where(i <= 48, -1.0 + 0.001 * (i - 48), -1.0 - 10.0 * (i - 48)), -0.5 * np.abs(i - 80))
+
+
+class TestPrunedScan:
+    """The scan that evaluates only the grid windows that can hold a
+    maximum gives the full-grid scan's ``phi_hat``, ``loglik``, ``n_coinc``
+    and problems bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+
+    @staticmethod
+    def assert_same_estimates(monkeypatch, dataset):
+        scanned = []
+
+        def checked(grid, counts):
+            scanned.append(len(grid.phis))
+            return assert_same_scan(grid, counts)
+
+        monkeypatch.setattr(estimator, "_estimate_series", checked)
+        for include_cc in (True, False):
+            estimate_dataset(dataset, include_cc=include_cc)
+        assert len(scanned) == 2 * len(dataset.config.eta_list)
+
+    @pytest.mark.parametrize("kind", [ProbeKind.NOON, ProbeKind.OPTIMAL], ids=["noon", "optimal"])
+    def test_default_campaigns(self, monkeypatch, kind):
+        dataset = run_campaign(ExperimentConfig(probe_kind=kind, master_seed=0))
+        self.assert_same_estimates(monkeypatch, dataset)
+
+    def test_sweep_imperfections(self, monkeypatch):
+        """Three design-sweep etas, two with a |11> component, at the sweep's
+        imperfections and events, with more series than one chunk."""
+        config = ExperimentConfig(
+            eta_list=(0.1, 0.27, 0.78), phase_list=(-0.02, 0.0, 0.02), series_count=2 * CHUNK_SERIES,
+            events_per_series=500, master_seed=11,
+            imperfections=ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97),
+        )
+        self.assert_same_estimates(monkeypatch, run_campaign(config))
+
+    @given(synthetic_scans())
+    @example(
+        (synthetic_grid(), {Setting.QUARTER: np.array([[3.0, 0.0]] * 5), Setting.HALF: np.array([[1.0, 0.0, 0.0]] * 5)})
+    )
+    # broad mirror lobes at +-0.3, the one at -0.3 lower by TIE_TOL / 2: a near-tie it wins by its smaller |phi|
+    @example(crafted_scan(1001, 1e-3, lambda phis: -((phis * phis - 0.09) ** 2), lambda phis: TIE_TOL / 1.2 * phis))
+    # the maximum at column 31, the last of its block, and a steep fall after it: the window after it is out,
+    # but that window's first column is the maximum's neighbor
+    @example(crafted_scan(101, 0.01, lambda phis: np.where(phis <= -0.19, 0.1, -50.0) * (phis + 0.19), np.zeros_like))
+    # a kink at knot 48 whose parabola refinement beats the grid maximum at column 80: only the curvature at
+    # the knot itself, which both windows sharing it count, keeps them
+    @example(crafted_scan(101, 0.01, lambda phis: kinks(len(phis)), np.zeros_like))
+    def test_synthetic_grids(self, scan):
+        """Chunks of 3 series, groups of 7 and bound batches of 5, so a
+        scan crosses every kind of boundary."""
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in (("CHUNK_SERIES", 3), ("GROUP_SERIES", 7), ("BOUND_SERIES", 5)):
+                patch.setattr(estimator, name, value)
+            assert_same_scan(*scan)
 
 
 class TestLogLikelihood:

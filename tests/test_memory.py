@@ -113,24 +113,37 @@ def test_wide_field_transient(tmp_path, count, expected):
     assert peak - kept < MiB
 
 
-def noon_dataset(series: int, phases=(0.0,)):
+def noon_dataset(series: int, phases=(0.0,), eta=0.361):
     config = ExperimentConfig(
-        eta_list=(0.361,), probe_kind=ProbeKind.NOON, phase_list=phases, series_count=series,
+        eta_list=(eta,), probe_kind=ProbeKind.NOON, phase_list=phases, series_count=series,
         events_per_series=200, master_seed=3,
     )
     return run_campaign(config)
 
 
-def test_estimate_peak_does_not_grow_with_series():
-    """Doubling the series adds their counts and estimates, about 260 bytes
-    a series, not their 25 KB likelihood rows; the scan itself stays within
-    its two (CHUNK_SERIES, grid) buffers of 0.8 MB and the grid."""
+def assert_estimate_peak_does_not_grow_with_series(eta):
     series = 4 * CHUNK_SERIES
-    datasets = [noon_dataset(n) for n in (series, 2 * series)]
+    datasets = [noon_dataset(n, eta=eta) for n in (series, 2 * series)]
     estimate_dataset(datasets[0])  # a first call, so no one-time allocation counts in a peak
     peaks = [traced(estimate_dataset, dataset)[1] for dataset in datasets]
     assert peaks[1] - peaks[0] < 1024 * series
     assert max(peaks) < 2.5 * MiB
+
+
+def test_estimate_peak_does_not_grow_with_series():
+    """Doubling the series adds their counts and estimates, about 260 bytes
+    a series, not their 25 KB likelihood rows; the scan itself stays within
+    its two (CHUNK_SERIES, grid) buffers of 0.8 MB and the grid, which also
+    hold the knot values and window bounds of the pruned scan."""
+    assert_estimate_peak_does_not_grow_with_series(0.361)
+
+
+def test_broad_likelihood_estimate_peak_does_not_grow_with_series():
+    """At eta = 0.2 the likelihood of 200 events is broad, so the pruned scan
+    keeps many windows of every series: it evaluates 43% of the grid, against
+    36% at eta = 0.361 and 6-8% on the default campaigns. Its wider chunks
+    still fit the same two buffers."""
+    assert_estimate_peak_does_not_grow_with_series(0.2)
 
 
 def test_precision_curve_peak_does_not_grow_with_etas():
@@ -147,8 +160,18 @@ def test_precision_curve_peak_does_not_grow_with_etas():
 def test_tiny_eta_block_peak():
     """At tiny eta about 80 cells a lane survive the first level, against 2
     to 33 above 0.05; the kept cells are refined a chunk of lanes at a time.
-    The block peaks at about 6 MiB, the anchors of its first level."""
+    The block peaks at about 5.4 MiB, in the refinement."""
     etas = np.geomspace(1e-20, 1e-3, WEIGHT_LANES)
     weights, peak, _ = traced(optimize_weights, etas)
     assert len(weights) == WEIGHT_LANES
     assert peak < 8 * MiB
+
+
+def test_weight_block_peak():
+    """The first level of a block of lanes is evaluated 16 lanes at a time:
+    its (64, 861) arrays over all lanes at once peaked at 6.0 MiB, where the
+    block now peaks at about 2.2 MiB."""
+    optimize_weights([0.5])
+    weights, peak, _ = traced(optimize_weights, np.linspace(0.05, 1.0, WEIGHT_LANES))
+    assert len(weights) == WEIGHT_LANES
+    assert peak < 3 * MiB

@@ -30,6 +30,11 @@ SRC = Path(lossyphase.__file__).resolve().parent
 
 _TRACER = "named by perfbench/tracer.py and tests/test_benchmark_contract.py until the tracer wraps what runs now"
 
+_PRUNED = (
+    "bounds the likelihood of blocks of more than CHUNK_SERIES series, where the recipes' blocks hold 15;"
+    " tests/test_estimator.py::TestPrunedScan covers it"
+)
+
 #: Defs no recipe runs, by dotted name (module, enclosing classes and defs, name), with the reason each stays.
 ALLOWED = {
     "montecarlo.record_rng": _TRACER,
@@ -39,6 +44,8 @@ ALLOWED = {
     "workers.cpu_count": "pinned to 1 by the traced run; tests/test_workers.py covers it",
     "cli.read_dataset_csv.line_of": "error path: runs only for a repeated dataset row; tests/test_cli.py covers it",
     "cli._check_row": "error path: runs only for a dataset block with a bad row; tests/test_cli.py covers it",
+    "estimator._window_bounds": _PRUNED,
+    "estimator._knot_values": _PRUNED,
 }
 
 #: The child: the shrunk README recipes (bounds; fringes with and without
