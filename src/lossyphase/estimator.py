@@ -211,28 +211,26 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
 
     Returns arrays of phi_hat, loglik max and n_coinc and a list of problems,
     one per series, ``problem`` as in ``_peaks`` or for a series without
-    registered coincidences. The series of more than one chunk are taken in
-    order of their best knots, BOUND_SERIES at a time (``_pruned_rows``).
+    registered coincidences. A block of more than one chunk is bounded
+    BOUND_SERIES series at a time (``_pruned_rows``).
     """
     n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
     n, width = len(n_coinc), len(grid.phis)
-    phi_hat, lmax, problems = np.empty(n), np.empty(n), [None] * n
+    phi_hat, lmax, problems = np.empty(n), np.empty(n), []
     bounds = _window_bounds(grid) if n > CHUNK_SERIES else None  # its temporaries are gone before the buffers come
     # Allocated once: a fresh 0.8 MB product per chunk may come from new pages each time
     buffers = [np.empty((min(CHUNK_SERIES, n), width)) for _ in range(2)]
-    step = min(BOUND_SERIES, buffers[0].size // (2 * width // WINDOW + 4))  # a batch's knot values and bounds fit a buffer
-    batches = lambda members: ({s: m[members[lo : lo + step]] for s, m in counts.items()} for lo in range(0, len(members), step))
-    order = np.arange(n)
-    if bounds is not None:  # one int per series, so that series sharing windows come together
-        order = np.argsort(np.concatenate([_knot_values(bounds, m, buffers).argmax(axis=1) for m in batches(order)]), kind="stable")
+    # a batch's knot values and bounds fit a buffer
+    step = max(1, min(BOUND_SERIES, buffers[0].size // (2 * width // WINDOW + 4)))
     for first in range(0, n, GROUP_SERIES):
-        members = order[first : first + GROUP_SERIES]
-        chunks = (chunk for m in batches(members) for chunk in _pruned_rows(grid, bounds, m, buffers))
-        phi_hat[members], lmax[members], problem = _peaks(
-            grid.phis, grid.step, chunks, lambda i: _loglik_rows(grid, counts, members[i], members[i] + 1).min()
+        last = min(first + GROUP_SERIES, n)
+        batches = ({s: m[lo : min(lo + step, last)] for s, m in counts.items()} for lo in range(first, last, step))
+        chunks = (chunk for batch in batches for chunk in _pruned_rows(grid, bounds, batch, buffers))
+        phi_hat[first:last], lmax[first:last], problem = _peaks(
+            grid.phis, grid.step, chunks, lambda i: _loglik_rows(grid, counts, first + i, first + i + 1).min()
         )
-        for i, p in zip(members.tolist(), problem):
-            problems[i] = "no registered coincidences" if n_coinc[i] == 0 else p
+        problems += problem
+    problems = ["no registered coincidences" if n == 0 else p for n, p in zip(n_coinc.tolist(), problems)]
     return phi_hat, lmax, n_coinc, problems
 
 
@@ -251,42 +249,28 @@ def _window_bounds(grid: LikelihoodGrid):
     return knots, lp[knots].T, -(second * spread[:, None]).T, 2e-10 * np.abs(lp).max(axis=0), _sampled(n) // WINDOW
 
 
-def _knot_values(bounds, counts, buffers) -> np.ndarray:
-    """Log-likelihood at the knots, to within rounding, written into a buffer no chunk uses yet."""
-    rows = len(next(iter(counts.values())))
-    out = buffers[0].reshape(-1)[: rows * len(bounds[0])].reshape(rows, -1)
-    return np.matmul(np.hstack(list(counts.values())), bounds[1], out=out)
-
-
 def _pruned_rows(grid: LikelihoodGrid, bounds, counts, buffers):
     """(rows, columns) chunks of the log-likelihood rows of the ``counts``, in
     ``buffers``: every column without ``bounds``, else ``_peaks``' samples and
-    the WINDOW-column blocks that can hold a maximum, a near-tie or a row's
-    largest value. Counts are >= 0, so with k = max(0, -(sum of count * least
-    second difference)) over window [a, b], a value there is at most
-    max(x_a, x_b) + k (b - a)**2 / 8 (discrete convexity) and a parabola
-    refinement adds at most k / 8. A window whose bound, less a rounding
-    margin, is below the best knot less TIE_TOL is dropped; a kept one takes
-    the next block too, for its right end. A candidate on a knot that can win
-    or tie keeps both windows that share it, so it has both neighbors."""
-    n, start = len(grid.phis), 0
+    the WINDOW-column blocks whose bound (README, "The pruned likelihood
+    scan") admits a maximum, a near-tie or a row's largest value, each with
+    the next block, which holds its window's right end."""
+    n = len(grid.phis)
     need = np.ones((len(next(iter(counts.values()))), -(-n // WINDOW)), dtype=bool)  # block b starts window b
     if bounds is not None:
-        knots, _, curvature, margin, sampled = bounds
-        x, matrix = _knot_values(bounds, counts, buffers), np.hstack(list(counts.values()))
-        bound, scratch = (b.reshape(-1)[x.size : x.size + x.size - len(x)].reshape(len(x), -1) for b in buffers)
+        knots, at_knots, curvature, margin, sampled = bounds
+        matrix = np.hstack(list(counts.values()))  # knot values to within rounding, in a buffer no chunk uses yet
+        x = np.matmul(matrix, at_knots, out=buffers[0].reshape(-1)[: len(matrix) * len(knots)].reshape(len(matrix), -1))
+        bound, scratch = (b.reshape(-1)[x.size : 2 * x.size - len(x)].reshape(len(x), -1) for b in buffers)
         np.maximum(np.matmul(matrix, curvature, out=bound), 0.0, out=bound)
         bound += np.maximum(x[:, :-1], x[:, 1:], out=scratch)
         need[:, : len(knots) - 1] = ~(bound < (x.max(axis=1) - TIE_TOL - matrix @ margin)[:, None])
         need[:, 1:] |= need[:, :-1].copy()
         need[:, sampled] = True  # the grid's last block among them, which may start no window
-    while start < len(need):  # a chunk takes the series whose blocks, with those before, fit a buffer
-        first = np.where(need[start:].any(axis=0), need[start:].argmax(axis=0), len(need))  # the series first needing each block
-        width = WINDOW * np.cumsum(np.bincount(first, minlength=len(need) + 1))[: len(need) - start]  # of 1, 2, ... series' blocks
-        rows = max(1, int(np.sum(np.arange(1, len(width) + 1) * width <= buffers[0].size)))
-        cols = (np.flatnonzero(first < rows)[:, None] * WINDOW + np.arange(WINDOW)).ravel()
-        yield _loglik_rows(grid, counts, start, start + rows, *buffers, cols[cols < n]), cols[cols < n]
-        start += rows
+    for start in range(0, len(need), len(buffers[0])):  # a chunk's rows fit the buffers at any columns
+        stop = min(start + len(buffers[0]), len(need))
+        cols = (np.flatnonzero(need[start:stop].any(axis=0))[:, None] * WINDOW + np.arange(WINDOW)).ravel()
+        yield _loglik_rows(grid, counts, start, stop, *buffers, cols[cols < n]), cols[cols < n]
 
 
 def _first_seen(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

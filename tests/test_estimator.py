@@ -389,6 +389,8 @@ class TestPrunedScan:
     # a kink at knot 48 whose parabola refinement beats the grid maximum at column 80: only the curvature at
     # the knot itself, which both windows sharing it count, keeps them
     @example(crafted_scan(101, 0.01, lambda phis: kinks(len(phis)), np.zeros_like))
+    # one series on three columns: its row buffers hold fewer values than one batch's knot values and bounds
+    @example(crafted_scan(3, 0.01, lambda phis: -phis * phis, np.zeros_like, series=1))
     def test_synthetic_grids(self, scan):
         """Chunks of 3 series, groups of 7 and bound batches of 5, so a
         scan crosses every kind of boundary."""

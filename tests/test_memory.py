@@ -140,9 +140,9 @@ def test_estimate_peak_does_not_grow_with_series():
 
 def test_broad_likelihood_estimate_peak_does_not_grow_with_series():
     """At eta = 0.2 the likelihood of 200 events is broad, so the pruned scan
-    keeps many windows of every series: it evaluates 43% of the grid, against
-    36% at eta = 0.361 and 6-8% on the default campaigns. Its wider chunks
-    still fit the same two buffers."""
+    keeps many windows of every series: it evaluates 52% of the grid, against
+    38% at eta = 0.361 and 10-18% on the default campaigns. Its chunks at
+    more columns still fit the same two buffers."""
     assert_estimate_peak_does_not_grow_with_series(0.2)
 
 

@@ -45,7 +45,6 @@ ALLOWED = {
     "cli.read_dataset_csv.line_of": "error path: runs only for a repeated dataset row; tests/test_cli.py covers it",
     "cli._check_row": "error path: runs only for a dataset block with a bad row; tests/test_cli.py covers it",
     "estimator._window_bounds": _PRUNED,
-    "estimator._knot_values": _PRUNED,
 }
 
 #: The child: the shrunk README recipes (bounds; fringes with and without
