@@ -263,9 +263,10 @@ def optimize_theta_d(probes: Sequence[FockState], etas: Sequence[float]) -> list
     lands near, but not exactly at, pi/4. The offset searches of all such
     probes run as the lanes of one search, which looks _OFFSET_DEPTH steps
     ahead, and each of its calls runs the theta searches of every offset it
-    asks for, over (probe, offset), as the lanes of one search. The theta
-    found at the chosen offset is kept. Each design is the one the probe
-    gets alone.
+    asks for, over (probe, offset), as the lanes of one search. Theta is
+    then searched once more at the chosen offset; a lane rounds as it would
+    alone, so this is the theta the offset search saw there. Each design is
+    the one the probe gets alone.
     """
     configs = [DetectionConfig(Setting.QUARTER, 0.5)] * len(probes)
     for probe in probes:
@@ -274,13 +275,7 @@ def optimize_theta_d(probes: Sequence[FockState], etas: Sequence[float]) -> list
     if not tuned:
         return configs
     coeff = np.array([_branch_amplitudes(probes[k], etas[k])[0] for k in tuned])[:, None, :]
-    searched = []  # (offsets, their theta) of each objective call
-
-    def fisher(offset):
-        theta, f = _best_theta(coeff, offset)
-        searched.append((offset, theta))
-        return f
-
+    fisher = lambda offset: _best_theta(coeff, offset)[1]
     i = np.argmax(fisher(np.broadcast_to(_OFFSET_GRID, (len(tuned), len(_OFFSET_GRID)))), axis=-1)
     offset, _ = golden_section_max(
         fisher,
@@ -289,8 +284,7 @@ def optimize_theta_d(probes: Sequence[FockState], etas: Sequence[float]) -> list
         tol=1e-8,
         depth=_OFFSET_DEPTH,
     )
-    offsets, thetas = (np.concatenate(v, axis=-1) for v in zip(*searched))
-    theta = thetas[np.arange(len(tuned)), np.argmax(offsets == offset[:, None], axis=-1)]
-    for k, t, o in zip(tuned, theta.tolist(), offset.tolist()):
+    theta, _ = _best_theta(coeff, offset[:, None])
+    for k, t, o in zip(tuned, theta[:, 0].tolist(), offset.tolist()):
         configs[k] = DetectionConfig(Setting.QUARTER, t, conditional_phase=o)
     return configs

@@ -211,13 +211,13 @@ def _estimate_series(grid: LikelihoodGrid, counts: dict[Setting, np.ndarray]):
 
     Returns arrays of phi_hat, loglik max and n_coinc and a list of problems,
     one per series, ``problem`` as in ``_peaks`` or for a series without
-    registered coincidences. A block of more than one chunk is bounded
-    BOUND_SERIES series at a time (``_pruned_rows``).
+    registered coincidences. Series are bounded BOUND_SERIES at a time
+    (``_pruned_rows``).
     """
     n_coinc = sum(m.sum(axis=1).astype(np.int64) for m in counts.values())
     n, width = len(n_coinc), len(grid.phis)
     phi_hat, lmax, problems = np.empty(n), np.empty(n), []
-    bounds = _window_bounds(grid) if n > CHUNK_SERIES else None  # its temporaries are gone before the buffers come
+    bounds = _window_bounds(grid)  # its temporaries are gone before the buffers come
     # Allocated once: a fresh 0.8 MB product per chunk may come from new pages each time
     buffers = [np.empty((min(CHUNK_SERIES, n), width)) for _ in range(2)]
     # a batch's knot values and bounds fit a buffer
@@ -251,22 +251,21 @@ def _window_bounds(grid: LikelihoodGrid):
 
 def _pruned_rows(grid: LikelihoodGrid, bounds, counts, buffers):
     """(rows, columns) chunks of the log-likelihood rows of the ``counts``, in
-    ``buffers``: every column without ``bounds``, else ``_peaks``' samples and
-    the WINDOW-column blocks whose bound (README, "The pruned likelihood
-    scan") admits a maximum, a near-tie or a row's largest value, each with
-    the next block, which holds its window's right end."""
+    ``buffers``: ``_peaks``' samples and the WINDOW-column blocks whose
+    ``bounds`` (README, "The pruned likelihood scan") admit a maximum, a
+    near-tie or a row's largest value, each with the next block, which holds
+    its window's right end."""
     n = len(grid.phis)
-    need = np.ones((len(next(iter(counts.values()))), -(-n // WINDOW)), dtype=bool)  # block b starts window b
-    if bounds is not None:
-        knots, at_knots, curvature, margin, sampled = bounds
-        matrix = np.hstack(list(counts.values()))  # knot values to within rounding, in a buffer no chunk uses yet
-        x = np.matmul(matrix, at_knots, out=buffers[0].reshape(-1)[: len(matrix) * len(knots)].reshape(len(matrix), -1))
-        bound, scratch = (b.reshape(-1)[x.size : 2 * x.size - len(x)].reshape(len(x), -1) for b in buffers)
-        np.maximum(np.matmul(matrix, curvature, out=bound), 0.0, out=bound)
-        bound += np.maximum(x[:, :-1], x[:, 1:], out=scratch)
-        need[:, : len(knots) - 1] = ~(bound < (x.max(axis=1) - TIE_TOL - matrix @ margin)[:, None])
-        need[:, 1:] |= need[:, :-1].copy()
-        need[:, sampled] = True  # the grid's last block among them, which may start no window
+    knots, at_knots, curvature, margin, sampled = bounds
+    matrix = np.hstack([counts[s] for s in grid.log_probs])  # knot values to within rounding, in a buffer no chunk uses yet
+    x = np.matmul(matrix, at_knots, out=buffers[0].reshape(-1)[: len(matrix) * len(knots)].reshape(len(matrix), -1))
+    bound, scratch = (b.reshape(-1)[x.size : 2 * x.size - len(x)].reshape(len(x), -1) for b in buffers)
+    np.maximum(np.matmul(matrix, curvature, out=bound), 0.0, out=bound)
+    bound += np.maximum(x[:, :-1], x[:, 1:], out=scratch)
+    need = np.ones((len(matrix), -(-n // WINDOW)), dtype=bool)  # block b starts window b
+    need[:, : len(knots) - 1] = ~(bound < (x.max(axis=1) - TIE_TOL - matrix @ margin)[:, None])
+    need[:, 1:] |= need[:, :-1].copy()
+    need[:, sampled] = True  # the grid's last block among them, which may start no window
     for start in range(0, len(need), len(buffers[0])):  # a chunk's rows fit the buffers at any columns
         stop = min(start + len(buffers[0]), len(need))
         cols = (np.flatnonzero(need[start:stop].any(axis=0))[:, None] * WINDOW + np.arange(WINDOW)).ravel()

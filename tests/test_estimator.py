@@ -367,15 +367,34 @@ class TestPrunedScan:
         dataset = run_campaign(ExperimentConfig(probe_kind=kind, master_seed=0))
         self.assert_same_estimates(monkeypatch, dataset)
 
-    def test_sweep_imperfections(self, monkeypatch):
+    @pytest.mark.parametrize("series", [10, 2 * CHUNK_SERIES], ids=["sweep-blocks", "two-chunks"])
+    def test_sweep_imperfections(self, monkeypatch, series):
         """Three design-sweep etas, two with a |11> component, at the sweep's
-        imperfections and events, with more series than one chunk."""
+        imperfections and events: with the sweep's own series, blocks of 30
+        series in one chunk, and with blocks of more than one chunk."""
         config = ExperimentConfig(
-            eta_list=(0.1, 0.27, 0.78), phase_list=(-0.02, 0.0, 0.02), series_count=2 * CHUNK_SERIES,
+            eta_list=(0.1, 0.27, 0.78), phase_list=(-0.02, 0.0, 0.02), series_count=series,
             events_per_series=500, master_seed=11,
             imperfections=ImperfectionParams(epsilon=0.02, delta=0.1, lambda_hom=0.95, v_classical=0.97),
         )
         self.assert_same_estimates(monkeypatch, run_campaign(config))
+
+    def test_counts_in_another_setting_order(self, monkeypatch):
+        """Count matrices pair with the grid's settings by key, not by their
+        order in the dict: one N00N block of 15 phases x 100 series at eta =
+        0.361, its matrices handed over in reversed order."""
+        config = ExperimentConfig(eta_list=(0.361,), probe_kind=ProbeKind.NOON, series_count=100, master_seed=0)
+        scanned = []
+
+        def reversed_order(grid, counts):
+            counts = dict(reversed(counts.items()))
+            assert list(counts) != list(grid.log_probs)
+            scanned.append(len(grid.phis))
+            return assert_same_scan(grid, counts)
+
+        monkeypatch.setattr(estimator, "_estimate_series", reversed_order)
+        estimate_dataset(run_campaign(config))
+        assert len(scanned) == 1
 
     @given(synthetic_scans())
     @example(
